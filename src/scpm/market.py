@@ -1,7 +1,10 @@
 """Market state, limit-order fills, charging, and settlement.
 
 fill() is pure: it computes the accepted quantity and charge without
-touching the state; apply() commits a fill.  Two charging modes exist:
+touching the state; apply() commits a fill.  The quantity comes from
+cost.bracketed_root on the bundle price p(q + a x)'a - pi, and every point
+it probes is solved once: the prices before and after and the charge are
+read from those solves.  Two charging modes exist:
 
 * "integral" -- the truthful scheme, charge = C(q + a x) - C(q), equal to
   the integral of instantaneous bundle prices over the fill;
@@ -15,17 +18,22 @@ semicolon-separated reals, limit accepts "inf"); traces are JSON lines.
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+# perfbench/tracing.py wraps both names where this module binds them.
 from .cost import charge as compute_charge, prices as compute_prices
+
+# The package re-exports the function cost under the submodule's name.
+_cost = importlib.import_module(".cost", __package__)
 
 CHARGING_MODES = ("integral", "final")
 
-# Relative tolerance of the fill-quantity bisection.
+# Relative tolerance of the fill-quantity search.
 FILL_RTOL = 1e-9
 # Doubling cap when searching for an upper fill bracket with limit = inf.
 MAX_BRACKET = 2.0 ** 60
@@ -92,6 +100,7 @@ class FillResult:
     mode: str
     order: Order
     q_before: np.ndarray
+    solves: int  # cost solves made, one per distinct point
 
 
 @dataclass
@@ -134,56 +143,57 @@ def fill(state, order):
     if a.shape != (u.n,):
         raise ValueError(f"bundle must have length {u.n}")
 
-    def bundle_price(x):
-        return float(compute_prices(u, q + a * x) @ a)
+    solved = {}
 
-    p_before = compute_prices(u, q)
+    def excess(x):
+        # Looked up at call time, so a wrapped cost.solve_t sees every solve.
+        res = solved[x] = _cost.solve_t(u, q + a * x)
+        return float(res.prices @ a) - order.pi
+
     x_bar = 0.0
-    if float(p_before @ a) < order.pi:
+    f_lo = excess(0.0)
+    if f_lo < 0.0:
         if math.isfinite(order.limit):
             lo, hi = 0.0, order.limit
-            if bundle_price(order.limit) <= order.pi:
-                lo = order.limit
-            tol = FILL_RTOL * max(1.0, order.limit)
+            f_hi = excess(hi)
+            tol = FILL_RTOL * max(1.0, hi)
         else:
-            # Prices concentrate on max-weight states as x grows, so the
-            # achievable bundle price is bounded by max(a).
-            if order.pi >= float(a.max()):
+            # Prices of a monotone utility concentrate on max-weight states
+            # as x grows, so the achievable bundle price is bounded by max(a).
+            if u.monotone and order.pi >= float(a.max()):
                 raise UnboundedFillError(
                     f"limit price {order.pi} can never be reached; order would fill without bound"
                 )
             lo, hi = 0.0, 1.0
-            while bundle_price(hi) <= order.pi:
-                lo = hi
+            f_hi = excess(hi)
+            while f_hi <= 0.0:
+                lo, f_lo = hi, f_hi
                 hi *= 2.0
                 if hi > MAX_BRACKET:
                     raise UnboundedFillError("fill bracket exceeded the growth cap")
+                f_hi = excess(hi)
             tol = FILL_RTOL * max(1.0, hi)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if bundle_price(mid) <= order.pi:
-                lo = mid
-            else:
-                hi = mid
-        x_bar = lo
-
-    if x_bar == 0.0:
-        p_after = p_before
-        paid = 0.0
-    else:
-        p_after = compute_prices(u, q + a * x_bar)
-        if state.config.charging_mode == "integral":
-            paid = compute_charge(u, q, a, x_bar)
+        if f_hi <= 0.0:
+            x_bar = hi
         else:
-            paid = x_bar * float(p_after @ a)
+            x_bar, _ = _cost.bracketed_root(excess, lo, hi, f_lo, f_hi, tol)
+
+    before, after = solved[0.0], solved[x_bar]
+    if x_bar == 0.0:
+        paid = 0.0
+    elif state.config.charging_mode == "integral":
+        paid = after.cost - before.cost
+    else:
+        paid = x_bar * float(after.prices @ a)
     return FillResult(
         x_bar=float(x_bar),
         charge=float(paid),
-        prices_before=p_before,
-        prices_after=p_after,
+        prices_before=before.prices,
+        prices_after=after.prices,
         mode=state.config.charging_mode,
         order=order,
         q_before=q.copy(),
+        solves=len(solved),
     )
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import xlogy
 
 KINDS = (
     "LMSR",
@@ -45,6 +45,12 @@ class DomainError(ValueError):
 
 class PenaltyUnsupportedError(ValueError):
     """The utility has no conjugate-penalty / risk interpretation."""
+
+
+def _logsumexp(z):
+    """log sum exp over the last axis, shifted by the row maximum."""
+    m = z.max(axis=-1)
+    return m + np.log(np.exp(z - m[..., None]).sum(axis=-1))
 
 
 def _check_simplex(p, n):
@@ -199,15 +205,14 @@ class LMSR(Utility):
     def value(self, s):
         s = self._as_alloc(s)
         z = -s / self.b + np.log(self.theta)
-        out = -self.b * logsumexp(z, axis=-1)
+        out = -self.b * _logsumexp(z)
         return float(out) if out.ndim == 0 else out
 
     def grad(self, s):
         s = self._as_alloc(s)
         z = -s / self.b + np.log(self.theta)
-        z = z - z.max()
-        w = np.exp(z)
-        return w / w.sum()
+        w = np.exp(z - z.max(axis=-1, keepdims=True))
+        return w / w.sum(axis=-1, keepdims=True)
 
     def grad_sum(self, s):
         return 1.0
@@ -247,7 +252,8 @@ class QuadraticScore(Utility):
 
     def grad(self, s):
         s = self._as_alloc(s)
-        return 1.0 / self.n + (s.mean() - s) / (2.0 * self.b)
+        sbar = s.sum(axis=-1, keepdims=True) / self.n
+        return 1.0 / self.n + (sbar - s) / (2.0 * self.b)
 
     def grad_sum(self, s):
         return 1.0
@@ -329,10 +335,9 @@ class MinSCPM(Utility):
     def grad(self, s):
         # Canonical subgradient: uniform over the argmin set.
         s = self._as_alloc(s)
-        m = s.min()
-        tol = ARGMIN_RTOL * max(1.0, abs(m))
-        mask = s <= m + tol
-        return mask / mask.sum()
+        m = s.min(axis=-1, keepdims=True)
+        mask = s <= m + ARGMIN_RTOL * np.maximum(1.0, np.abs(m))
+        return mask / mask.sum(axis=-1, keepdims=True)
 
     def grad_sum(self, s):
         return 1.0
@@ -380,7 +385,7 @@ class ExponentialSCPM(Utility):
     def solve_withdrawal(self, q):
         # 1 - (1/N) sum exp((q_i - t)/b) = 0  =>  t = b log((1/N) sum exp(q_i/b))
         q = np.asarray(q, dtype=float)
-        return float(self.b * (logsumexp(q / self.b) - math.log(self.n)))
+        return float(self.b * (_logsumexp(q / self.b) - math.log(self.n)))
 
     def penalty_raw(self, p):
         # b * KL(p || uniform)

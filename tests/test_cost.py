@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from scpm import charge, cost, make_utility, prices, solve_t
+from scpm.cost import MAX_ITER, bracketed_root
 from scpm.utilities import KINDS
 
 
@@ -53,6 +54,43 @@ class TestSolveT:
             slow = solve_t(u, q, method="bisect")
             assert fast.cost == pytest.approx(slow.cost, abs=1e-9)
             np.testing.assert_allclose(fast.prices, slow.prices, atol=1e-8)
+
+    def test_log_solve_width_is_relative_to_q(self):
+        # An absolute 1e-12 width on t is below the float spacing at t ~ 1e7:
+        # a search held to it runs out its iteration cap.
+        u = make_utility("LogSCPM", n_outcomes=3)
+        q = 1e7 * np.array([1.0, 0.5, 0.0])
+        res = solve_t(u, q)
+        assert res.iterations < MAX_ITER // 4
+        shifted = solve_t(u, q - q.max()).cost + q.max()
+        assert res.cost == pytest.approx(shifted, rel=1e-12)
+
+    def test_log_solve_at_large_uniform_q(self):
+        # At this scale max(q) + FLOOR_PAD rounds back onto max(q) itself.
+        u = make_utility("LogSCPM", n_outcomes=3)
+        res = solve_t(u, np.full(3, 1e8))
+        np.testing.assert_allclose(res.prices, np.full(3, 1.0 / 3.0), rtol=1e-12)
+
+    def test_solve_path_recorded(self):
+        q = np.array([0.3, 1.2, 0.8])
+        paths = {kind: solve_t(make_utility(kind, n_outcomes=3), q).path for kind in KINDS}
+        assert paths == {"LMSR": "flat", "QuadraticScore": "flat", "MinSCPM": "flat",
+                         "ExponentialSCPM": "closed", "QuadSCPM": "closed", "LogSCPM": "root"}
+        assert solve_t(make_utility("QuadSCPM", n_outcomes=3), q, method="bisect").path == "root"
+
+    @pytest.mark.parametrize("n", [2, 3, 1024])
+    def test_lmsr_agrees_with_analysis_closed_forms(self, n):
+        from scpm.analysis import _lmsr_closed_forms
+
+        b = 1.3
+        costf, pricef = _lmsr_closed_forms(b, n)
+        u = make_utility("LMSR", b=b, n_outcomes=n)
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 30.0):
+            q = rng.uniform(0.0, scale, size=n)
+            res = solve_t(u, q)
+            assert res.cost == pytest.approx(costf(q), rel=1e-12)
+            np.testing.assert_allclose(res.prices, pricef(q), rtol=0.0, atol=1e-12)
 
     def test_log_example(self):
         # theta = (1,1), q = 0: stationarity 2/t = 1 gives t = 2
@@ -147,3 +185,29 @@ class TestCharge:
             u = make_utility(kind, b=1.0, n_outcomes=3)
             q = random_q(rng, 3)
             assert charge(u, q, a, 1.5) == pytest.approx(1.5, abs=1e-8)
+
+
+class TestBracketedRoot:
+    def test_affine_root_closes_in_two_probes(self):
+        # False position lands on the root of an affine f; the tol/2 guard
+        # then closes the bracket with one more probe instead of stalling.
+        root = 0.3
+        lo, probes = bracketed_root(lambda x: x - root, 0.0, 1.0, -root, 1.0 - root, 1e-9)
+        assert lo <= root < lo + 1e-9
+        assert probes <= 2
+
+    @pytest.mark.parametrize("step", [0.0, 1e-3, 0.37, 1.0 - 1e-6])
+    def test_step_function_returns_low_end(self, step):
+        def f(x):
+            return -0.25 if x <= step else 0.75
+
+        tol = 1e-9
+        lo, probes = bracketed_root(f, 0.0, 1.0, f(0.0), 0.75, tol)
+        assert f(lo) <= 0.0 < f(lo + tol)
+        assert probes <= 4 * math.ceil(math.log2(1.0 / tol))
+
+    def test_ftol_stops_early(self):
+        x, probes = bracketed_root(lambda x: x * x * x - 0.125, 0.0, 1.0, -0.125, 0.875,
+                                   1e-12, ftol=1e-6)
+        assert abs(x ** 3 - 0.125) <= 1e-6
+        assert probes < 20

@@ -101,6 +101,32 @@ class TestFill:
         with pytest.raises(UnboundedFillError):
             fill(state, order)
 
+    def test_infinite_limit_non_monotone_fill_is_finite(self):
+        # QuadraticScore prices are unbounded above, so pi >= max(a) is
+        # reached: p_0(q + x e_0) = 1/3 + x/3 = 1.2 at x = 2.6.
+        u = make_utility("QuadraticScore", b=1.0, n_outcomes=3)
+        state = new_market(MarketConfig(utility=u))
+        f = fill(state, Order("t", 1.2, math.inf, np.array([1.0, 0.0, 0.0])))
+        assert f.x_bar == pytest.approx(2.6, abs=1e-8)
+        assert float(f.prices_after[0]) <= 1.2
+
+    def test_fill_solves_each_point_once(self, monkeypatch):
+        import importlib
+
+        cost_mod = importlib.import_module("scpm.cost")
+        points = []
+        solve = cost_mod.solve_t
+
+        def counting(u, q, method="auto"):
+            points.append(tuple(q))
+            return solve(u, q, method)
+
+        monkeypatch.setattr(cost_mod, "solve_t", counting)
+        f = fill(lmsr_market(n=3), Order("t", 0.6, 2.0, np.array([1.0, 0.0, 0.0])))
+        assert 0.0 < f.x_bar < 2.0
+        assert f.solves == len(points) == len(set(points))
+        assert f.solves <= 12
+
     def test_integral_charge_equals_cost_difference(self):
         from scpm import cost
 

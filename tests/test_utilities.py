@@ -100,6 +100,21 @@ class TestValuesAndGradients:
         np.testing.assert_allclose(batched, singles, rtol=1e-14)
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_grad_batching_matches_rows(self, kind):
+        u = make_utility(kind, b=0.7, n_outcomes=3)
+        rng = np.random.default_rng(4)
+        S = np.vstack([[0.5, 1.0, 2.0], [5.0, 3.0, 4.0],
+                       np.abs(rng.normal(size=(20, 3))) + 0.1])
+        batched = u.grad(S)
+        rows = np.array([u.grad(s) for s in S])
+        np.testing.assert_allclose(batched, rows, rtol=1e-14, atol=0.0)
+
+    def test_min_grad_batched_argmin_per_row(self):
+        u = make_utility("MinSCPM", n_outcomes=3)
+        g = u.grad(np.array([[0.0, 1.0, 2.0], [5.0, 3.0, 4.0]]))
+        np.testing.assert_array_equal(g, [[1, 0, 0], [0, 1, 0]])
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_concavity_along_random_chords(self, kind):
         u = make_utility(kind, b=1.0, n_outcomes=3)
         rng = np.random.default_rng(11)
