@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import cost as compute_cost, solve_t
+from .cost import bracketed_root, cost as compute_cost, solve_t
 from . import market as market_mod
 from . import utilities as util_mod
 from .oracle import simplex_grid
@@ -165,9 +165,10 @@ def worst_case_loss(u, method="analytic", seed=0):
 
 
 def _solve_conjugate_point(u, r, max_sweeps=40):
-    """Numerically maximize u(s) - r's by coordinate-wise bisection on the
-    partial derivatives; returns the point found (possibly non-stationary
-    for improper utilities)."""
+    """Numerically maximize u(s) - r's by Gauss-Seidel sweeps, each
+    coordinate solving its partial derivative = r_j with bracketed_root;
+    returns the point found (possibly non-stationary for improper
+    utilities)."""
     if u.kind == "MinSCPM":
         # Maximizers are the diagonal; any of them will do.
         return np.zeros(u.n)
@@ -187,7 +188,8 @@ def _solve_conjugate_point(u, r, max_sweeps=40):
 
 def _coordinate_root(u, s, j, target, positive):
     """Solve grad(u)(s)_j = target in s_j; the partial derivative is
-    nonincreasing in s_j.  Returns None when no sign change exists."""
+    nonincreasing in s_j, so the bracket is narrowed on its negative.
+    Returns None when no sign change exists."""
 
     def g(x):
         v = s.copy()
@@ -211,31 +213,19 @@ def _coordinate_root(u, s, j, target, positive):
         return None
     if glo <= 0.0 or ghi >= 0.0:
         return None
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+    tol = 1e-13 * max(1.0, abs(lo), abs(hi))
+    return bracketed_root(lambda x: -g(x), lo, hi, -glo, -ghi, tol)[0]
 
 
 def _gradient_jump(u, s_star, rng, eps=1e-6, n_probes=16):
     """Probe gradient continuity at the optimum; a jump signals a
     non-singleton subdifferential / multiple optimal prices."""
     g0 = np.asarray(u.grad(s_star), dtype=float)
-    for _ in range(n_probes):
-        d = rng.standard_normal(u.n)
-        d /= np.linalg.norm(d)
-        s2 = s_star + eps * d
-        if math.isfinite(u.domain_floor(np.zeros(u.n))):
-            s2 = np.maximum(s2, 1e-9)
-        if np.max(np.abs(np.asarray(u.grad(s2)) - g0)) > 1e-2:
-            return True
-    return False
+    d = rng.standard_normal((n_probes, u.n))
+    S = s_star + eps * d / np.linalg.norm(d, axis=-1, keepdims=True)
+    if math.isfinite(u.domain_floor(np.zeros(u.n))):
+        S = np.maximum(S, 1e-9)
+    return bool(np.any(np.max(np.abs(np.asarray(u.grad(S)) - g0), axis=-1) > 1e-2))
 
 
 def check_properness(u, n_samples=200, seed=0):

@@ -11,8 +11,13 @@ g(t) = 1 - e' grad(u)(te - q):
 * everything else (LogSCPM) is bracketed and handed to bracketed_root
   (path "root").
 
-bracketed_root is the one 1-D search of the engine: market.fill uses it
-too, on the bundle price along the order.
+Every path solves at q - max(q) and adds max(q) back: C(q + ce) = C(q) + c
+and prices are unchanged, so the level, the certificate and the price
+check then work at the scale of the spread of q, not of its size.
+
+bracketed_root is the one 1-D search of the package: market.fill uses it
+too, on the bundle price along the order, and so does the coordinate
+solve of analysis._solve_conjugate_point, on a partial derivative of u.
 
 Tolerances are fixed so that traces and acceptance values are bit-stable.
 """
@@ -87,11 +92,9 @@ def bracketed_root(f, lo, hi, flo, fhi, tol, ftol=None):
     return lo, len(widths) - 1
 
 
-def _root_t(u, q, qmax):
-    # g is translation invariant, so search the level above max(q) on
-    # q - max(q): the bracket and its width then have the scale of that
-    # level, not of max(q).
-    q = q - qmax
+def _root_t(u, q):
+    # q arrives shifted to max(q) = 0, so the bracket and its width have
+    # the scale of the level above max(q), not of max(q).
     floor = u.domain_floor(q)
 
     def g(t):
@@ -106,7 +109,7 @@ def _root_t(u, q, qmax):
     glo = g(lo)
     ghi = g(hi)
     if abs(glo) <= FLAT_TOL and abs(ghi) <= FLAT_TOL:
-        return qmax, "flat", 0
+        return 0.0, "flat", 0
 
     # Expand outwards; each end left behind becomes the other end.
     step = 1.0
@@ -136,7 +139,7 @@ def _root_t(u, q, qmax):
 
     tol = WIDTH_TOL * max(1.0, abs(lo), abs(hi))
     t, iterations = bracketed_root(g, lo, hi, glo, ghi, tol, GRAD_TOL)
-    return qmax + t, "root", iterations
+    return t, "root", iterations
 
 
 def solve_t(u, q, method="auto"):
@@ -149,10 +152,11 @@ def solve_t(u, q, method="auto"):
     if q.shape != (u.n,):
         raise ValueError(f"q must have shape ({u.n},), got {q.shape}")
     qmax = float(q.max())
+    q = q - qmax
 
     iterations = 0
     if method == "auto" and u.price_level_invariant:
-        t, path = qmax, "flat"
+        t, path = 0.0, "flat"
     else:
         t = u.solve_withdrawal(q) if method == "auto" else None
         if t is not None:
@@ -160,7 +164,7 @@ def solve_t(u, q, method="auto"):
             if abs(1.0 - u.grad_sum(t - q)) > 1e-8:
                 raise SolverError(f"closed-form withdrawal failed certificate for {u.kind}")
         else:
-            t, path, iterations = _root_t(u, q, qmax)
+            t, path, iterations = _root_t(u, q)
 
     s = t - q
     c = t - u.value(s)
@@ -171,12 +175,12 @@ def solve_t(u, q, method="auto"):
     if gap > PRICE_SUM_OK:
         p = p / p.sum()
     if u.monotone:
-        if np.any(p < -1e-10):
+        if p.min() < -1e-10:
             raise SolverError("negative price from a non-decreasing utility")
-        p = np.clip(p, 0.0, None)
-    elif np.any(p < 0):
+        p = np.maximum(p, 0.0)
+    elif p.min() < 0:
         warnings.warn(f"{u.kind} produced negative prices", stacklevel=2)
-    return CostSolveResult(float(t), float(c), p, path == "flat", iterations, path)
+    return CostSolveResult(float(t + qmax), float(c + qmax), p, path == "flat", iterations, path)
 
 
 def cost(u, q, method="auto"):

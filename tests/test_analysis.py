@@ -16,6 +16,7 @@ from scpm import (
     risk_measure,
     worst_case_loss,
 )
+from scpm.analysis import _solve_conjugate_point
 from scpm.utilities import KINDS
 
 MONOTONE_KINDS = [k for k in KINDS if k != "QuadraticScore"]
@@ -63,6 +64,34 @@ class TestProperness:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             check_properness(make_utility("LMSR"), n_samples=0)
+
+
+# Mean grad calls per conjugate point: coupled kinds move every partial
+# derivative with each coordinate, separable kinds settle in one sweep.
+GRAD_BUDGET = {"LMSR": 300, "QuadraticScore": 300, "LogSCPM": 100,
+               "ExponentialSCPM": 100, "QuadSCPM": 100}
+
+
+class TestConjugatePoint:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", sorted(GRAD_BUDGET))
+    def test_stationary_within_grad_budget(self, kind, n):
+        u = make_utility(kind, n_outcomes=n)
+        grad = u.grad
+        calls = []
+
+        def counting(s):
+            calls.append(1)
+            return grad(s)
+
+        u.grad = counting
+        rng = np.random.default_rng(11)
+        n_points = 20
+        for _ in range(n_points):
+            r = 0.9 * rng.dirichlet(np.ones(n)) + 0.1 / n
+            s = _solve_conjugate_point(u, r)
+            assert np.max(np.abs(grad(s) - r)) <= 1e-9
+        assert len(calls) / n_points <= GRAD_BUDGET[kind]
 
 
 class TestImplicitScoringRule:

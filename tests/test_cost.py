@@ -71,6 +71,19 @@ class TestSolveT:
         res = solve_t(u, np.full(3, 1e8))
         np.testing.assert_allclose(res.prices, np.full(3, 1.0 / 3.0), rtol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["ExponentialSCPM", "QuadSCPM"])
+    def test_closed_form_at_large_q(self, kind):
+        # Unshifted, the float spacing of a level near 1e9 (1.2e-7) alone
+        # breaks the 1e-8 certificate on e' grad(u).
+        u = make_utility(kind, n_outcomes=3)
+        q = 1e9 * np.array([1.0, 0.5, 0.0])
+        res = solve_t(u, q)
+        ref = solve_t(u, q - q.max())
+        assert res.path == "closed"
+        np.testing.assert_array_equal(res.prices, ref.prices)
+        assert res.cost == ref.cost + q.max()
+        assert res.t_star == ref.t_star + q.max()
+
     def test_solve_path_recorded(self):
         q = np.array([0.3, 1.2, 0.8])
         paths = {kind: solve_t(make_utility(kind, n_outcomes=3), q).path for kind in KINDS}
@@ -132,6 +145,22 @@ class TestCostProperties:
             p = prices(u, q)
             p_fd = finite_diff_gradient(lambda v: cost(u, v), q, h=1e-6)
             np.testing.assert_allclose(p, p_fd, atol=1e-5)
+
+    @pytest.mark.parametrize("b", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_exponential_is_uniform_lmsr_up_to_constant(self, n, b):
+        # b(1 - mean exp(-s/b)) withdraws at b log mean exp(q/b): LMSR's
+        # cost less b log N, with the same softmax prices.
+        ex = make_utility("ExponentialSCPM", b=b, n_outcomes=n)
+        lmsr = make_utility("LMSR", b=b, n_outcomes=n)
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 30.0):
+            for _ in range(10):
+                q = b * rng.uniform(-scale, scale, size=n)
+                got, ref = solve_t(ex, q), solve_t(lmsr, q)
+                np.testing.assert_allclose(got.prices, ref.prices, rtol=0.0, atol=1e-12)
+                assert abs(got.cost - (ref.cost - b * math.log(n))) <= 1e-12 * max(
+                    1.0, np.abs(q).max())
 
     def test_lmsr_cost_at_origin(self):
         u = make_utility("LMSR", b=1.0, n_outcomes=2)
