@@ -13,25 +13,15 @@ Run:  python3 demos/belief_convergence.py
 
 import numpy as np
 
-from scpm import MarketConfig, Order, apply_fill, fill, make_utility, new_market, prices
+from scpm import MarketConfig, Order, converge, fill, make_utility, new_market, prices
 
 u = make_utility("LMSR", b=1.0, n_outcomes=2)
 belief = np.array([0.7, 0.3])
 
 state = new_market(MarketConfig(utility=u))
 print(f"Agent belief: {belief}")
-for sweep in range(1, 101):
-    p = prices(u, state.q)
-    traded = False
-    for i in range(2):
-        if belief[i] > p[i]:
-            f = fill(state, Order("agent", float(belief[i]), 1.0, np.eye(2)[i]))
-            if f.x_bar > 0:
-                apply_fill(state, f)
-                traded = True
-    if not traded:
-        break
-print(f"After {sweep} sweep(s): prices = {np.round(prices(u, state.q), 6)}")
+sweeps = converge(state, belief)
+print(f"After {sweeps} sweep(s): prices = {np.round(prices(u, state.q), 6)}")
 
 print("\nDeclared-price sweep, true valuation gamma = 0.8:")
 gamma = 0.8

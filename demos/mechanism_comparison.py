@@ -9,13 +9,7 @@ Run:  python3 demos/mechanism_comparison.py
 
 import math
 
-from scpm import (
-    check_properness,
-    identify_penalty_family,
-    make_utility,
-    worst_case_loss,
-)
-from scpm.utilities import KINDS
+from scpm import table1
 
 B, N = 1.0, 2
 
@@ -24,21 +18,14 @@ header = f"{'mechanism':<16} {'loss':>10} {'loss (search)':>14}  {'properness':<
 print(header)
 print("-" * len(header))
 
-for kind in KINDS:
-    u = make_utility(kind, b=B, n_outcomes=N)
-    ana = worst_case_loss(u).total
-    num = worst_case_loss(u, method="numeric").total
-    loss = "unbounded" if math.isinf(ana) else f"{ana:.6f}"
-    loss_num = "unbounded" if math.isinf(num) else f"{num:.6f}"
-    rep = check_properness(u, n_samples=50)
-    properness = ("strictly proper" if rep.strictly_proper
-                  else "proper" if rep.proper else "improper")
-    if u.monotone:
-        family, dev = identify_penalty_family(u)
-        penalty = f"{family}  (fit dev {dev:.1e})"
-    else:
+for row in table1(B, N):
+    loss = "unbounded" if math.isinf(row.loss) else f"{row.loss:.6f}"
+    loss_num = "unbounded" if math.isinf(row.loss_numeric) else f"{row.loss_numeric:.6f}"
+    if row.penalty is None:
         penalty = "- (not monotone)"
-    print(f"{kind:<16} {loss:>10} {loss_num:>14}  {properness:<16} {penalty}")
+    else:
+        penalty = f"{row.penalty}  (fit dev {row.penalty_dev:.1e})"
+    print(f"{row.kind:<16} {loss:>10} {loss_num:>14}  {row.properness:<16} {penalty}")
 
 print("""
 Notes:

@@ -3,7 +3,6 @@
 from .utilities import (
     KINDS,
     DomainError,
-    LinearUtility,
     LMSR,
     LogSCPM,
     MinSCPM,
@@ -25,6 +24,7 @@ from .market import (
     SettlementReport,
     StaleFillError,
     UnboundedFillError,
+    converge,
     fill,
     new_market,
     quote,
@@ -44,6 +44,7 @@ from .analysis import (
     msr_equivalence_check,
     risk_dual_check,
     risk_measure,
+    table1,
     worst_case_loss,
 )
 

@@ -1,5 +1,6 @@
 """Mechanism analysis: worst-case loss, properness, implicit scoring rules,
-scoring-rule equivalence, and the convex-risk-measure view.
+scoring-rule equivalence, the convex-risk-measure view, and the
+mechanism table that puts them side by side.
 
 Conventions pinned here:
 
@@ -64,6 +65,16 @@ class RiskEvaluation:
     t_star: float
     dual_value: float = math.nan
     dual_gap: float = math.nan
+
+
+@dataclass
+class Table1Row:
+    kind: str
+    loss: float  # analytic B + C(0)
+    loss_numeric: float
+    properness: str  # "strictly proper", "proper" or "improper"
+    penalty: str | None  # None when u is not monotone (no risk reading)
+    penalty_dev: float | None
 
 
 # -- worst-case loss --------------------------------------------------------
@@ -413,3 +424,24 @@ def identify_penalty_family(u, resolution=12):
     for kind, label, dev in fits:
         if dev == best_dev:
             return label, dev
+
+
+# -- mechanism table ---------------------------------------------------------
+
+
+def table1(b, n, theta=None):
+    """One row per catalog kind: worst-case loss (analytic and numeric),
+    properness verdict, and the identified penalty family with its fit
+    deviation.  theta applies to the kinds that take a prior."""
+    rows = []
+    for kind in util_mod.KINDS:
+        use_theta = theta if kind in ("LMSR", "LogSCPM", "QuadSCPM") else None
+        u = util_mod.make_utility(kind, b=b, n_outcomes=n, theta=use_theta)
+        rep = check_properness(u, n_samples=50)
+        properness = ("strictly proper" if rep.strictly_proper
+                      else "proper" if rep.proper else "improper")
+        penalty, dev = identify_penalty_family(u) if u.monotone else (None, None)
+        rows.append(Table1Row(kind, worst_case_loss(u).total,
+                              worst_case_loss(u, method="numeric").total,
+                              properness, penalty, dev))
+    return rows

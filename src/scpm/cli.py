@@ -14,9 +14,10 @@ import sys
 
 import numpy as np
 
-from . import analysis, market as market_mod, oracle
-from .cost import charge as compute_charge, cost as compute_cost, prices as compute_prices
-from .utilities import KINDS, make_utility, utility_from_dict
+from . import analysis, market as market_mod
+from .cost import prices as compute_prices
+from .oracle import cross_check
+from .utilities import utility_from_dict
 
 
 class ConfigError(Exception):
@@ -102,14 +103,13 @@ def cmd_simulate(args):
     print(f"orders: {len(orders)}")
     print("final prices: " + " ".join(_fmt(x) for x in p))
     print(f"collected: {_fmt(state.collected)}")
-    bound_ok = True
-    for i in range(config.n_outcomes):
-        report = market_mod.settle(state, i)
-        bound_ok = bound_ok and report.bound_ok
-        print(f"pnl[{i}]: {_fmt(report.profit)}")
-    bound = sum(config.utility.loss_bound_terms())
+    reports = [market_mod.settle(state, i) for i in range(config.n_outcomes)]
+    for r in reports:
+        print(f"pnl[{r.outcome}]: {_fmt(r.profit)}")
+    bound = reports[0].loss_bound
     bound_text = "inf" if math.isinf(bound) else _fmt(bound)
-    print(f"loss bound: {bound_text} respected: {'yes' if bound_ok else 'NO'}")
+    ok = all(r.bound_ok for r in reports)
+    print(f"loss bound: {bound_text} respected: {'yes' if ok else 'NO'}")
     return 0
 
 
@@ -122,33 +122,12 @@ def cmd_converge(args):
             file=sys.stderr,
         )
     belief = _parse_vector(args.belief, config.n_outcomes, "belief")
-    if abs(belief.sum() - 1.0) > 1e-10 or np.any(belief < 0):
-        raise ConfigError("belief must lie on the probability simplex")
     state = market_mod.new_market(config)
-    sweeps_used = 0
-    for _ in range(args.rounds):
-        p = compute_prices(config.utility, state.q)
-        traded = False
-        for i in range(config.n_outcomes):
-            if belief[i] > p[i]:
-                order = market_mod.Order(
-                    trader_id="agent",
-                    pi=float(belief[i]),
-                    limit=args.cap,
-                    bundle=np.eye(config.n_outcomes)[i],
-                )
-                f = market_mod.fill(state, order)
-                if f.x_bar > 0:
-                    market_mod.apply(state, f)
-                    traded = True
-        sweeps_used += 1
-        if not traded:
-            break
+    sweeps = market_mod.converge(state, belief, rounds=args.rounds, cap=args.cap)
     p = compute_prices(config.utility, state.q)
-    gap = float(np.max(np.abs(p - belief)))
-    print(f"sweeps: {sweeps_used}")
+    print(f"sweeps: {sweeps}")
     print("final prices: " + " ".join(_fmt(x) for x in p))
-    print(f"belief gap: {gap:.6e}")
+    print(f"belief gap: {float(np.max(np.abs(p - belief))):.6e}")
     return 0
 
 
@@ -162,98 +141,30 @@ def cmd_table1(args):
     )
     print(header)
     print("-" * len(header))
-    for kind in KINDS:
-        use_theta = theta if kind in ("LMSR", "LogSCPM", "QuadSCPM") else None
-        u = make_utility(kind, b=args.b, n_outcomes=args.n, theta=use_theta)
-        analytic = analysis.worst_case_loss(u)
-        numeric = analysis.worst_case_loss(u, method="numeric")
-        loss = "inf" if math.isinf(analytic.total) else _fmt(analytic.total)
-        loss_num = "inf" if math.isinf(numeric.total) else _fmt(numeric.total)
-        if math.isinf(analytic.total):
-            loss_num = "unbounded"
-        rep = analysis.check_properness(u, n_samples=50)
-        if rep.strictly_proper:
-            properness = "strictly proper"
-        elif rep.proper:
-            properness = "proper"
+    for row in analysis.table1(args.b, args.n, theta):
+        if math.isinf(row.loss):
+            loss, loss_num = "inf", "unbounded"
         else:
-            properness = "improper"
-        if u.monotone:
-            label, dev = analysis.identify_penalty_family(u)
-            penalty = f"{label} ({dev:.2e})"
-            risk = "yes"
+            loss = _fmt(row.loss)
+            loss_num = "inf" if math.isinf(row.loss_numeric) else _fmt(row.loss_numeric)
+        if row.penalty is None:
+            risk, penalty = "no", "-"
         else:
-            penalty = "-"
-            risk = "no"
-        print(f"{kind:<16} {loss:>12} {loss_num:>12} {properness:<16} {risk:<5} {penalty:<34}")
+            risk, penalty = "yes", f"{row.penalty} ({row.penalty_dev:.2e})"
+        print(f"{row.kind:<16} {loss:>12} {loss_num:>12} {row.properness:<16} "
+              f"{risk:<5} {penalty:<34}")
     return 0
 
 
-# -- verify ------------------------------------------------------------------
-
-
-def _verify_cost(checks, rng):
-    for kind in KINDS:
-        u = make_utility(kind, b=1.0, n_outcomes=3)
-        for _ in range(8):
-            q = rng.uniform(0.0, 4.0, size=3)
-            _, oracle_val = oracle.grid_min_t(u, q)
-            engine_val = compute_cost(u, q)
-            checks.append(
-                (f"cost {kind} grid-vs-engine", abs(oracle_val - engine_val) <= 1e-6,
-                 f"q={q} oracle={oracle_val} engine={engine_val}")
-            )
-
-
-def _verify_charge(checks, rng):
-    for kind in KINDS:
-        u = make_utility(kind, b=1.0, n_outcomes=3)
-        q = rng.uniform(0.0, 2.0, size=3)
-        a = np.array([1.0, 0.0, 1.0])
-        x = 1.5
-        quad = oracle.quadrature_charge(u, q, a, x)
-        direct = compute_charge(u, q, a, x)
-        tol = 1e-3 if kind == "MinSCPM" else 1e-4
-        checks.append(
-            (f"charge {kind} quadrature-vs-engine", abs(quad - direct) <= tol,
-             f"quad={quad} engine={direct}")
-        )
-
-
-def _verify_fill(checks, rng):
-    step = 1e-4
-    for kind in KINDS:
-        if kind == "QuadraticScore":
-            continue  # prices can exceed the simplex box; fills still match
-        u = make_utility(kind, b=1.0, n_outcomes=3)
-        state = market_mod.new_market(market_mod.MarketConfig(utility=u))
-        order = market_mod.Order(
-            trader_id="v", pi=0.6, limit=2.0, bundle=np.array([1.0, 0.0, 0.0])
-        )
-        scan = oracle.brute_force_fill(state, order, step=step)
-        engine = market_mod.fill(state, order).x_bar
-        checks.append(
-            (f"fill {kind} scan-vs-engine", abs(scan - engine) <= 2.0 * step,
-             f"scan={scan} engine={engine}")
-        )
-
-
 def cmd_verify(args):
-    rng = np.random.default_rng(7)
-    checks = []
-    if args.scope in ("cost", "all"):
-        _verify_cost(checks, rng)
-    if args.scope in ("charge", "all"):
-        _verify_charge(checks, rng)
-    if args.scope in ("fill", "all"):
-        _verify_fill(checks, rng)
+    checks = cross_check(np.random.default_rng(7), args.scope)
     failures = 0
-    for name, ok, detail in checks:
-        if ok:
-            print(f"ok   {name}")
+    for c in checks:
+        if c.ok:
+            print(f"ok   {c.name}")
         else:
             failures += 1
-            print(f"FAIL {name}: {detail}")
+            print(f"FAIL {c.name}: gap {c.gap:.3e} > tolerance {c.tol:.1e}")
     print(f"{len(checks) - failures}/{len(checks)} checks passed")
     return 1 if failures else 0
 
@@ -282,7 +193,6 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--orders", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("converge", help="run a truthful agent until prices meet its belief")
@@ -290,7 +200,6 @@ def build_parser():
     p.add_argument("--belief", required=True, help="semicolon-separated simplex vector")
     p.add_argument("--rounds", type=int, default=100)
     p.add_argument("--cap", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("table1", help="mechanism comparison table")

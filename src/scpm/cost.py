@@ -38,7 +38,9 @@ FLAT_TOL = 1e-12
 FLOOR_PAD = 1e-9
 
 # |sum(prices) - 1| below PRICE_SUM_OK is accepted as-is, up to
-# PRICE_SUM_FIX is renormalized, beyond that the solve has failed.
+# PRICE_SUM_FIX is renormalized, beyond that the solve has failed.  Past
+# PRICE_SUM_OK both bounds scale with max(1, sum |p_i|): QuadraticScore's
+# prices leave [0, 1] and their sum carries rounding of their own size.
 PRICE_SUM_OK = 1e-10
 PRICE_SUM_FIX = 1e-8
 
@@ -170,10 +172,12 @@ def solve_t(u, q, method="auto"):
     c = t - u.value(s)
     p = np.asarray(u.grad(s), dtype=float)
     gap = abs(p.sum() - 1.0)
-    if gap > PRICE_SUM_FIX:
-        raise SolverError(f"price vector off the simplex by {gap:.3e}")
     if gap > PRICE_SUM_OK:
-        p = p / p.sum()
+        scale = max(1.0, float(np.abs(p).sum()))
+        if gap > PRICE_SUM_FIX * scale:
+            raise SolverError(f"price vector off the simplex by {gap:.3e}")
+        if gap > PRICE_SUM_OK * scale:
+            p = p / p.sum()
     if u.monotone:
         if p.min() < -1e-10:
             raise SolverError("negative price from a non-decreasing utility")
@@ -183,14 +187,14 @@ def solve_t(u, q, method="auto"):
     return CostSolveResult(float(t + qmax), float(c + qmax), p, path == "flat", iterations, path)
 
 
-def cost(u, q, method="auto"):
+def cost(u, q):
     """C(q), the money collected when the outstanding shares are q."""
-    return solve_t(u, q, method=method).cost
+    return solve_t(u, q).cost
 
 
-def prices(u, q, method="auto"):
+def prices(u, q):
     """State price vector p(q) = grad C(q); sums to 1."""
-    return solve_t(u, q, method=method).prices
+    return solve_t(u, q).prices
 
 
 def charge(u, q, a, x):

@@ -207,6 +207,33 @@ def apply(state, fill_result):
     return state
 
 
+def converge(state, belief, rounds=100, cap=1.0):
+    """Trade as one truthful agent with the given belief until prices agree.
+
+    Each sweep bids pi = belief_i, up to cap units, on every outcome priced
+    below the belief; the run stops after a sweep with no trade or after
+    `rounds` sweeps.  Mutates the state and returns the number of sweeps.
+    """
+    n = state.config.n_outcomes
+    belief = np.asarray(belief, dtype=float)
+    if belief.shape != (n,) or abs(belief.sum() - 1.0) > 1e-10 or np.any(belief < 0):
+        raise ValueError("belief must lie on the probability simplex")
+    sweeps = 0
+    for _ in range(rounds):
+        p = compute_prices(state.config.utility, state.q)
+        traded = False
+        for i in range(n):
+            if belief[i] > p[i]:
+                f = fill(state, Order("agent", float(belief[i]), cap, np.eye(n)[i]))
+                if f.x_bar > 0:
+                    apply(state, f)
+                    traded = True
+        sweeps += 1
+        if not traded:
+            break
+    return sweeps
+
+
 def settle(state, outcome):
     """Pay $1 per outstanding share on the realized outcome."""
     n = state.config.n_outcomes

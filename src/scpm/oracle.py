@@ -1,30 +1,27 @@
 """Deliberately dumb cross-check oracles: dense scans, central differences,
 trapezoid quadrature, and step-scan fills.
 
-These share no solver code with cost.py/market.py, so agreement between
-the two routes is evidence rather than tautology.  They are slow by
-design and used from tests and the `verify` CLI command.
+The oracles share no solver code with cost.py/market.py, so agreement
+between the two routes is evidence rather than tautology.  They are slow
+by design.  cross_check runs the engine against them on a fixed set of
+cases; the `verify` CLI command and the acceptance tests both call it.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import market as market_mod
 from .cost import prices as compute_prices
+from .utilities import KINDS, make_utility
 
-
-@dataclass(frozen=True)
-class OracleConfig:
-    grid_points: int = 100_000
-    fd_step: float = 1e-6
-    quad_panels: int = 10_000
-
-    def __post_init__(self):
-        if self.grid_points <= 0 or self.fd_step <= 0 or self.quad_panels <= 0:
-            raise ValueError("oracle parameters must be positive")
+# cross_check looks the engine up at call time, so a patched engine is what
+# it checks.  (The package re-exports the function cost under this name.)
+_engine = importlib.import_module(".cost", __package__)
 
 
 def default_bracket(u, q):
@@ -133,3 +130,47 @@ def simplex_grid(n, resolution):
         return np.clip(np.vstack(pts), 0.0, 1.0)
     rng = np.random.default_rng(0)
     return rng.dirichlet(np.ones(n), size=100_000)
+
+
+@dataclass(frozen=True)
+class CrossCheck:
+    name: str  # "<scope> <kind> <oracle>-vs-engine"
+    gap: float  # |oracle - engine|
+    tol: float
+
+    @property
+    def ok(self):
+        return self.gap <= self.tol
+
+
+def cross_check(rng, scope="all"):
+    """Engine against oracle for every catalog kind at b = 1, N = 3.
+
+    Per kind: 8 costs at q ~ U(0, 4)^3 (tolerance 1e-6), one charge of
+    x = 1.5 units of [1, 0, 1] at q ~ U(0, 2)^3 (1e-4, 1e-3 for MinSCPM's
+    kinked prices), and one fill of (pi 0.6, limit 2, e_0) from q = 0
+    against a 1e-4 step scan (2 steps; QuadraticScore is skipped, its
+    prices can leave [0, 1]).  Every q is drawn whatever the scope, so
+    the sample points do not depend on it.
+    """
+    if scope not in ("all", "cost", "charge", "fill"):
+        raise ValueError(f"unknown scope {scope!r}")
+    checks = []
+    for kind in KINDS:
+        u = make_utility(kind, b=1.0, n_outcomes=3)
+        for q in rng.uniform(0.0, 4.0, size=(8, 3)):
+            if scope in ("cost", "all"):
+                gap = abs(grid_min_t(u, q)[1] - _engine.cost(u, q))
+                checks.append(CrossCheck(f"cost {kind} grid-vs-engine", gap, 1e-6))
+        q, a = rng.uniform(0.0, 2.0, size=3), np.array([1.0, 0.0, 1.0])
+        if scope in ("charge", "all"):
+            gap = abs(quadrature_charge(u, q, a, 1.5) - _engine.charge(u, q, a, 1.5))
+            tol = 1e-3 if kind == "MinSCPM" else 1e-4
+            checks.append(CrossCheck(f"charge {kind} quadrature-vs-engine", gap, tol))
+        if scope in ("fill", "all") and kind != "QuadraticScore":
+            state = market_mod.new_market(market_mod.MarketConfig(utility=u))
+            order = market_mod.Order("v", 0.6, 2.0, np.array([1.0, 0.0, 0.0]))
+            x_bar = market_mod.fill(state, order).x_bar
+            gap = abs(brute_force_fill(state, order, step=1e-4) - x_bar)
+            checks.append(CrossCheck(f"fill {kind} scan-vs-engine", gap, 2e-4))
+    return checks

@@ -89,7 +89,6 @@ class Utility:
     monotone = True
     # True when e' grad(u) is identically 1, making t - u(te - q) constant in t.
     price_level_invariant = False
-    needs_theta = False
 
     def __init__(self, b=1.0, n_outcomes=2, theta=None):
         b = float(b)
@@ -266,7 +265,6 @@ class LogSCPM(Utility):
     """Logarithmic surplus utility sum_i theta_i log s_i (theta > 0, s > 0)."""
 
     kind = "LogSCPM"
-    needs_theta = True
 
     def __init__(self, b=1.0, n_outcomes=2, theta=None):
         super().__init__(b, n_outcomes, theta)
@@ -408,7 +406,6 @@ class QuadSCPM(Utility):
     """
 
     kind = "QuadSCPM"
-    needs_theta = True
 
     def __init__(self, b=1.0, n_outcomes=2, theta=None):
         super().__init__(b, n_outcomes, theta)
@@ -437,16 +434,11 @@ class QuadSCPM(Utility):
     def solve_withdrawal(self, q):
         # Water-filling: sum_i max(0, c_i - t) = 2b with c_i = q_i + 2b theta_i.
         q = np.asarray(q, dtype=float)
+        # With c sorted descending, t_k is the level if the k largest are
+        # active; the active set is every c_i above the level.
         c = np.sort(q + 2.0 * self.b * self.theta)[::-1]
-        target = 2.0 * self.b
-        csum = np.cumsum(c)
-        for k in range(1, self.n + 1):
-            t = (csum[k - 1] - target) / k
-            lower = c[k] if k < self.n else -math.inf
-            if lower <= t <= c[k - 1]:
-                return float(t)
-        # target > sum of all gaps: all components active
-        return float((csum[-1] - target) / self.n)
+        t = (np.cumsum(c) - 2.0 * self.b) / np.arange(1, self.n + 1)
+        return float(t[np.count_nonzero(c > t) - 1])
 
     def penalty_raw(self, p):
         out = self.b * np.sum((p - self.theta) ** 2, axis=-1)
@@ -458,31 +450,6 @@ class QuadSCPM(Utility):
     def loss_bound_terms(self):
         t = self.theta
         return self.b * (1.0 + float(np.dot(t, t)) - 2.0 * float(t.min())), 0.0
-
-
-class LinearUtility(Utility):
-    """Linear utility c's: a deliberately improper mechanism for testing.
-
-    Its gradient is constant, so it cannot span the simplex; not part of
-    the serializable catalog.
-    """
-
-    kind = "Linear"
-
-    def __init__(self, c, b=1.0):
-        c = np.asarray(c, dtype=float)
-        super().__init__(b, c.shape[0])
-        c.setflags(write=False)
-        self.c = c
-
-    def value(self, s):
-        s = self._as_alloc(s)
-        out = np.sum(self.c * s, axis=-1)
-        return float(out) if np.ndim(out) == 0 else out
-
-    def grad(self, s):
-        self._as_alloc(s)
-        return self.c.copy()
 
 
 _CATALOG = {u.kind: u for u in (LMSR, QuadraticScore, LogSCPM, MinSCPM,

@@ -13,11 +13,11 @@ import pytest
 from scipy.special import logsumexp, softmax
 
 from scpm import (
-    LinearUtility,
     MarketConfig,
     Order,
     apply_fill,
     check_properness,
+    converge,
     fill,
     make_utility,
     msr_equivalence_check,
@@ -27,9 +27,11 @@ from scpm import (
     solve_t,
     worst_case_loss,
 )
-from scpm.cost import charge, cost, prices
-from scpm.oracle import brute_force_fill, grid_min_t, quadrature_charge
+from scpm.cost import cost, prices
+from scpm.oracle import cross_check
 from scpm.utilities import KINDS
+
+from linear_utility import LinearUtility
 
 BOUNDED_KINDS = [k for k in KINDS if k != "LogSCPM"]
 MONOTONE_KINDS = [k for k in KINDS if k != "QuadraticScore"]
@@ -223,24 +225,15 @@ def test_criterion_07_risk_measure():
 def test_criterion_08_oracle_cross_checks():
     """Engine vs dense-scan / quadrature / step-scan oracles."""
     start = time.monotonic()
-    rng = np.random.default_rng(8)
     worst_cost = worst_charge = worst_fill = 0.0
-    for kind in KINDS:
-        u = make_utility(kind, b=1.0, n_outcomes=3)
-        for _ in range(8):
-            q = rng.uniform(0.0, 4.0, size=3)
-            _, oracle_val = grid_min_t(u, q)
-            worst_cost = max(worst_cost, abs(oracle_val - cost(u, q)))
-        q = rng.uniform(0.0, 2.0, size=3)
-        a = np.array([1.0, 0.0, 1.0])
-        quad = quadrature_charge(u, q, a, 1.5)
-        gap = abs(quad - charge(u, q, a, 1.5))
-        worst_charge = max(worst_charge, gap - (1e-3 if kind == "MinSCPM" else 1e-4))
-        if kind != "QuadraticScore":
-            state = new_market(MarketConfig(utility=u))
-            order = Order("v", 0.6, 2.0, np.array([1.0, 0.0, 0.0]))
-            scan = brute_force_fill(state, order, step=1e-4)
-            worst_fill = max(worst_fill, abs(scan - fill(state, order).x_bar))
+    for c in cross_check(np.random.default_rng(8)):
+        scope, kind = c.name.split()[:2]
+        if scope == "cost":
+            worst_cost = max(worst_cost, c.gap)
+        elif scope == "charge":
+            worst_charge = max(worst_charge, c.gap - (1e-3 if kind == "MinSCPM" else 1e-4))
+        else:
+            worst_fill = max(worst_fill, c.gap)
     elapsed = time.monotonic() - start
     verdict(8, "cost/charge/fill agree with independent oracles",
             worst_cost <= 1e-6 and worst_charge <= 0.0
@@ -283,19 +276,7 @@ def test_criterion_10_belief_convergence():
     u = make_utility("LMSR", b=1.0, n_outcomes=2)
     belief = np.array([0.7, 0.3])
     state = new_market(MarketConfig(utility=u))
-    sweeps = 0
-    for _ in range(100):
-        p = prices(u, state.q)
-        traded = False
-        for i in range(2):
-            if belief[i] > p[i]:
-                f = fill(state, Order("agent", float(belief[i]), 1.0, np.eye(2)[i]))
-                if f.x_bar > 0:
-                    apply_fill(state, f)
-                    traded = True
-        sweeps += 1
-        if not traded:
-            break
+    sweeps = converge(state, belief)
     gap = float(np.max(np.abs(prices(u, state.q) - belief)))
     verdict(10, "prices converge to the agent's belief",
             gap <= 1e-3 and sweeps <= 100, f"gap {gap:.2e} after {sweeps} sweeps")
@@ -324,7 +305,7 @@ def test_criterion_11_deterministic_traces(tmp_path):
     for name in ("a.jsonl", "b.jsonl"):
         out = tmp_path / name
         code = main(["simulate", "--config", str(config), "--orders", str(orders),
-                     "--out", str(out), "--seed", "0"])
+                     "--out", str(out)])
         assert code == 0
         outs.append(out.read_bytes())
     verdict(11, "replayed traces are byte-identical",

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from scpm import (
-    LinearUtility,
     check_properness,
     identify_penalty_family,
     implicit_scoring_rule,
@@ -18,6 +17,8 @@ from scpm import (
 )
 from scpm.analysis import _solve_conjugate_point
 from scpm.utilities import KINDS
+
+from linear_utility import LinearUtility
 
 MONOTONE_KINDS = [k for k in KINDS if k != "QuadraticScore"]
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line harness."""
 
+import importlib
 import json
 import math
 
@@ -123,6 +124,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.strip().endswith("checks passed")
+
+    def test_one_miss_fails(self, monkeypatch, capsys):
+        engine = importlib.import_module("scpm.cost")
+        cost = engine.cost
+        monkeypatch.setattr(engine, "cost",
+                            lambda u, q: cost(u, q) * (2.0 if u.kind == "MinSCPM" else 1.0))
+        assert main(["verify", "--scope", "charge"]) == 1
+        out = capsys.readouterr().out
+        assert [l for l in out.splitlines() if "FAIL" in l][0].startswith(
+            "FAIL charge MinSCPM quadrature-vs-engine")
+        assert out.strip().endswith("5/6 checks passed")
 
 
 class TestConfigErrors:

@@ -84,6 +84,14 @@ class TestSolveT:
         assert res.cost == ref.cost + q.max()
         assert res.t_star == ref.t_star + q.max()
 
+    def test_quadratic_score_price_sum_at_large_q(self):
+        # Prices near +-2.5e8 sum to 1 only up to their own rounding (3e-8),
+        # so the simplex check must scale with sum |p_i|.
+        u = make_utility("QuadraticScore", b=1.0, n_outcomes=3)
+        q = 1e9 * np.array([1.0, 0.5, 0.0])
+        res = solve_t(u, q)
+        np.testing.assert_allclose(res.prices, 1.0 / 3.0 + (q - q.mean()) / 2.0, rtol=1e-12)
+
     def test_solve_path_recorded(self):
         q = np.array([0.3, 1.2, 0.8])
         paths = {kind: solve_t(make_utility(kind, n_outcomes=3), q).path for kind in KINDS}

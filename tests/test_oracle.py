@@ -5,25 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from scpm import MarketConfig, Order, make_utility, new_market
+from scpm import MarketConfig, Order, charge, make_utility, new_market, oracle
 from scpm.oracle import (
-    OracleConfig,
     brute_force_fill,
+    cross_check,
     finite_diff_gradient,
     grid_min_t,
     quadrature_charge,
     simplex_grid,
 )
-
-
-class TestOracleConfig:
-    def test_rejects_nonpositive_parameters(self):
-        with pytest.raises(ValueError):
-            OracleConfig(grid_points=0)
-        with pytest.raises(ValueError):
-            OracleConfig(fd_step=-1e-6)
-        with pytest.raises(ValueError):
-            OracleConfig(quad_panels=0)
+from scpm.utilities import KINDS
 
 
 class TestGridMinT:
@@ -59,8 +50,6 @@ class TestFiniteDiff:
 
 class TestQuadratureCharge:
     def test_matches_cost_difference(self):
-        from scpm import charge
-
         u = make_utility("LMSR", b=1.0, n_outcomes=2)
         q = np.array([0.5, 0.0])
         a = np.array([1.0, 0.0])
@@ -130,3 +119,22 @@ class TestSimplexGrid:
             simplex_grid(1, 10)
         with pytest.raises(ValueError):
             simplex_grid(3, 1)
+
+
+class TestCrossCheck:
+    def test_draws_do_not_depend_on_scope(self, monkeypatch):
+        # Only the records and the draw order are under test, so the slow
+        # quadrature is replaced by the engine charge.
+        monkeypatch.setattr(oracle, "quadrature_charge", charge)
+        rng = np.random.default_rng(8)
+        checks = cross_check(rng, "charge")
+        assert [(c.name, c.gap, c.tol) for c in checks] == [
+            (f"charge {kind} quadrature-vs-engine", 0.0, 1e-3 if kind == "MinSCPM" else 1e-4)
+            for kind in KINDS]
+        ref = np.random.default_rng(8)
+        ref.uniform(size=len(KINDS) * (8 * 3 + 3))  # 8 cost and 1 charge q per kind
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_unknown_scope_rejected(self):
+        with pytest.raises(ValueError, match="unknown scope"):
+            cross_check(np.random.default_rng(0), "price")

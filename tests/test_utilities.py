@@ -7,12 +7,13 @@ import pytest
 
 from scpm import (
     DomainError,
-    LinearUtility,
     PenaltyUnsupportedError,
     make_utility,
     utility_from_dict,
 )
 from scpm.utilities import KINDS
+
+from linear_utility import LinearUtility
 
 
 def random_alloc(rng, n, kind):
@@ -237,9 +238,29 @@ class TestLossBoundTerms:
         assert math.isinf(b_term)
 
 
+class TestQuadSCPMWithdrawal:
+    @pytest.mark.parametrize("n", [3, 1024])
+    def test_matches_active_set_loop(self, n):
+        rng = np.random.default_rng(n)
+        u = make_utility("QuadSCPM", b=0.8, n_outcomes=n)
+        cases = [np.full(n, 3.7)] + [rng.uniform(0.0, scale, size=n)
+                                     for scale in (1e-3, 0.1, 1.0, 10.0) for _ in range(25)]
+        for q in cases:
+            # Reference: the first active-set size k whose level fits.
+            c = np.sort(q + 2.0 * u.b * u.theta)[::-1]
+            csum = np.cumsum(c)
+            for k in range(1, n + 1):
+                t = (csum[k - 1] - 2.0 * u.b) / k
+                if (c[k] if k < n else -math.inf) <= t <= c[k - 1]:
+                    break
+            assert u.solve_withdrawal(q) == t
+
+
 class TestLinearUtility:
     def test_gradient_is_constant(self):
         u = LinearUtility([0.6, 0.4])
         rng = np.random.default_rng(0)
         for _ in range(10):
             np.testing.assert_allclose(u.grad(rng.normal(size=2)), [0.6, 0.4])
+        # batched: one gradient row per allocation row
+        np.testing.assert_array_equal(u.grad(np.zeros((3, 2))), np.tile([0.6, 0.4], (3, 1)))
