@@ -10,6 +10,14 @@ Conventions pinned here:
   using the raw (non-normalized) conjugate so additive constants line up;
 * numeric worst-case-loss search cannot prove unboundedness, so the
   analytic catalog answer is authoritative and the search is a cross-check.
+
+Both numeric searches are coordinate ascents on a concave function whose
+partial derivative is nonincreasing in its own coordinate, so each
+coordinate step is a root of that derivative found by cost.bracketed_root:
+the worst-case loss maximizes u(s) - s_i over escalating boxes, stopping a
+coordinate at the box end its slope points to when the root lies outside;
+the properness and penalty checks maximize u(s) - r's, growing each
+bracket from the current point with cost.expand_bracket.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import bracketed_root, cost as compute_cost, solve_t
+from .cost import bracketed_root, cost as compute_cost, expand_bracket, solve_t
 from . import market as market_mod
 from . import utilities as util_mod
 from .oracle import simplex_grid
@@ -48,7 +56,6 @@ class PropernessReport:
 @dataclass
 class ScoringRuleView:
     scores: np.ndarray
-    constant_convention: float = 0.0
 
 
 @dataclass
@@ -80,45 +87,41 @@ class Table1Row:
 # -- worst-case loss --------------------------------------------------------
 
 
-def _golden_sweep(func, S, j, lo, hi, xatol):
-    """Vectorized golden-section maximization of coordinate j across the
-    rows of S (in place)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    m = S.shape[0]
-    a = np.full(m, lo)
-    b = np.full(m, hi)
-    iters = max(1, int(math.ceil(math.log((hi - lo) / xatol) / -math.log(invphi))))
-    for _ in range(iters):
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc = func(S, j, c)
-        fd = func(S, j, d)
-        go_right = fc < fd
-        a = np.where(go_right, c, a)
-        b = np.where(go_right, b, d)
-    S[:, j] = 0.5 * (a + b)
+def _box_ascent(u, i, s, lo, hi, max_sweeps=30):
+    """Maximize u(s) - s_i over the box [lo, hi]^N by coordinate ascent from
+    s (updated in place); returns the value reached.  The slope
+    d_j u(s) - delta_ij is nonincreasing in s_j, so each coordinate stops
+    at the box end the slope points to or solves slope = 0 with
+    bracketed_root."""
 
+    def slope(x, j):
+        # leaves s_j at the point probed, so a box end probed last stays
+        s[j] = x
+        return float(u.grad(s)[j]) - (j == i)
 
-def _coordinate_ascent_max(u, objective, starts, lo, hi, max_sweeps=30, xatol=1e-5):
-    """Maximize objective over the box [lo, hi]^N from several starts at
-    once; returns the best value found."""
+    def objective():
+        if u.price_level_invariant:
+            # u(s + ce) = u(s) + c: evaluate at mean 0, where QuadraticScore's
+            # s's - N sbar^2 does not cancel.
+            m = s.mean()
+            return float(u.value(s - m) + (m - s[i]))
+        return float(u.value(s) - s[i])
 
-    def col_value(S, j, x):
-        V = S.copy()
-        V[:, j] = x
-        return objective(V)
-
-    S = starts.copy()
-    best = float(np.max(objective(S)))
+    tol = 1e-13 * max(1.0, abs(lo), abs(hi))
+    value = objective()
     for _ in range(max_sweeps):
         for j in range(u.n):
-            _golden_sweep(col_value, S, j, lo, hi, xatol)
-        new_best = float(np.max(objective(S)))
-        if new_best - best < 1e-12 * max(1.0, abs(new_best)):
-            best = max(best, new_best)
-            break
-        best = max(best, new_best)
-    return best
+            h_hi = slope(hi, j)
+            if h_hi >= 0.0:
+                continue
+            h_lo = slope(lo, j)
+            if h_lo > 0.0:
+                s[j] = bracketed_root(lambda x: -slope(x, j), lo, hi, -h_lo, -h_hi, tol)[0]
+        new = objective()
+        if new - value < 1e-12 * max(1.0, abs(new)):
+            return max(value, new)
+        value = new
+    return value
 
 
 def _numeric_B(u, seed=0, starts=10):
@@ -136,13 +139,8 @@ def _numeric_B(u, seed=0, starts=10):
         lo = 1e-9 if log_domain else -box
         level_best = -math.inf
         for i in indices:
-            def objective(S, i=i):
-                return u.value(S) - S[:, i]
-
-            S0 = rng.uniform(lo, box, size=(starts, u.n))
-            level_best = max(
-                level_best, _coordinate_ascent_max(u, objective, S0, lo, box)
-            )
+            for s in rng.uniform(lo, box, size=(starts, u.n)):
+                level_best = max(level_best, _box_ascent(u, i, s, lo, box))
         improvement = level_best - best
         best = max(best, level_best)
         if best > UNBOUNDED_THRESHOLD:
@@ -165,7 +163,9 @@ def worst_case_loss(u, method="analytic", seed=0):
     if method == "analytic":
         b_term, c0 = u.loss_bound_terms()
     elif method == "numeric":
-        b_term = _numeric_B(u, seed=seed)
+        # ExponentialSCPM's slope overflows to +inf at the low box end.
+        with np.errstate(over="ignore"):
+            b_term = _numeric_B(u, seed=seed)
         c0 = compute_cost(u, np.zeros(u.n))
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -199,33 +199,22 @@ def _solve_conjugate_point(u, r, max_sweeps=40):
 
 def _coordinate_root(u, s, j, target, positive):
     """Solve grad(u)(s)_j = target in s_j; the partial derivative is
-    nonincreasing in s_j, so the bracket is narrowed on its negative.
-    Returns None when no sign change exists."""
+    nonincreasing in s_j, so the bracket is grown from s_j and narrowed on
+    target minus it.  Returns None when no sign change exists."""
 
-    def g(x):
+    def f(x):
         v = s.copy()
         v[j] = x
-        return float(u.grad(v)[j]) - target
+        return target - float(u.grad(v)[j])
 
-    lo = hi = s[j]
-    glo = ghi = g(s[j])
-    step = 1.0
-    for _ in range(80):
-        if glo > 0.0 > ghi:
-            break
-        if glo <= 0.0:
-            lo = max(lo - step, 1e-12) if positive else lo - step
-            glo = g(lo)
-        if ghi >= 0.0:
-            hi += step
-            ghi = g(hi)
-        step *= 2.0
-    else:
+    f0 = f(s[j])
+    floor = 1e-12 if positive else -math.inf
+    bracket = expand_bracket(f, s[j], s[j], f0, f0, floor, max_steps=80)
+    if bracket is None:
         return None
-    if glo <= 0.0 or ghi >= 0.0:
-        return None
+    lo, hi, flo, fhi = bracket
     tol = 1e-13 * max(1.0, abs(lo), abs(hi))
-    return bracketed_root(lambda x: -g(x), lo, hi, -glo, -ghi, tol)[0]
+    return bracketed_root(f, lo, hi, flo, fhi, tol)[0]
 
 
 def _gradient_jump(u, s_star, rng, eps=1e-6, n_probes=16):
@@ -434,9 +423,8 @@ def table1(b, n, theta=None):
     properness verdict, and the identified penalty family with its fit
     deviation.  theta applies to the kinds that take a prior."""
     rows = []
-    for kind in util_mod.KINDS:
-        use_theta = theta if kind in ("LMSR", "LogSCPM", "QuadSCPM") else None
-        u = util_mod.make_utility(kind, b=b, n_outcomes=n, theta=use_theta)
+    for kind, cls in util_mod.CATALOG.items():
+        u = cls(b=b, n_outcomes=n, theta=theta if cls.takes_theta else None)
         rep = check_properness(u, n_samples=50)
         properness = ("strictly proper" if rep.strictly_proper
                       else "proper" if rep.proper else "improper")

@@ -8,16 +8,19 @@ g(t) = 1 - e' grad(u)(te - q):
   t = max_i q_i is returned with path "flat";
 * ExponentialSCPM and QuadSCPM expose exact closed-form withdrawal
   levels, checked against the |g| <= tolerance certificate (path "closed");
-* everything else (LogSCPM) is bracketed and handed to bracketed_root
-  (path "root").
+* everything else (LogSCPM) is bracketed with expand_bracket and handed
+  to bracketed_root (path "root").
 
 Every path solves at q - max(q) and adds max(q) back: C(q + ce) = C(q) + c
 and prices are unchanged, so the level, the certificate and the price
 check then work at the scale of the spread of q, not of its size.
 
-bracketed_root is the one 1-D search of the package: market.fill uses it
-too, on the bundle price along the order, and so does the coordinate
-solve of analysis._solve_conjugate_point, on a partial derivative of u.
+expand_bracket and bracketed_root are the one 1-D search of the package.
+market.fill uses them too, on the bundle price along the order (growing
+the bracket only when the limit is infinite).  analysis uses them on a
+partial derivative of u: the conjugate-point coordinate solve grows and
+narrows a bracket, and the worst-case-loss box ascent narrows one between
+the box ends.
 
 Tolerances are fixed so that traces and acceptance values are bit-stable.
 """
@@ -67,14 +70,15 @@ def bracketed_root(f, lo, hi, flo, fhi, tol, ftol=None):
     least the Illinois 1/2.  Safeguarded as in Brent (1973): no probe lands
     closer than tol/2 to an end, so a probe on the root still closes the
     bracket on the next step, and three probes that together fail to halve
-    the bracket are followed by a bisection step.  Returns the low end and
-    the number of probes, or the first probe x with |f(x)| <= ftol.
+    the bracket are followed by a bisection step, as is an infinite end
+    value, which gives no secant.  Returns the low end and the number of
+    probes, or the first probe x with |f(x)| <= ftol.
     """
     side = 0
     widths = [hi - lo]
     while widths[-1] > tol and len(widths) <= MAX_ITER:
         width = widths[-1]
-        if len(widths) > 3 and width > 0.5 * widths[-4]:
+        if len(widths) > 3 and width > 0.5 * widths[-4] or math.isinf(fhi - flo):
             x = lo + 0.5 * width
         else:
             x = lo - flo * width / (fhi - flo)
@@ -94,51 +98,52 @@ def bracketed_root(f, lo, hi, flo, fhi, tol, ftol=None):
     return lo, len(widths) - 1
 
 
+def expand_bracket(f, lo, hi, flo, fhi, floor=-math.inf, max_steps=MAX_EXPAND):
+    """Widen [lo, hi] by doubling steps until f(lo) <= 0 < f(hi), f nondecreasing.
+
+    Each step moves the end on the wrong side of the root by 1, 2, 4, ...
+    and the end it leaves behind becomes the other end, so the bracket
+    stays as narrow as the probes allow.  Returns (lo, hi, flo, fhi), or
+    None when lo would pass floor or max_steps steps find no sign change.
+    """
+    step = 1.0
+    for _ in range(max_steps):
+        if flo > 0.0:
+            new_lo = max(lo - step, floor)
+            if new_lo == lo:
+                return None
+            hi, fhi, lo = lo, flo, new_lo
+            flo = f(lo)
+        elif fhi <= 0.0:
+            lo, flo = hi, fhi
+            hi += step
+            fhi = f(hi)
+        else:
+            return lo, hi, flo, fhi
+        step *= 2.0
+    return (lo, hi, flo, fhi) if flo <= 0.0 < fhi else None
+
+
 def _root_t(u, q):
     # q arrives shifted to max(q) = 0, so the bracket and its width have
     # the scale of the level above max(q), not of max(q).
-    floor = u.domain_floor(q)
+    floor = u.domain_floor(q) + FLOOR_PAD
 
     def g(t):
         return 1.0 - u.grad_sum(t - q)
 
-    lo = -1.0
-    hi = 1.0
-    if math.isfinite(floor):
-        lo = max(lo, floor + FLOOR_PAD)
-        if hi <= lo:
-            hi = lo + 1.0
+    lo = max(-1.0, floor)
+    hi = 1.0 if lo < 1.0 else lo + 1.0
     glo = g(lo)
     ghi = g(hi)
     if abs(glo) <= FLAT_TOL and abs(ghi) <= FLAT_TOL:
         return 0.0, "flat", 0
 
-    # Expand outwards; each end left behind becomes the other end.
-    step = 1.0
-    expansions = 0
-    while glo > 0.0:
-        if expansions >= MAX_EXPAND:
-            raise SolverError("bracket expansion failed (derivative has no sign change)")
-        new_lo = lo - step
-        if math.isfinite(floor):
-            new_lo = max(new_lo, floor + FLOOR_PAD)
-            if new_lo == lo:
-                raise SolverError("derivative positive down to the domain floor")
-        hi, ghi = lo, glo
-        lo = new_lo
-        glo = g(lo)
-        step *= 2.0
-        expansions += 1
-    step = 1.0
-    while ghi < 0.0:
-        if expansions >= MAX_EXPAND:
-            raise SolverError("bracket expansion failed (derivative has no sign change)")
-        lo, glo = hi, ghi
-        hi += step
-        ghi = g(hi)
-        step *= 2.0
-        expansions += 1
-
+    bracket = expand_bracket(g, lo, hi, glo, ghi, floor)
+    if bracket is None:
+        raise SolverError("bracket expansion failed (derivative has no sign change "
+                          "above the domain floor)")
+    lo, hi, glo, ghi = bracket
     tol = WIDTH_TOL * max(1.0, abs(lo), abs(hi))
     t, iterations = bracketed_root(g, lo, hi, glo, ghi, tol, GRAD_TOL)
     return t, "root", iterations

@@ -35,8 +35,6 @@ CHARGING_MODES = ("integral", "final")
 
 # Relative tolerance of the fill-quantity search.
 FILL_RTOL = 1e-9
-# Doubling cap when searching for an upper fill bracket with limit = inf.
-MAX_BRACKET = 2.0 ** 60
 
 
 class UnboundedFillError(RuntimeError):
@@ -97,7 +95,6 @@ class FillResult:
     charge: float
     prices_before: np.ndarray
     prices_after: np.ndarray
-    mode: str
     order: Order
     q_before: np.ndarray
     solves: int  # cost solves made, one per distinct point
@@ -156,7 +153,6 @@ def fill(state, order):
         if math.isfinite(order.limit):
             lo, hi = 0.0, order.limit
             f_hi = excess(hi)
-            tol = FILL_RTOL * max(1.0, hi)
         else:
             # Prices of a monotone utility concentrate on max-weight states
             # as x grows, so the achievable bundle price is bounded by max(a).
@@ -164,18 +160,15 @@ def fill(state, order):
                 raise UnboundedFillError(
                     f"limit price {order.pi} can never be reached; order would fill without bound"
                 )
-            lo, hi = 0.0, 1.0
-            f_hi = excess(hi)
-            while f_hi <= 0.0:
-                lo, f_lo = hi, f_hi
-                hi *= 2.0
-                if hi > MAX_BRACKET:
-                    raise UnboundedFillError("fill bracket exceeded the growth cap")
-                f_hi = excess(hi)
-            tol = FILL_RTOL * max(1.0, hi)
+            # hi doubles from 1 up to the growth cap 2**60.
+            bracket = _cost.expand_bracket(excess, 0.0, 1.0, f_lo, excess(1.0), max_steps=60)
+            if bracket is None:
+                raise UnboundedFillError("fill bracket exceeded the growth cap")
+            lo, hi, f_lo, f_hi = bracket
         if f_hi <= 0.0:
             x_bar = hi
         else:
+            tol = FILL_RTOL * max(1.0, hi)
             x_bar, _ = _cost.bracketed_root(excess, lo, hi, f_lo, f_hi, tol)
 
     before, after = solved[0.0], solved[x_bar]
@@ -190,7 +183,6 @@ def fill(state, order):
         charge=float(paid),
         prices_before=before.prices,
         prices_after=after.prices,
-        mode=state.config.charging_mode,
         order=order,
         q_before=q.copy(),
         solves=len(solved),

@@ -89,6 +89,8 @@ class Utility:
     monotone = True
     # True when e' grad(u) is identically 1, making t - u(te - q) constant in t.
     price_level_invariant = False
+    # True when the utility takes prior weights theta; others reject one.
+    takes_theta = False
 
     def __init__(self, b=1.0, n_outcomes=2, theta=None):
         b = float(b)
@@ -104,6 +106,8 @@ class Utility:
     def _validate_theta(self, theta):
         if theta is None:
             return None
+        if not self.takes_theta:
+            raise ValueError(f"{self.kind} takes no theta parameter")
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n,):
             raise ValueError(
@@ -191,6 +195,7 @@ class LMSR(Utility):
 
     kind = "LMSR"
     price_level_invariant = True
+    takes_theta = True
 
     def __init__(self, b=1.0, n_outcomes=2, theta=None):
         super().__init__(b, n_outcomes, theta)
@@ -265,6 +270,7 @@ class LogSCPM(Utility):
     """Logarithmic surplus utility sum_i theta_i log s_i (theta > 0, s > 0)."""
 
     kind = "LogSCPM"
+    takes_theta = True
 
     def __init__(self, b=1.0, n_outcomes=2, theta=None):
         super().__init__(b, n_outcomes, theta)
@@ -406,6 +412,7 @@ class QuadSCPM(Utility):
     """
 
     kind = "QuadSCPM"
+    takes_theta = True
 
     def __init__(self, b=1.0, n_outcomes=2, theta=None):
         super().__init__(b, n_outcomes, theta)
@@ -452,24 +459,19 @@ class QuadSCPM(Utility):
         return self.b * (1.0 + float(np.dot(t, t)) - 2.0 * float(t.min())), 0.0
 
 
-_CATALOG = {u.kind: u for u in (LMSR, QuadraticScore, LogSCPM, MinSCPM,
-                                ExponentialSCPM, QuadSCPM)}
+CATALOG = {u.kind: u for u in (LMSR, QuadraticScore, LogSCPM, MinSCPM,
+                               ExponentialSCPM, QuadSCPM)}
 
 
 def make_utility(kind, b=1.0, n_outcomes=2, theta=None):
     """Build and validate a catalog utility.
 
     theta defaults to all-ones (LMSR, LogSCPM) or uniform (QuadSCPM) when
-    the kind uses a prior; other kinds reject a supplied theta.
+    the kind takes a prior; other kinds reject a supplied theta.
     """
-    if kind not in _CATALOG:
+    if kind not in CATALOG:
         raise ValueError(f"unknown utility kind {kind!r}; expected one of {KINDS}")
-    cls = _CATALOG[kind]
-    if theta is not None and kind in ("QuadraticScore", "MinSCPM", "ExponentialSCPM"):
-        raise ValueError(f"{kind} takes no theta parameter")
-    if theta is None:
-        return cls(b=b, n_outcomes=n_outcomes)
-    return cls(b=b, n_outcomes=n_outcomes, theta=theta)
+    return CATALOG[kind](b=b, n_outcomes=n_outcomes, theta=theta)
 
 
 def utility_from_dict(d):

@@ -39,6 +39,18 @@ class TestWorstCaseLoss:
         u = make_utility("LogSCPM", n_outcomes=2)
         assert math.isinf(worst_case_loss(u, method="numeric").total)
 
+    @pytest.mark.parametrize("kind", ["LMSR", "QuadSCPM", "LogSCPM"])
+    @pytest.mark.parametrize("b", [0.1, 1.0, 10.0])
+    def test_numeric_with_prior(self, kind, b):
+        # a non-uniform theta makes the search maximize over every index i
+        u = make_utility(kind, b=b, n_outcomes=3, theta=[0.2, 0.3, 0.5])
+        num = worst_case_loss(u, method="numeric").total
+        b_term, c0 = u.loss_bound_terms()
+        if math.isinf(b_term):
+            assert math.isinf(num)
+        else:
+            assert num == pytest.approx(b_term + c0, rel=1e-9)
+
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
             worst_case_loss(make_utility("LMSR"), method="exact")

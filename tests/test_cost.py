@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from scpm import charge, cost, make_utility, prices, solve_t
-from scpm.cost import MAX_ITER, bracketed_root
+from scpm.cost import MAX_ITER, bracketed_root, expand_bracket
 from scpm.utilities import KINDS
+
+from linear_utility import LinearUtility
 
 
 def random_q(rng, n, scale=4.0):
@@ -91,6 +93,18 @@ class TestSolveT:
         q = 1e9 * np.array([1.0, 0.5, 0.0])
         res = solve_t(u, q)
         np.testing.assert_allclose(res.prices, 1.0 / 3.0 + (q - q.mean()) / 2.0, rtol=1e-12)
+
+    def test_flat_user_utility_takes_flat_path(self):
+        # A subclass that does not declare price_level_invariant still has
+        # a flat objective when its gradient sums to 1: the root path
+        # detects it and returns the level max(q) with cost c'q.
+        c = np.array([0.5, 0.3, 0.2])
+        q = np.array([1.0, 4.0, 2.5])
+        res = solve_t(LinearUtility(c), q)
+        assert res.path == "flat"
+        assert res.t_star == 4.0
+        np.testing.assert_array_equal(res.prices, c)
+        assert res.cost == pytest.approx(c @ q, rel=1e-15)
 
     def test_solve_path_recorded(self):
         q = np.array([0.3, 1.2, 0.8])
@@ -248,3 +262,52 @@ class TestBracketedRoot:
                                    1e-12, ftol=1e-6)
         assert abs(x ** 3 - 0.125) <= 1e-6
         assert probes < 20
+
+    def test_infinite_end_value_bisects(self):
+        # An overflowed end value gives no secant (false position would
+        # probe NaN); bisection steps run until both ends are finite.
+        def f(x):
+            return -math.inf if x < 0.1 else x - 0.3
+
+        lo, _ = bracketed_root(f, 0.0, 1.0, -math.inf, 0.7, 1e-12)
+        assert lo == pytest.approx(0.3, abs=1e-12)
+
+
+class TestExpandBracket:
+    def test_end_left_behind_becomes_other_end(self):
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return x - 10.5
+
+        # hi moves by 1, 2, 4, 8 from 1: 2, 4, 8, 16; lo follows it.
+        assert expand_bracket(f, 0.0, 1.0, f(0.0), f(1.0)) == (8.0, 16.0, -2.5, 5.5)
+        assert probes == [0.0, 1.0, 2.0, 4.0, 8.0, 16.0]
+        # lo moves down from -1 to -2, -4, -8, -16 and hi follows it.
+        assert expand_bracket(lambda x: x + 10.5, -1.0, 0.0, 9.5, 10.5) == (-16.0, -8.0, -5.5, 2.5)
+
+    def test_bracket_already_valid_is_returned(self):
+        assert expand_bracket(lambda x: 1 / 0, -1.0, 1.0, -1.0, 1.0) == (-1.0, 1.0, -1.0, 1.0)
+
+    def test_stops_at_floor(self):
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return 1.0
+
+        assert expand_bracket(f, 0.5, 1.0, 1.0, 1.0, floor=-2.0) is None
+        # 0.5 - 1 = -0.5, -0.5 - 2 = -2.5 is clamped to the floor, then no
+        # step is left below it
+        assert probes == [-0.5, -2.0]
+
+    def test_stops_at_cap(self):
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return -1.0
+
+        assert expand_bracket(f, 0.0, 1.0, -1.0, -1.0, max_steps=5) is None
+        assert probes == [2.0, 4.0, 8.0, 16.0, 32.0]

@@ -101,6 +101,26 @@ class TestFill:
         with pytest.raises(UnboundedFillError):
             fill(state, order)
 
+    def test_infinite_limit_growth_cap(self, monkeypatch):
+        # At b = 1e20 the price of e_0 stays below 0.75 for every x up to
+        # the cap: x doubles from 1 to 2**60 (62 solves with x = 0), then
+        # the fill gives up with a typed error.
+        import importlib
+
+        cost_mod = importlib.import_module("scpm.cost")
+        points = []
+        solve = cost_mod.solve_t
+
+        def counting(u, q, method="auto"):
+            points.append(float(q[0]))
+            return solve(u, q, method)
+
+        monkeypatch.setattr(cost_mod, "solve_t", counting)
+        order = Order("t", 0.75, math.inf, np.array([1.0, 0.0]))
+        with pytest.raises(UnboundedFillError, match="growth cap"):
+            fill(lmsr_market(b=1e20), order)
+        assert points == [0.0] + [2.0 ** k for k in range(61)]
+
     def test_infinite_limit_non_monotone_fill_is_finite(self):
         # QuadraticScore prices are unbounded above, so pi >= max(a) is
         # reached: p_0(q + x e_0) = 1/3 + x/3 = 1.2 at x = 2.6.

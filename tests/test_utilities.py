@@ -7,7 +7,10 @@ import pytest
 
 from scpm import (
     DomainError,
+    ExponentialSCPM,
+    MinSCPM,
     PenaltyUnsupportedError,
+    QuadraticScore,
     make_utility,
     utility_from_dict,
 )
@@ -47,6 +50,13 @@ class TestConstruction:
     def test_theta_rejected_where_unused(self, kind):
         with pytest.raises(ValueError, match="takes no theta"):
             make_utility(kind, n_outcomes=2, theta=[1.0, 1.0])
+
+    @pytest.mark.parametrize("cls", [QuadraticScore, MinSCPM, ExponentialSCPM])
+    def test_constructor_rejects_unused_theta(self, cls):
+        # Enforced by the class itself, so a utility built directly never
+        # writes a theta into to_dict() that utility_from_dict refuses.
+        with pytest.raises(ValueError, match="takes no theta"):
+            cls(n_outcomes=2, theta=[0.5, 0.5])
 
     def test_theta_length_checked(self):
         with pytest.raises(ValueError, match="length 3"):
