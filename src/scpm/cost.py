@@ -16,11 +16,13 @@ and prices are unchanged, so the level, the certificate and the price
 check then work at the scale of the spread of q, not of its size.
 
 expand_bracket and bracketed_root are the one 1-D search of the package.
-market.fill uses them too, on the bundle price along the order (growing
-the bracket only when the limit is infinite).  analysis uses them on a
-partial derivative of u: the conjugate-point coordinate solve grows and
-narrows a bracket, and the worst-case-loss box ascent narrows one between
-the box ends.
+market.fill falls back on them, on the bundle price along the order, when
+a utility's closed-form fill is missing or fails its certificate; the
+bracket grows from 1 up to the limit.  LogSCPM's closed-form fill narrows
+one bracket per side of the bundle.  analysis uses them on a partial
+derivative of u: the conjugate-point coordinate solve grows and narrows a
+bracket, and the worst-case-loss box ascent narrows one between the box
+ends.
 
 Tolerances are fixed so that traces and acceptance values are bit-stable.
 """
@@ -98,13 +100,15 @@ def bracketed_root(f, lo, hi, flo, fhi, tol, ftol=None):
     return lo, len(widths) - 1
 
 
-def expand_bracket(f, lo, hi, flo, fhi, floor=-math.inf, max_steps=MAX_EXPAND):
+def expand_bracket(f, lo, hi, flo, fhi, floor=-math.inf, ceiling=math.inf,
+                   max_steps=MAX_EXPAND):
     """Widen [lo, hi] by doubling steps until f(lo) <= 0 < f(hi), f nondecreasing.
 
     Each step moves the end on the wrong side of the root by 1, 2, 4, ...
     and the end it leaves behind becomes the other end, so the bracket
-    stays as narrow as the probes allow.  Returns (lo, hi, flo, fhi), or
-    None when lo would pass floor or max_steps steps find no sign change.
+    stays as narrow as the probes allow.  No end passes floor or ceiling.
+    Returns (lo, hi, flo, fhi), or None when an end would pass floor or
+    ceiling or max_steps steps find no sign change.
     """
     step = 1.0
     for _ in range(max_steps):
@@ -115,8 +119,10 @@ def expand_bracket(f, lo, hi, flo, fhi, floor=-math.inf, max_steps=MAX_EXPAND):
             hi, fhi, lo = lo, flo, new_lo
             flo = f(lo)
         elif fhi <= 0.0:
+            if hi >= ceiling:
+                return None
             lo, flo = hi, fhi
-            hi += step
+            hi = hi + step if hi + step < ceiling else ceiling
             fhi = f(hi)
         else:
             return lo, hi, flo, fhi

@@ -1,10 +1,20 @@
 """Market state, limit-order fills, charging, and settlement.
 
 fill() is pure: it computes the accepted quantity and charge without
-touching the state; apply() commits a fill.  The quantity comes from
-cost.bracketed_root on the bundle price p(q + a x)'a - pi, and every point
-it probes is solved once: the prices before and after and the charge are
-read from those solves.  Two charging modes exist:
+touching the state; apply() commits a fill.  The quantity is the largest
+x in [0, limit] with f(x) = p(q + a x)'a - pi <= 0.  After the solve at 0
+a finite limit is probed; a fill that ends there takes those two solves.
+A fill whose root lies inside its reach asks the utility's solve_fill hook
+for a closed-form candidate x_hat.  With tol = FILL_RTOL * max(1, x_hat),
+the candidate is accepted only on a certificate from cost solves:
+f(x_bar) <= 0 < f(x_bar + tol), with x_bar = x_hat, or x_hat - tol when
+f(x_hat) > 0.  That is the bracket the search would give.  Otherwise (no
+form for the bundle, a candidate out of reach, a failed certificate) the
+search runs: cost.expand_bracket grows a bracket from [0, min(1, limit)],
+up to the limit or to 2**60, and cost.bracketed_root narrows it to
+FILL_RTOL * max(1, hi), so x_bar is accurate relative to itself.  Every
+point is solved once: the prices before and after and the charge are read
+from those solves.  Two charging modes exist:
 
 * "integral" -- the truthful scheme, charge = C(q + a x) - C(q), equal to
   the integral of instantaneous bundle prices over the fill;
@@ -33,8 +43,11 @@ _cost = importlib.import_module(".cost", __package__)
 
 CHARGING_MODES = ("integral", "final")
 
-# Relative tolerance of the fill-quantity search.
+# Relative tolerance of the fill quantity.
 FILL_RTOL = 1e-9
+
+# Doublings of an infinite-limit fill's bracket, from 1 up to 2**60.
+GROWTH_STEPS = 60
 
 
 class UnboundedFillError(RuntimeError):
@@ -98,6 +111,7 @@ class FillResult:
     order: Order
     q_before: np.ndarray
     solves: int  # cost solves made, one per distinct point
+    path: str  # "rejected", "limit", "closed" or "bracket"
 
 
 @dataclass
@@ -144,32 +158,18 @@ def fill(state, order):
 
     def excess(x):
         # Looked up at call time, so a wrapped cost.solve_t sees every solve.
-        res = solved[x] = _cost.solve_t(u, q + a * x)
-        return float(res.prices @ a) - order.pi
+        if x not in solved:
+            solved[x] = _cost.solve_t(u, q + a * x)
+        return float(solved[x].prices @ a) - order.pi
 
-    x_bar = 0.0
-    f_lo = excess(0.0)
-    if f_lo < 0.0:
-        if math.isfinite(order.limit):
-            lo, hi = 0.0, order.limit
-            f_hi = excess(hi)
+    x_bar, path = 0.0, "rejected"
+    if excess(0.0) < 0.0:
+        if math.isfinite(order.limit) and excess(order.limit) <= 0.0:
+            x_bar, path = order.limit, "limit"
         else:
-            # Prices of a monotone utility concentrate on max-weight states
-            # as x grows, so the achievable bundle price is bounded by max(a).
-            if u.monotone and order.pi >= float(a.max()):
-                raise UnboundedFillError(
-                    f"limit price {order.pi} can never be reached; order would fill without bound"
-                )
-            # hi doubles from 1 up to the growth cap 2**60.
-            bracket = _cost.expand_bracket(excess, 0.0, 1.0, f_lo, excess(1.0), max_steps=60)
-            if bracket is None:
-                raise UnboundedFillError("fill bracket exceeded the growth cap")
-            lo, hi, f_lo, f_hi = bracket
-        if f_hi <= 0.0:
-            x_bar = hi
-        else:
-            tol = FILL_RTOL * max(1.0, hi)
-            x_bar, _ = _cost.bracketed_root(excess, lo, hi, f_lo, f_hi, tol)
+            # p(q)'a itself: excess(0) + pi loses a price far below pi.
+            p_a = float(solved[0.0].prices @ a)
+            x_bar, path = _price_bound_end(u, q, order, excess, p_a)
 
     before, after = solved[0.0], solved[x_bar]
     if x_bar == 0.0:
@@ -186,7 +186,45 @@ def fill(state, order):
         order=order,
         q_before=q.copy(),
         solves=len(solved),
+        path=path,
     )
+
+
+def _price_bound_end(u, q, order, excess, p_a):
+    """The root of excess in (0, limit), excess(0) = p_a - pi < 0 < excess(limit):
+    the hook's candidate if the engine certifies it, else the search's."""
+    a, limit = order.bundle, order.limit
+    if math.isinf(limit):
+        # Prices of a monotone utility concentrate on max-weight states
+        # as x grows, so the achievable bundle price is bounded by max(a).
+        if u.monotone and order.pi >= float(a.max()):
+            raise UnboundedFillError(
+                f"limit price {order.pi} can never be reached; order would fill without bound"
+            )
+        reach, steps = 2.0 ** GROWTH_STEPS, GROWTH_STEPS
+    else:
+        # Doubling from 1 passes a finite limit within its binary exponent.
+        reach, steps = limit, math.frexp(limit)[1]
+
+    x_hat = u.solve_fill(q, a, order.pi, p_a)
+    if x_hat is not None and 0.0 <= x_hat <= reach:
+        # Accepted only as the bracket the search would give: f(x_bar) <= 0
+        # < f(x_bar + tol), with x_bar = x_hat or one tol below it.
+        tol = FILL_RTOL * max(1.0, x_hat)
+        if excess(x_hat) <= 0.0:
+            if excess(x_hat + tol) > 0.0:
+                return x_hat, "closed"
+        elif x_hat - tol >= 0.0 and excess(x_hat - tol) <= 0.0:
+            return x_hat - tol, "closed"
+
+    hi = min(1.0, limit)
+    bracket = _cost.expand_bracket(excess, 0.0, hi, excess(0.0), excess(hi), ceiling=limit,
+                                   max_steps=steps)
+    if bracket is None:
+        raise UnboundedFillError("fill bracket exceeded the growth cap")
+    lo, hi, f_lo, f_hi = bracket
+    x_bar, _ = _cost.bracketed_root(excess, lo, hi, f_lo, f_hi, FILL_RTOL * max(1.0, hi))
+    return x_bar, "bracket"
 
 
 def apply(state, fill_result):

@@ -15,6 +15,15 @@ Every utility exposes exact evaluation (batched over the last axis),
 an analytic (sub)gradient, the feasibility floor for t in te - q, the
 concave-conjugate penalty L(p) = sup_s u(s) - p's in closed form, and
 its analytic worst-case-loss terms (B, C(0)).
+
+solve_fill gives the end of a fill along a bundle a in closed form, for
+a 0/1 bundle with in-set A and out-set B (market.fill certifies it):
+
+    LMSR, ExponentialSCPM   b (logit pi - logit p(q)'a)
+    QuadraticScore          2b (pi - p(q)'a) / (a'a - (e'a)^2/N), any bundle
+    MinSCPM                 max(0, max_B q - max_A q)
+    QuadSCPM, LogSCPM       tau_B(1 - pi) - tau_A(pi), where tau_S(T) solves
+                            sum_{i in S} du/ds_i(tau - q_i) = T
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ import math
 
 import numpy as np
 from scipy.special import xlogy
+
+from .cost import WIDTH_TOL, bracketed_root
 
 KINDS = (
     "LMSR",
@@ -51,6 +62,33 @@ def _logsumexp(z):
     """log sum exp over the last axis, shifted by the row maximum."""
     m = z.max(axis=-1)
     return m + np.log(np.exp(z - m[..., None]).sum(axis=-1))
+
+
+def _in_set(a):
+    """In-set mask of a 0/1 bundle whose out-set is not empty, or None."""
+    inside = a == 1.0
+    if inside.all() or not np.all(inside | (a == 0.0)):
+        return None
+    return inside
+
+
+def _logit_fill(b, a, pi, p_a):
+    # LMSR, whatever its prior, and ExponentialSCPM price a 0/1 bundle at
+    # logistic(logit p_a + x/b) along the fill.
+    if _in_set(a) is None or not 0.0 < p_a < pi < 1.0:
+        return None
+    return b * (math.log(pi / (1.0 - pi)) - math.log(p_a / (1.0 - p_a)))
+
+
+def _split_fill(level, q, a, pi):
+    # Separable u: at the fill's end the out-set B holds price 1 - pi at the
+    # unmoved level t and the in-set A holds pi at t - x, so
+    # x = tau_B(1 - pi) - tau_A(pi) with level(q, S, T) = tau_S(T).
+    inside = _in_set(a)
+    if inside is None or not 0.0 < pi < 1.0:
+        return None
+    q = q - q.max()
+    return level(q, ~inside, 1.0 - pi) - level(q, inside, pi)
 
 
 def _check_simplex(p, n):
@@ -169,6 +207,15 @@ class Utility:
         """Closed-form minimizer of t - u(te - q), or None when unavailable."""
         return None
 
+    def solve_fill(self, q, a, pi, p_a):
+        """Closed-form candidate for the largest x with p(q + a x)'a <= pi,
+        given the bundle price p_a = p(q)'a < pi, or None when unavailable.
+
+        Makes no cost solve.  market.fill accepts the candidate only after
+        cost solves bracket it, and otherwise searches.
+        """
+        return None
+
     def properness_residual(self, s, r):
         """Distance from r to the (sub)differential of u at s, inf-norm."""
         return float(np.max(np.abs(self.grad(s) - r)))
@@ -221,6 +268,9 @@ class LMSR(Utility):
     def grad_sum(self, s):
         return 1.0
 
+    def solve_fill(self, q, a, pi, p_a):
+        return _logit_fill(self.b, a, pi, p_a)
+
     def penalty_raw(self, p):
         # b * KL(p || theta/alpha) - b log alpha, alpha = sum(theta)
         alpha = self.theta.sum()
@@ -262,6 +312,13 @@ class QuadraticScore(Utility):
     def grad_sum(self, s):
         return 1.0
 
+    def solve_fill(self, q, a, pi, p_a):
+        # The bundle price is affine: p_a + x (a'a - (e'a)^2 / N) / 2b.
+        slope = float(a @ a) - float(a.sum()) ** 2 / self.n
+        if not slope > 0.0:
+            return None
+        return 2.0 * self.b * (pi - p_a) / slope
+
     def loss_bound_terms(self):
         return self.b * (1.0 - 1.0 / self.n), 0.0
 
@@ -302,6 +359,28 @@ class LogSCPM(Utility):
 
     def domain_floor(self, q):
         return float(np.max(q))
+
+    def solve_fill(self, q, a, pi, p_a):
+        return _split_fill(self._level, q, a, pi)
+
+    def _level(self, q, inside, total):
+        # tau with sum_S theta_i / (tau - q_i) = total lies between the level
+        # of the largest q_j alone and the level of all of S's weight at q_j.
+        q, theta = q[inside], self.theta[inside]
+        j = int(np.argmax(q))
+        lo = q[j] + theta[j] / total
+        if q.size == 1:
+            return float(lo)
+        hi = q[j] + theta.sum() / total
+
+        def g(tau):
+            return total - float((theta / (tau - q)).sum())
+
+        glo, ghi = g(lo), g(hi)
+        if glo >= 0.0 or ghi <= 0.0:
+            return float(lo if glo >= 0.0 else hi)
+        tau, _ = bracketed_root(g, lo, hi, glo, ghi, WIDTH_TOL * max(1.0, abs(lo), abs(hi)))
+        return float(tau)
 
     def penalty_raw(self, p):
         # -sum theta log p + sum (theta log theta - theta); +inf where p_i = 0
@@ -345,6 +424,14 @@ class MinSCPM(Utility):
 
     def grad_sum(self, s):
         return 1.0
+
+    def solve_fill(self, q, a, pi, p_a):
+        # The bundle price steps up where the in-set's largest q meets the
+        # out-set's largest.
+        inside = _in_set(a)
+        if inside is None:
+            return None
+        return max(0.0, float(q[~inside].max() - q[inside].max()))
 
     def penalty_raw(self, p):
         p = np.asarray(p, dtype=float)
@@ -390,6 +477,10 @@ class ExponentialSCPM(Utility):
         # 1 - (1/N) sum exp((q_i - t)/b) = 0  =>  t = b log((1/N) sum exp(q_i/b))
         q = np.asarray(q, dtype=float)
         return float(self.b * (_logsumexp(q / self.b) - math.log(self.n)))
+
+    def solve_fill(self, q, a, pi, p_a):
+        # Its prices are those of uniform-prior LMSR.
+        return _logit_fill(self.b, a, pi, p_a)
 
     def penalty_raw(self, p):
         # b * KL(p || uniform)
@@ -439,12 +530,18 @@ class QuadSCPM(Utility):
         return float(np.sum(np.maximum(0.0, self.theta - s / (2.0 * self.b))))
 
     def solve_withdrawal(self, q):
-        # Water-filling: sum_i max(0, c_i - t) = 2b with c_i = q_i + 2b theta_i.
-        q = np.asarray(q, dtype=float)
+        return self._level(np.asarray(q, dtype=float), slice(None), 1.0)
+
+    def solve_fill(self, q, a, pi, p_a):
+        return _split_fill(self._level, q, a, pi)
+
+    def _level(self, q, inside, total):
+        # Water-filling on S: sum_S max(0, theta_i - (t - q_i) / 2b) = total
+        # is sum_S max(0, c_i - t) = 2b total with c_i = q_i + 2b theta_i.
         # With c sorted descending, t_k is the level if the k largest are
         # active; the active set is every c_i above the level.
-        c = np.sort(q + 2.0 * self.b * self.theta)[::-1]
-        t = (np.cumsum(c) - 2.0 * self.b) / np.arange(1, self.n + 1)
+        c = np.sort(q[inside] + 2.0 * self.b * self.theta[inside])[::-1]
+        t = (np.cumsum(c) - 2.0 * self.b * total) / np.arange(1, c.size + 1)
         return float(t[np.count_nonzero(c > t) - 1])
 
     def penalty_raw(self, p):

@@ -302,6 +302,21 @@ class TestExpandBracket:
         # step is left below it
         assert probes == [-0.5, -2.0]
 
+    def test_stops_at_ceiling(self):
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return x - 10.5
+
+        # hi doubles from 1 to 2, 4, 8, then is clamped to the ceiling 12,
+        # which closes the bracket; with the ceiling below the root no step
+        # is left above it.
+        assert expand_bracket(f, 0.0, 1.0, -10.5, -9.5, ceiling=12.0) == (8.0, 12.0, -2.5, 1.5)
+        assert probes == [2.0, 4.0, 8.0, 12.0]
+        assert expand_bracket(f, 0.0, 1.0, -10.5, -9.5, ceiling=6.0) is None
+        assert probes[4:] == [2.0, 4.0, 6.0]
+
     def test_stops_at_cap(self):
         probes = []
 

@@ -145,7 +145,83 @@ class TestFill:
         f = fill(lmsr_market(n=3), Order("t", 0.6, 2.0, np.array([1.0, 0.0, 0.0])))
         assert 0.0 < f.x_bar < 2.0
         assert f.solves == len(points) == len(set(points))
-        assert f.solves <= 12
+        assert f.solves <= 4
+
+    def test_far_limit_matches_infinite_limit(self):
+        # No closed form for this bundle: the search grows its bracket from 1
+        # for a finite limit too, so a far limit does not widen x_bar's error.
+        q0 = np.array([0.3, 1.2, 0.7])
+        a = np.array([2.0, 0.5, 0.0])
+        for pi in (0.9, 1.5, 1.99):
+            far, unbounded = (fill(lmsr_market(n=3, q0=q0), Order("t", pi, limit, a))
+                              for limit in (1e9, math.inf))
+            assert far.path == unbounded.path == "bracket"
+            assert abs(far.x_bar - unbounded.x_bar) <= 1e-6 * max(1.0, unbounded.x_bar)
+
+    def test_path_names_how_the_fill_ended(self):
+        a = np.array([1.0, 0.0])
+        assert fill(lmsr_market(), Order("t", 0.5, 1.0, a)).path == "rejected"
+        assert fill(lmsr_market(), Order("t", 0.9, 0.5, a)).path == "limit"
+        assert fill(lmsr_market(), Order("t", 0.6, 5.0, a)).path == "closed"
+        assert fill(lmsr_market(), Order("t", 0.6, math.inf, a)).path == "closed"
+        # A bundle price of 4e-44, far below pi, still has its closed form.
+        f = fill(lmsr_market(b=0.01, q0=[0.0, 1.0]), Order("t", 0.5, math.inf, a))
+        assert f.path == "closed"
+        assert f.x_bar == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("x_hat", [None, math.nan, math.inf, -1.0, 0.0, 0.3, 0.5, 3.0])
+    def test_hook_is_checked_by_the_engine(self, monkeypatch, x_hat):
+        # Whatever the hook returns, the fill ends at the root of the engine's
+        # own bundle price, b logit(0.6) = log 1.5 for LMSR at q = 0.
+        monkeypatch.setattr(type(make_utility("LMSR")), "solve_fill",
+                            lambda self, q, a, pi, p_a: x_hat)
+        for limit in (5.0, math.inf):
+            f = fill(lmsr_market(), Order("t", 0.6, limit, np.array([1.0, 0.0])))
+            assert f.path == "bracket"
+            assert f.x_bar == pytest.approx(math.log(1.5), abs=2e-9)
+
+    @pytest.mark.parametrize("kind", ["LMSR", "QuadraticScore", "LogSCPM", "MinSCPM",
+                                      "ExponentialSCPM", "QuadSCPM"])
+    def test_closed_form_matches_search(self, monkeypatch, kind):
+        from scpm.market import FILL_RTOL
+        from scpm.utilities import Utility
+
+        u = make_utility(kind, b=0.7, n_outcomes=4)
+        rng = np.random.default_rng(41)
+        cases = []
+        for _ in range(40):
+            q0 = rng.uniform(0.0, 3.0, 4)
+            a = np.zeros(4)
+            a[rng.choice(4, size=int(rng.integers(1, 4)), replace=False)] = 1.0
+            pi = float(rng.uniform(0.05, 0.95))
+            limit = float(rng.choice([rng.exponential(5.0), math.inf]))
+            cases.append((q0, Order("t", pi, limit, a)))
+        closed = [fill(new_market(MarketConfig(utility=u, initial_q=q0)), o) for q0, o in cases]
+        monkeypatch.setattr(type(u), "solve_fill", Utility.solve_fill)
+        for (q0, o), c in zip(cases, closed):
+            s = fill(new_market(MarketConfig(utility=u, initial_q=q0)), o)
+            assert s.path == {"closed": "bracket"}.get(c.path, c.path)
+            assert abs(c.x_bar - s.x_bar) <= 2.0 * FILL_RTOL * max(1.0, 2.0 * s.x_bar)
+        assert sum(c.path == "closed" for c in closed) >= 10
+
+    def test_minscpm_fills_step_in_few_solves(self):
+        # MinSCPM's bundle price is a step; its closed form sits on the
+        # step.  A fill that ends at 0 takes the solves at 0, at the limit
+        # and one past 0; a price-bound one the two of the certificate.
+        u = make_utility("MinSCPM", b=1.0, n_outcomes=3)
+        rng = np.random.default_rng(23)
+        state = new_market(MarketConfig(utility=u, initial_q=rng.uniform(0.0, 2.0, 3)))
+        paths = []
+        for _ in range(300):
+            a = np.zeros(3)
+            a[rng.choice(3, size=int(rng.integers(1, 3)), replace=False)] = 1.0
+            order = Order("t", float(rng.uniform(0.05, 0.95)), float(rng.exponential(20.0)), a)
+            f = fill(state, order)
+            apply_fill(state, f)
+            assert f.solves <= (3 if f.x_bar == 0.0 else 4)
+            paths.append(f.path)
+        assert "bracket" not in paths
+        assert paths.count("closed") >= 100
 
     def test_integral_charge_equals_cost_difference(self):
         from scpm import cost
@@ -253,6 +329,8 @@ class TestStreamFormats:
         f = fill(state, order)
         apply_fill(state, f)
         rec = json.loads(trace_record(f, state.collected))
+        assert sorted(rec) == ["charge", "collected_after", "order", "prices_after",
+                               "prices_before", "x_bar"]
         assert rec["order"]["trader_id"] == "t1"
         assert rec["x_bar"] == f.x_bar
         assert rec["charge"] == f.charge
