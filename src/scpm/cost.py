@@ -6,8 +6,8 @@ g(t) = 1 - e' grad(u)(te - q):
 * utilities whose gradient sums to 1 identically (LMSR, MinSCPM,
   QuadraticScore) make the objective flat in t; the canonical
   t = max_i q_i is returned with path "flat";
-* ExponentialSCPM and QuadSCPM expose exact closed-form withdrawal
-  levels, checked against the |g| <= tolerance certificate (path "closed");
+* ExponentialSCPM and QuadSCPM take their fill level at S = all, T = 1,
+  checked against the |g| <= tolerance certificate (path "closed");
 * everything else (LogSCPM) is bracketed with expand_bracket and handed
   to bracketed_root (path "root").
 
@@ -18,8 +18,8 @@ check then work at the scale of the spread of q, not of its size.
 expand_bracket and bracketed_root are the one 1-D search of the package.
 market.fill falls back on them, on the bundle price along the order, when
 a utility's closed-form fill is missing or fails its certificate; the
-bracket grows from 1 up to the limit.  LogSCPM's closed-form fill narrows
-one bracket per side of the bundle.  analysis uses them on a partial
+bracket grows from 1 up to the limit.  LogSCPM's fill level tau_S(T)
+narrows one bracket per side of the bundle.  analysis uses them on a partial
 derivative of u: the conjugate-point coordinate solve grows and narrows a
 bracket, and the worst-case-loss box ascent narrows one between the box
 ends.

@@ -73,6 +73,8 @@ class MarketConfig:
             else np.asarray(self.initial_q, dtype=float)
         if q.shape != (self.n_outcomes,):
             raise ValueError(f"initial_q must have length {self.n_outcomes}")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("initial_q must be finite")
         if np.any(q < 0):
             raise ValueError("initial_q must be nonnegative")
         q.setflags(write=False)

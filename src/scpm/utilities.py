@@ -16,14 +16,21 @@ an analytic (sub)gradient, the feasibility floor for t in te - q, the
 concave-conjugate penalty L(p) = sup_s u(s) - p's in closed form, and
 its analytic worst-case-loss terms (B, C(0)).
 
-solve_fill gives the end of a fill along a bundle a in closed form, for
-a 0/1 bundle with in-set A and out-set B (market.fill certifies it):
+solve_fill gives the end of a fill along a 0/1 bundle in closed form
+(market.fill certifies it).  The out-set B then holds price 1 - pi at the
+unmoved level and the in-set A holds pi, so x = max(0, tau_B(1 - pi) -
+tau_A(pi)), where _level(q, S, T) = tau_S(T) solves
+sum_{i in S} du/ds_i(tau - q_i) = T:
 
-    LMSR, ExponentialSCPM   b (logit pi - logit p(q)'a)
-    QuadraticScore          2b (pi - p(q)'a) / (a'a - (e'a)^2/N), any bundle
-    MinSCPM                 max(0, max_B q - max_A q)
-    QuadSCPM, LogSCPM       tau_B(1 - pi) - tau_A(pi), where tau_S(T) solves
-                            sum_{i in S} du/ds_i(tau - q_i) = T
+    LMSR              b (LSE_S(q/b + log theta) - log T)
+    ExponentialSCPM   the same with log theta = -log N
+    MinSCPM           max_S q
+    QuadSCPM          water-filling over S
+    LogSCPM           a bracketed root, closed form when |S| = 1
+
+At S = all, T = 1 it is the withdrawal level of ExponentialSCPM and
+QuadSCPM.  QuadraticScore has no level; its bundle price is affine, and
+its own solve_fill gives 2b (pi - p(q)'a) / (a'a - (e'a)^2/N), any bundle.
 """
 
 from __future__ import annotations
@@ -67,28 +74,15 @@ def _logsumexp(z):
 def _in_set(a):
     """In-set mask of a 0/1 bundle whose out-set is not empty, or None."""
     inside = a == 1.0
-    if inside.all() or not np.all(inside | (a == 0.0)):
+    k = np.count_nonzero(inside)
+    if k == a.size or k + np.count_nonzero(a == 0.0) < a.size:
         return None
     return inside
 
 
-def _logit_fill(b, a, pi, p_a):
-    # LMSR, whatever its prior, and ExponentialSCPM price a 0/1 bundle at
-    # logistic(logit p_a + x/b) along the fill.
-    if _in_set(a) is None or not 0.0 < p_a < pi < 1.0:
-        return None
-    return b * (math.log(pi / (1.0 - pi)) - math.log(p_a / (1.0 - p_a)))
-
-
-def _split_fill(level, q, a, pi):
-    # Separable u: at the fill's end the out-set B holds price 1 - pi at the
-    # unmoved level t and the in-set A holds pi at t - x, so
-    # x = tau_B(1 - pi) - tau_A(pi) with level(q, S, T) = tau_S(T).
-    inside = _in_set(a)
-    if inside is None or not 0.0 < pi < 1.0:
-        return None
-    q = q - q.max()
-    return level(q, ~inside, 1.0 - pi) - level(q, inside, pi)
+def _lse_level(b, z, total):
+    # tau with sum_S exp(z_i - tau/b) = total, where z_i = q_i/b + log theta_i.
+    return float(b * (_logsumexp(z) - math.log(total)))
 
 
 def _check_simplex(p, n):
@@ -132,8 +126,8 @@ class Utility:
 
     def __init__(self, b=1.0, n_outcomes=2, theta=None):
         b = float(b)
-        if not b > 0:
-            raise ValueError(f"b must be positive, got {b}")
+        if not 0 < b < math.inf:
+            raise ValueError(f"b must be positive and finite, got {b}")
         n = int(n_outcomes)
         if n < 2:
             raise ValueError(f"n_outcomes must be >= 2, got {n_outcomes}")
@@ -151,6 +145,8 @@ class Utility:
             raise ValueError(
                 f"theta must have length {self.n}, got shape {theta.shape}"
             )
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("theta components must be finite")
         if np.any(theta < 0):
             raise ValueError("theta components must be nonnegative")
         theta.setflags(write=False)
@@ -207,14 +203,23 @@ class Utility:
         """Closed-form minimizer of t - u(te - q), or None when unavailable."""
         return None
 
+    _level = None  # (q, inside, total) -> tau_S(T), see the module docstring
+
     def solve_fill(self, q, a, pi, p_a):
         """Closed-form candidate for the largest x with p(q + a x)'a <= pi,
         given the bundle price p_a = p(q)'a < pi, or None when unavailable.
 
+        For a 0/1 bundle this is tau_B(1 - pi) - tau_A(pi) from _level,
+        clamped at 0: p_a < pi puts the end at x >= 0, and only rounding
+        (a near-tie of MinSCPM's maxima) makes the difference negative.
         Makes no cost solve.  market.fill accepts the candidate only after
         cost solves bracket it, and otherwise searches.
         """
-        return None
+        inside = _in_set(a)
+        if self._level is None or inside is None or not 0.0 < pi < 1.0:
+            return None
+        q = q - q.max()
+        return max(0.0, self._level(q, ~inside, 1.0 - pi) - self._level(q, inside, pi))
 
     def properness_residual(self, s, r):
         """Distance from r to the (sub)differential of u at s, inf-norm."""
@@ -252,24 +257,26 @@ class LMSR(Utility):
             self.theta = theta
         elif np.any(self.theta <= 0):
             raise ValueError("LMSR theta components must be strictly positive")
+        self._log_theta = np.log(self.theta)
 
     def value(self, s):
         s = self._as_alloc(s)
-        z = -s / self.b + np.log(self.theta)
+        z = -s / self.b + self._log_theta
         out = -self.b * _logsumexp(z)
         return float(out) if out.ndim == 0 else out
 
     def grad(self, s):
         s = self._as_alloc(s)
-        z = -s / self.b + np.log(self.theta)
+        z = -s / self.b + self._log_theta
         w = np.exp(z - z.max(axis=-1, keepdims=True))
         return w / w.sum(axis=-1, keepdims=True)
 
     def grad_sum(self, s):
         return 1.0
 
-    def solve_fill(self, q, a, pi, p_a):
-        return _logit_fill(self.b, a, pi, p_a)
+    def _level(self, q, inside, total):
+        # Its prices fix no level: take ExponentialSCPM's, with weights theta.
+        return _lse_level(self.b, q[inside] / self.b + self._log_theta[inside], total)
 
     def penalty_raw(self, p):
         # b * KL(p || theta/alpha) - b log alpha, alpha = sum(theta)
@@ -360,9 +367,6 @@ class LogSCPM(Utility):
     def domain_floor(self, q):
         return float(np.max(q))
 
-    def solve_fill(self, q, a, pi, p_a):
-        return _split_fill(self._level, q, a, pi)
-
     def _level(self, q, inside, total):
         # tau with sum_S theta_i / (tau - q_i) = total lies between the level
         # of the largest q_j alone and the level of all of S's weight at q_j.
@@ -425,13 +429,9 @@ class MinSCPM(Utility):
     def grad_sum(self, s):
         return 1.0
 
-    def solve_fill(self, q, a, pi, p_a):
-        # The bundle price steps up where the in-set's largest q meets the
-        # out-set's largest.
-        inside = _in_set(a)
-        if inside is None:
-            return None
-        return max(0.0, float(q[~inside].max() - q[inside].max()))
+    def _level(self, q, inside, total):
+        # Prices sit on the largest q of S, whatever the total.
+        return float(q[inside].max())
 
     def penalty_raw(self, p):
         p = np.asarray(p, dtype=float)
@@ -474,13 +474,11 @@ class ExponentialSCPM(Utility):
         return float(np.mean(np.exp(-s / self.b)))
 
     def solve_withdrawal(self, q):
-        # 1 - (1/N) sum exp((q_i - t)/b) = 0  =>  t = b log((1/N) sum exp(q_i/b))
-        q = np.asarray(q, dtype=float)
-        return float(self.b * (_logsumexp(q / self.b) - math.log(self.n)))
+        return self._level(np.asarray(q, dtype=float), slice(None), 1.0)
 
-    def solve_fill(self, q, a, pi, p_a):
-        # Its prices are those of uniform-prior LMSR.
-        return _logit_fill(self.b, a, pi, p_a)
+    def _level(self, q, inside, total):
+        # LMSR's level, log theta = -log N taken out of the sum.
+        return _lse_level(self.b, q[inside] / self.b, self.n * total)
 
     def penalty_raw(self, p):
         # b * KL(p || uniform)
@@ -531,9 +529,6 @@ class QuadSCPM(Utility):
 
     def solve_withdrawal(self, q):
         return self._level(np.asarray(q, dtype=float), slice(None), 1.0)
-
-    def solve_fill(self, q, a, pi, p_a):
-        return _split_fill(self._level, q, a, pi)
 
     def _level(self, q, inside, total):
         # Water-filling on S: sum_S max(0, theta_i - (t - q_i) / 2b) = total

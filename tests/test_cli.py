@@ -146,6 +146,20 @@ class TestConfigErrors:
         path.write_text("{not json")
         assert main(["quote", "--config", str(path), "--bundle", "1;0"]) == 2
 
+    def test_nonfinite_initial_q(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"utility": {"kind": "LMSR", "b": 1.0, "n_outcomes": 2},
+                                    "initial_q": [math.nan, 0.0]}))
+        assert main(["quote", "--config", str(path), "--bundle", "1;0"]) == 2
+        assert "initial_q must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["ExponentialSCPM", "QuadSCPM"])
+    def test_infinite_b(self, tmp_path, capsys, kind):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"utility": {"kind": kind, "b": math.inf, "n_outcomes": 2}}))
+        assert main(["trade", "--config", str(path), "--pi", "0.6", "--bundle", "1;0"]) == 2
+        assert "b must be positive and finite" in capsys.readouterr().err
+
     def test_unknown_utility_kind(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"utility": {"kind": "Brier"}}))

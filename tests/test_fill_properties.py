@@ -1,15 +1,17 @@
 """Property tests of the limit-order fill, over every catalog kind.
 
 Quantities are drawn in units of the liquidity b, the scale on which
-prices move, with b itself spanning six decades.
+prices move, with b itself spanning six decades.  The closed-form level
+property draws q and b apart, so that bundle prices underflow.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scpm import MarketConfig, Order, apply_fill, cost, fill, make_utility, new_market, prices
+from scpm.cost import PRICE_SUM_OK
 from scpm.market import FILL_RTOL
 from scpm.utilities import KINDS
 
@@ -46,6 +48,10 @@ def test_fill_properties(case):
         return
     # Never ends above pi ...
     assert bundle_price(u, q + a * x, a) <= pi
+    # ... on a bundle price that never falls along the fill ...
+    p0, p1, p2 = (prices(u, q + a * y) for y in (0.0, x / 2.0, x))
+    assert all(lo @ a <= hi @ a + 1e-12 * max(1.0, float(np.abs(hi).sum()))
+               for lo, hi in ((p0, p1), (p1, p2)))
     # ... and is above pi past the bracket that ends the fill: a certified
     # closed form's is FILL_RTOL * max(1, x_hat) wide with x_hat <= x_bar +
     # tol, the search's FILL_RTOL * max(1, hi) with hi <= 2 x_bar once it
@@ -58,6 +64,54 @@ def test_fill_properties(case):
         # false-position probe lands on the root and one more closes the
         # bracket.
         assert f.solves <= 4
+
+
+# The kinds whose 0/1-bundle fill is tau_B(1 - pi) - tau_A(pi).
+LEVEL_KINDS = ("LMSR", "LogSCPM", "MinSCPM", "ExponentialSCPM", "QuadSCPM")
+
+
+@st.composite
+def level_cases(draw):
+    kind = draw(st.sampled_from(LEVEL_KINDS))
+    n = draw(st.sampled_from([2, 3, 10, 50]))
+    b = 10.0 ** draw(st.floats(-6.0, 6.0))
+    scale = 10.0 ** draw(st.floats(-3.0, 12.0))
+    q = scale * np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    a = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)
+                      .filter(lambda v: 0.0 < sum(v) < n)))
+    towards = draw(st.floats(0.01, 0.99))
+    return make_utility(kind, b=b, n_outcomes=n), q, a, towards
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(level_cases())
+# Certificates the engine cannot decide: a tie at 1e8, where the step
+# FILL_RTOL * x_hat is below the float spacing of q, and LogSCPM prices,
+# which carry solve_t's root tolerance, flat near pi.
+@example((make_utility("LMSR", b=1.0, n_outcomes=2), np.array([1e8, 1e8]),
+          np.array([0.0, 1.0]), 0.5))
+@example((make_utility("LogSCPM", b=1.0, n_outcomes=3), np.array([3.5040089870893563, 0.0,
+          3.5040089870893563]), np.array([1.0, 0.0, 1.0]), 0.9))
+# MinSCPM prices an in-set one ulp above the out-set as a tie; the levels'
+# difference, -1.1e-16, is clamped to the fill's end at 0.
+@example((make_utility("MinSCPM", b=1.0, n_outcomes=2), np.array([1.0, 1.0 - 2.0 ** -53]),
+          np.array([1.0, 0.0]), 0.5))
+def test_level_fills_end_closed(case):
+    # The levels are log-sum-exps, maxima and roots over q, never over the
+    # bundle's price, so a price that underflows to 0 keeps its closed form.
+    u, q, a, towards = case
+    p_a = bundle_price(u, q, a)
+    pi = min(0.99, p_a + towards * (1.0 - p_a))
+    f = fill(market_at(u, q), Order("h", pi, math.inf, a))
+    if p_a >= pi:
+        assert f.path == "rejected"
+    elif f.path != "closed":
+        # Refused only where the engine cannot resolve the candidate's
+        # bracket, and the candidate is then as good as the engine can tell.
+        x_hat = u.solve_fill(q, a, pi, p_a)
+        assert x_hat is not None
+        assert (FILL_RTOL * max(1.0, x_hat) < np.spacing(float((q + a * x_hat).max()))
+                or abs(bundle_price(u, q + a * x_hat, a) - pi) <= PRICE_SUM_OK)
 
 
 def test_mean_solves_per_accepted_fill():

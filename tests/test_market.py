@@ -38,6 +38,12 @@ class TestConfigAndOrder:
         with pytest.raises(ValueError, match="nonnegative"):
             MarketConfig(utility=u, initial_q=[-1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_initial_q(self, bad):
+        u = make_utility("LMSR")
+        with pytest.raises(ValueError, match="initial_q must be finite"):
+            MarketConfig(utility=u, initial_q=[bad, 0.0])
+
     def test_initial_q_length(self):
         u = make_utility("LMSR", n_outcomes=3)
         with pytest.raises(ValueError, match="length 3"):
@@ -169,6 +175,17 @@ class TestFill:
         assert f.path == "closed"
         assert f.x_bar == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("kind", ["LMSR", "ExponentialSCPM"])
+    def test_closed_form_with_underflowed_bundle_price(self, kind):
+        # At b = 1e-3 the bundle's price exp(-1000) underflows to 0; the
+        # level of each side, a log-sum-exp over q, does not.
+        u = make_utility(kind, b=1e-3, n_outcomes=2)
+        state = new_market(MarketConfig(utility=u, initial_q=[0.0, 1.0]))
+        f = fill(state, Order("t", 0.5, math.inf, np.array([1.0, 0.0])))
+        assert f.path == "closed"
+        assert f.solves == 3
+        assert f.x_bar == pytest.approx(1.0, abs=1e-9)
+
     @pytest.mark.parametrize("x_hat", [None, math.nan, math.inf, -1.0, 0.0, 0.3, 0.5, 3.0])
     def test_hook_is_checked_by_the_engine(self, monkeypatch, x_hat):
         # Whatever the hook returns, the fill ends at the root of the engine's
@@ -184,7 +201,6 @@ class TestFill:
                                       "ExponentialSCPM", "QuadSCPM"])
     def test_closed_form_matches_search(self, monkeypatch, kind):
         from scpm.market import FILL_RTOL
-        from scpm.utilities import Utility
 
         u = make_utility(kind, b=0.7, n_outcomes=4)
         rng = np.random.default_rng(41)
@@ -197,7 +213,7 @@ class TestFill:
             limit = float(rng.choice([rng.exponential(5.0), math.inf]))
             cases.append((q0, Order("t", pi, limit, a)))
         closed = [fill(new_market(MarketConfig(utility=u, initial_q=q0)), o) for q0, o in cases]
-        monkeypatch.setattr(type(u), "solve_fill", Utility.solve_fill)
+        monkeypatch.setattr(type(u), "solve_fill", lambda self, q, a, pi, p_a: None)
         for (q0, o), c in zip(cases, closed):
             s = fill(new_market(MarketConfig(utility=u, initial_q=q0)), o)
             assert s.path == {"closed": "bracket"}.get(c.path, c.path)

@@ -42,6 +42,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match="b must be positive"):
             make_utility("LMSR", b=b)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("b", [math.inf, math.nan])
+    def test_nonfinite_b_rejected(self, kind, b):
+        with pytest.raises(ValueError, match="b must be positive and finite"):
+            make_utility(kind, b=b)
+
+    @pytest.mark.parametrize("kind", ["LMSR", "LogSCPM", "QuadSCPM"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_theta_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match="theta components must be finite"):
+            make_utility(kind, n_outcomes=2, theta=[bad, 1.0])
+
     def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="n_outcomes"):
             make_utility("LMSR", n_outcomes=1)
