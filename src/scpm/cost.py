@@ -1,28 +1,31 @@
 """Cost function C(q) = min_t t - u(te - q), state prices, and order charges.
 
-The scalar minimization runs on the nondecreasing derivative
-g(t) = 1 - e' grad(u)(te - q):
+The minimizing t solves e' grad(u)(te - q) = 1.  solve_t has three
+paths, each owned by one thing:
 
-* utilities whose gradient sums to 1 identically (LMSR, MinSCPM,
-  QuadraticScore) make the objective flat in t; the canonical
-  t = max_i q_i is returned with path "flat";
-* ExponentialSCPM and QuadSCPM take their fill level at S = all, T = 1,
-  checked against the |g| <= tolerance certificate (path "closed");
-* everything else (LogSCPM) is bracketed with expand_bracket and handed
-  to bracketed_root (path "root").
+* "flat", owned by the kind's price_level_invariant flag: a gradient that
+  sums to 1 identically (LMSR, MinSCPM, QuadraticScore) makes the
+  objective flat in t, and the canonical t = max_i q_i is returned;
+* "closed", owned by the kind's level (utilities.py): solve_withdrawal is
+  _level at S = all, T = 1 (ExponentialSCPM, QuadSCPM, LogSCPM).  Its
+  prices are grad(u) at that level, so the price-sum check below bounds
+  the same |1 - e' grad(u)| a certificate would;
+* "root", owned by _root_t: a Utility with no level (none in the
+  catalog) is bracketed on g(t) = 1 - e' grad(u)(te - q) with
+  expand_bracket and handed to bracketed_root.
 
 Every path solves at q - max(q) and adds max(q) back: C(q + ce) = C(q) + c
-and prices are unchanged, so the level, the certificate and the price
-check then work at the scale of the spread of q, not of its size.
+and prices are unchanged, so the level and the price check then work at
+the scale of the spread of q, not of its size.
 
 expand_bracket and bracketed_root are the one 1-D search of the package.
 market.fill falls back on them, on the bundle price along the order, when
 a utility's closed-form fill is missing or fails its certificate; the
-bracket grows from 1 up to the limit.  LogSCPM's fill level tau_S(T)
-narrows one bracket per side of the bundle.  analysis uses them on a partial
-derivative of u: the conjugate-point coordinate solve grows and narrows a
-bracket, and the worst-case-loss box ascent narrows one between the box
-ends.
+bracket grows from 1 up to the limit.  LogSCPM's level tau_S(T), for its
+withdrawal and each side of a fill, narrows one bracket.  analysis uses
+them on a partial derivative of u: the conjugate-point coordinate solve
+grows and narrows a bracket, and the worst-case-loss box ascent narrows
+one between the box ends.
 
 Tolerances are fixed so that traces and acceptance values are bit-stable.
 """
@@ -155,12 +158,8 @@ def _root_t(u, q):
     return t, "root", iterations
 
 
-def solve_t(u, q, method="auto"):
-    """Minimize t - u(te - q); returns level, cost, prices and diagnostics.
-
-    method="bisect" forces the generic bracketing path (used by tests to
-    cross-check the closed-form fast paths).
-    """
+def solve_t(u, q):
+    """Minimize t - u(te - q); returns level, cost, prices and diagnostics."""
     q = np.asarray(q, dtype=float)
     if q.shape != (u.n,):
         raise ValueError(f"q must have shape ({u.n},), got {q.shape}")
@@ -168,16 +167,12 @@ def solve_t(u, q, method="auto"):
     q = q - qmax
 
     iterations = 0
-    if method == "auto" and u.price_level_invariant:
+    if u.price_level_invariant:
         t, path = 0.0, "flat"
+    elif (t := u.solve_withdrawal(q)) is not None:
+        path = "closed"
     else:
-        t = u.solve_withdrawal(q) if method == "auto" else None
-        if t is not None:
-            path = "closed"
-            if abs(1.0 - u.grad_sum(t - q)) > 1e-8:
-                raise SolverError(f"closed-form withdrawal failed certificate for {u.kind}")
-        else:
-            t, path, iterations = _root_t(u, q)
+        t, path, iterations = _root_t(u, q)
 
     s = t - q
     c = t - u.value(s)

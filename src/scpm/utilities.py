@@ -28,9 +28,10 @@ sum_{i in S} du/ds_i(tau - q_i) = T:
     QuadSCPM          water-filling over S
     LogSCPM           a bracketed root, closed form when |S| = 1
 
-At S = all, T = 1 it is the withdrawal level of ExponentialSCPM and
-QuadSCPM.  QuadraticScore has no level; its bundle price is affine, and
-its own solve_fill gives 2b (pi - p(q)'a) / (a'a - (e'a)^2/N), any bundle.
+At S = all, T = 1 it is the withdrawal of every non-flat kind (the
+"closed" path of cost.solve_t).  QuadraticScore has no level; its bundle
+price is affine, and its own solve_fill gives 2b (pi - p(q)'a) /
+(a'a - (e'a)^2/N), any bundle.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ KINDS = (
 ARGMIN_RTOL = 1e-12
 
 SIMPLEX_TOL = 1e-10
+
+# LogSCPM's level search stops at |T - sum_S du/ds_i| <= LEVEL_FTOL * T, far
+# below the price steps a fill's certificate must tell apart.
+LEVEL_FTOL = 1e-13
 
 
 class DomainError(ValueError):
@@ -167,7 +172,7 @@ class Utility:
         raise NotImplementedError
 
     def grad_sum(self, s):
-        """Sum of the (sub)gradient components; the cost solver's derivative."""
+        """Sum of the (sub)gradient components, the derivative of cost._root_t."""
         return float(np.sum(self.grad(s)))
 
     def domain_floor(self, q):
@@ -199,11 +204,13 @@ class Utility:
         """Analytic (B, C(0)): worst-case loss is B + C(0)."""
         raise NotImplementedError
 
-    def solve_withdrawal(self, q):
-        """Closed-form minimizer of t - u(te - q), or None when unavailable."""
-        return None
-
     _level = None  # (q, inside, total) -> tau_S(T), see the module docstring
+
+    def solve_withdrawal(self, q):
+        """Minimizer of t - u(te - q): the level tau_all(1), or None without a level."""
+        if self._level is None:
+            return None
+        return self._level(np.asarray(q, dtype=float), slice(None), 1.0)
 
     def solve_fill(self, q, a, pi, p_a):
         """Closed-form candidate for the largest x with p(q + a x)'a <= pi,
@@ -271,9 +278,6 @@ class LMSR(Utility):
         w = np.exp(z - z.max(axis=-1, keepdims=True))
         return w / w.sum(axis=-1, keepdims=True)
 
-    def grad_sum(self, s):
-        return 1.0
-
     def _level(self, q, inside, total):
         # Its prices fix no level: take ExponentialSCPM's, with weights theta.
         return _lse_level(self.b, q[inside] / self.b + self._log_theta[inside], total)
@@ -316,9 +320,6 @@ class QuadraticScore(Utility):
         sbar = s.sum(axis=-1, keepdims=True) / self.n
         return 1.0 / self.n + (sbar - s) / (2.0 * self.b)
 
-    def grad_sum(self, s):
-        return 1.0
-
     def solve_fill(self, q, a, pi, p_a):
         # The bundle price is affine: p_a + x (a'a - (e'a)^2 / N) / 2b.
         slope = float(a @ a) - float(a.sum()) ** 2 / self.n
@@ -360,10 +361,6 @@ class LogSCPM(Utility):
         self._check_domain(s)
         return self.theta / s
 
-    def grad_sum(self, s):
-        self._check_domain(s)
-        return float(np.sum(self.theta / s))
-
     def domain_floor(self, q):
         return float(np.max(q))
 
@@ -383,7 +380,10 @@ class LogSCPM(Utility):
         glo, ghi = g(lo), g(hi)
         if glo >= 0.0 or ghi <= 0.0:
             return float(lo if glo >= 0.0 else hi)
-        tau, _ = bracketed_root(g, lo, hi, glo, ghi, WIDTH_TOL * max(1.0, abs(lo), abs(hi)))
+        # The root nears lo when one weight dominates: the width is relative
+        # to lo, not to hi, and a residual stop ends the search at rounding.
+        tau, _ = bracketed_root(g, lo, hi, glo, ghi, WIDTH_TOL * max(1.0, abs(lo)),
+                                LEVEL_FTOL * total)
         return float(tau)
 
     def penalty_raw(self, p):
@@ -426,9 +426,6 @@ class MinSCPM(Utility):
         mask = s <= m + ARGMIN_RTOL * np.maximum(1.0, np.abs(m))
         return mask / mask.sum(axis=-1, keepdims=True)
 
-    def grad_sum(self, s):
-        return 1.0
-
     def _level(self, q, inside, total):
         # Prices sit on the largest q of S, whatever the total.
         return float(q[inside].max())
@@ -469,12 +466,6 @@ class ExponentialSCPM(Utility):
     def grad(self, s):
         s = self._as_alloc(s)
         return np.exp(-s / self.b) / self.n
-
-    def grad_sum(self, s):
-        return float(np.mean(np.exp(-s / self.b)))
-
-    def solve_withdrawal(self, q):
-        return self._level(np.asarray(q, dtype=float), slice(None), 1.0)
 
     def _level(self, q, inside, total):
         # LMSR's level, log theta = -log N taken out of the sum.
@@ -523,12 +514,6 @@ class QuadSCPM(Utility):
     def grad(self, s):
         s = self._as_alloc(s)
         return np.maximum(0.0, self.theta - s / (2.0 * self.b))
-
-    def grad_sum(self, s):
-        return float(np.sum(np.maximum(0.0, self.theta - s / (2.0 * self.b))))
-
-    def solve_withdrawal(self, q):
-        return self._level(np.asarray(q, dtype=float), slice(None), 1.0)
 
     def _level(self, q, inside, total):
         # Water-filling on S: sum_S max(0, theta_i - (t - q_i) / 2b) = total

@@ -6,14 +6,20 @@ import numpy as np
 import pytest
 
 from scpm import charge, cost, make_utility, prices, solve_t
-from scpm.cost import MAX_ITER, bracketed_root, expand_bracket
-from scpm.utilities import KINDS
+from scpm.cost import MAX_ITER, SolverError, bracketed_root, expand_bracket
+from scpm.utilities import KINDS, ExponentialSCPM
 
 from linear_utility import LinearUtility
 
 
 def random_q(rng, n, scale=4.0):
     return rng.uniform(0.0, scale, size=n)
+
+
+def no_level(u):
+    """The same utility without its level, so that solve_t takes the root path."""
+    generic = type(type(u).__name__, (type(u),), {"_level": None})
+    return generic(b=u.b, n_outcomes=u.n, theta=u.theta)
 
 
 class TestSolveT:
@@ -46,32 +52,68 @@ class TestSolveT:
             assert abs(1.0 - u.grad_sum(res.t_star - q)) < 1e-8
             assert res.t_star > q.max()
 
-    @pytest.mark.parametrize("kind", ["ExponentialSCPM", "QuadSCPM"])
+    @pytest.mark.parametrize("kind", ["ExponentialSCPM", "QuadSCPM", "LogSCPM"])
     def test_closed_form_matches_bisection(self, kind):
         u = make_utility(kind, b=1.7, n_outcomes=4)
         rng = np.random.default_rng(2)
         for _ in range(50):
             q = random_q(rng, 4)
             fast = solve_t(u, q)
-            slow = solve_t(u, q, method="bisect")
+            slow = solve_t(no_level(u), q)
             assert fast.cost == pytest.approx(slow.cost, abs=1e-9)
             np.testing.assert_allclose(fast.prices, slow.prices, atol=1e-8)
 
     def test_log_solve_width_is_relative_to_q(self):
         # An absolute 1e-12 width on t is below the float spacing at t ~ 1e7:
-        # a search held to it runs out its iteration cap.
+        # a search held to it runs out its iteration cap.  Run on the level
+        # and on the root path; the level path reads 0 iterations.
         u = make_utility("LogSCPM", n_outcomes=3)
         q = 1e7 * np.array([1.0, 0.5, 0.0])
-        res = solve_t(u, q)
-        assert res.iterations < MAX_ITER // 4
-        shifted = solve_t(u, q - q.max()).cost + q.max()
-        assert res.cost == pytest.approx(shifted, rel=1e-12)
+        for v in (u, no_level(u)):
+            res = solve_t(v, q)
+            assert res.iterations < MAX_ITER // 4
+            shifted = solve_t(v, q - q.max()).cost + q.max()
+            assert res.cost == pytest.approx(shifted, rel=1e-12)
 
     def test_log_solve_at_large_uniform_q(self):
         # At this scale max(q) + FLOOR_PAD rounds back onto max(q) itself.
         u = make_utility("LogSCPM", n_outcomes=3)
-        res = solve_t(u, np.full(3, 1e8))
-        np.testing.assert_allclose(res.prices, np.full(3, 1.0 / 3.0), rtol=1e-12)
+        for v in (u, no_level(u)):
+            res = solve_t(v, np.full(3, 1e8))
+            np.testing.assert_allclose(res.prices, np.full(3, 1.0 / 3.0), rtol=1e-12)
+
+    def test_log_level_over_wide_theta(self):
+        # theta over eight decades puts the root near the low end of the
+        # level's bracket [q_j + theta_j, q_j + sum theta]: a width relative
+        # to the far end leaves the prices off the simplex.  The level must
+        # never raise, keep translation invariance and agree with the root
+        # path.
+        rng = np.random.default_rng(31)
+        for k in range(1000):
+            n = int(rng.choice([2, 3, 10, 50]))
+            theta = 10.0 ** rng.uniform(-4.0, 4.0, size=n)
+            if k % 4 == 0:
+                theta = np.full(n, theta[0])
+            q = 10.0 ** rng.uniform(-3.0, 12.0) * rng.uniform(0.0, 1.0, size=n)
+            u = make_utility("LogSCPM", n_outcomes=n, theta=theta)
+            res = solve_t(u, q)
+            ref = solve_t(no_level(u), q)
+            scale = max(1.0, abs(ref.cost))
+            assert abs(solve_t(u, q + 7.0).cost - res.cost - 7.0) <= 1e-9 * scale
+            assert abs(res.cost - ref.cost) <= 1e-12 * scale
+            np.testing.assert_allclose(res.prices, ref.prices, rtol=0.0, atol=1e-9)
+
+    def test_wrong_level_fails_price_check(self):
+        # A level's prices are grad(u) at the level, so the price-sum check
+        # is its certificate: a level 0.5 too high prices the simplex at
+        # exp(-0.5) and must raise.
+        class Shifted(ExponentialSCPM):
+            def _level(self, q, inside, total):
+                return super()._level(q, inside, total) + 0.5
+
+        u = Shifted(n_outcomes=3)
+        with pytest.raises(SolverError, match="off the simplex"):
+            solve_t(u, np.array([0.3, 1.2, 0.8]))
 
     @pytest.mark.parametrize("kind", ["ExponentialSCPM", "QuadSCPM"])
     def test_closed_form_at_large_q(self, kind):
@@ -110,8 +152,8 @@ class TestSolveT:
         q = np.array([0.3, 1.2, 0.8])
         paths = {kind: solve_t(make_utility(kind, n_outcomes=3), q).path for kind in KINDS}
         assert paths == {"LMSR": "flat", "QuadraticScore": "flat", "MinSCPM": "flat",
-                         "ExponentialSCPM": "closed", "QuadSCPM": "closed", "LogSCPM": "root"}
-        assert solve_t(make_utility("QuadSCPM", n_outcomes=3), q, method="bisect").path == "root"
+                         "ExponentialSCPM": "closed", "QuadSCPM": "closed", "LogSCPM": "closed"}
+        assert solve_t(no_level(make_utility("LogSCPM", n_outcomes=3)), q).path == "root"
 
     @pytest.mark.parametrize("n", [2, 3, 1024])
     def test_lmsr_agrees_with_analysis_closed_forms(self, n):

@@ -70,6 +70,11 @@ def test_fill_properties(case):
 LEVEL_KINDS = ("LMSR", "LogSCPM", "MinSCPM", "ExponentialSCPM", "QuadSCPM")
 
 
+LOG_FLAT_CASE = (make_utility("LogSCPM", b=1.0, n_outcomes=3),
+                 np.array([3.5040089870893563, 0.0, 3.5040089870893563]),
+                 np.array([1.0, 0.0, 1.0]), 0.9)
+
+
 @st.composite
 def level_cases(draw):
     kind = draw(st.sampled_from(LEVEL_KINDS))
@@ -85,13 +90,13 @@ def level_cases(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(level_cases())
-# Certificates the engine cannot decide: a tie at 1e8, where the step
-# FILL_RTOL * x_hat is below the float spacing of q, and LogSCPM prices,
-# which carry solve_t's root tolerance, flat near pi.
+# A certificate the engine cannot decide: a tie at 1e8, where the step
+# FILL_RTOL * x_hat is below the float spacing of q.
 @example((make_utility("LMSR", b=1.0, n_outcomes=2), np.array([1e8, 1e8]),
           np.array([0.0, 1.0]), 0.5))
-@example((make_utility("LogSCPM", b=1.0, n_outcomes=3), np.array([3.5040089870893563, 0.0,
-          3.5040089870893563]), np.array([1.0, 0.0, 1.0]), 0.9))
+# LogSCPM prices flat near pi: a solve residual of 1e-10 moves them more
+# than the certificate's step does (test_log_fills_on_flat_prices_end_closed).
+@example(LOG_FLAT_CASE)
 # MinSCPM prices an in-set one ulp above the out-set as a tie; the levels'
 # difference, -1.1e-16, is clamped to the fill's end at 0.
 @example((make_utility("MinSCPM", b=1.0, n_outcomes=2), np.array([1.0, 1.0 - 2.0 ** -53]),
@@ -112,6 +117,28 @@ def test_level_fills_end_closed(case):
         assert x_hat is not None
         assert (FILL_RTOL * max(1.0, x_hat) < np.spacing(float((q + a * x_hat).max()))
                 or abs(bundle_price(u, q + a * x_hat, a) - pi) <= PRICE_SUM_OK)
+
+
+def test_log_fills_on_flat_prices_end_closed():
+    # solve_t prices LogSCPM at its level, to a residual far below the
+    # certificate's price step, so no correct candidate is refused: neither
+    # the pinned example nor any of 200 seeded price-bound fills.
+    u, q, a, towards = LOG_FLAT_CASE
+    p_a = bundle_price(u, q, a)
+    assert fill(market_at(u, q), Order("h", p_a + towards * (1.0 - p_a), math.inf,
+                                       a)).path == "closed"
+    rng = np.random.default_rng(5)
+    paths = []
+    while len(paths) < 200:
+        q = rng.uniform(0.0, 5.0, size=N)
+        a = rng.integers(0, 2, size=N).astype(float)
+        if not 0.0 < a.sum() < N:
+            continue
+        p_a = bundle_price(u, q, a)
+        if p_a < 0.99:
+            pi = p_a + rng.uniform(0.01, 0.99) * (0.99 - p_a)
+            paths.append(fill(market_at(u, q), Order("h", pi, math.inf, a)).path)
+    assert paths.count("closed") == len(paths)
 
 
 def test_mean_solves_per_accepted_fill():

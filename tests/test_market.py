@@ -117,9 +117,9 @@ class TestFill:
         points = []
         solve = cost_mod.solve_t
 
-        def counting(u, q, method="auto"):
+        def counting(u, q):
             points.append(float(q[0]))
-            return solve(u, q, method)
+            return solve(u, q)
 
         monkeypatch.setattr(cost_mod, "solve_t", counting)
         order = Order("t", 0.75, math.inf, np.array([1.0, 0.0]))
@@ -143,9 +143,9 @@ class TestFill:
         points = []
         solve = cost_mod.solve_t
 
-        def counting(u, q, method="auto"):
+        def counting(u, q):
             points.append(tuple(q))
-            return solve(u, q, method)
+            return solve(u, q)
 
         monkeypatch.setattr(cost_mod, "solve_t", counting)
         f = fill(lmsr_market(n=3), Order("t", 0.6, 2.0, np.array([1.0, 0.0, 0.0])))
