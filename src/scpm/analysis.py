@@ -14,10 +14,10 @@ Conventions pinned here:
 Both numeric searches are coordinate ascents on a concave function whose
 partial derivative is nonincreasing in its own coordinate, so each
 coordinate step is a root of that derivative found by cost.bracketed_root:
-the worst-case loss maximizes u(s) - s_i over escalating boxes, stopping a
-coordinate at the box end its slope points to when the root lies outside;
-the properness and penalty checks maximize u(s) - r's, growing each
-bracket from the current point with cost.expand_bracket.
+the worst-case loss maximizes u(s) - s_i over escalating boxes, one start
+per box, stopping a coordinate at the box end its slope points to when the
+root lies outside; the properness and penalty checks maximize u(s) - r's,
+growing each bracket from the current point with cost.expand_bracket.
 """
 
 from __future__ import annotations
@@ -99,16 +99,8 @@ def _box_ascent(u, i, s, lo, hi, max_sweeps=30):
         s[j] = x
         return float(u.grad(s)[j]) - (j == i)
 
-    def objective():
-        if u.price_level_invariant:
-            # u(s + ce) = u(s) + c: evaluate at mean 0, where QuadraticScore's
-            # s's - N sbar^2 does not cancel.
-            m = s.mean()
-            return float(u.value(s - m) + (m - s[i]))
-        return float(u.value(s) - s[i])
-
     tol = 1e-13 * max(1.0, abs(lo), abs(hi))
-    value = objective()
+    value = float(u.value(s) - s[i])
     for _ in range(max_sweeps):
         for j in range(u.n):
             h_hi = slope(hi, j)
@@ -117,16 +109,17 @@ def _box_ascent(u, i, s, lo, hi, max_sweeps=30):
             h_lo = slope(lo, j)
             if h_lo > 0.0:
                 s[j] = bracketed_root(lambda x: -slope(x, j), lo, hi, -h_lo, -h_hi, tol)[0]
-        new = objective()
+        new = float(u.value(s) - s[i])
         if new - value < 1e-12 * max(1.0, abs(new)):
             return max(value, new)
         value = new
     return value
 
 
-def _numeric_B(u, seed=0, starts=10):
+def _numeric_B(u, seed=0):
     """Search max_i max_s u(s) - s_i by coordinate ascent over escalating
-    boxes; returns +inf if the running max escapes past the threshold."""
+    boxes, from one seeded start per box and index since u(s) - s_i is
+    concave; returns +inf if the running max escapes past the threshold."""
     rng = np.random.default_rng(seed)
     theta = u.theta
     symmetric = theta is None or np.allclose(theta, theta[0])
@@ -139,8 +132,8 @@ def _numeric_B(u, seed=0, starts=10):
         lo = 1e-9 if log_domain else -box
         level_best = -math.inf
         for i in indices:
-            for s in rng.uniform(lo, box, size=(starts, u.n)):
-                level_best = max(level_best, _box_ascent(u, i, s, lo, box))
+            s = rng.uniform(lo, box, size=u.n)
+            level_best = max(level_best, _box_ascent(u, i, s, lo, box))
         improvement = level_best - best
         best = max(best, level_best)
         if best > UNBOUNDED_THRESHOLD:
@@ -179,12 +172,11 @@ def _solve_conjugate_point(u, r, max_sweeps=40):
     """Numerically maximize u(s) - r's by Gauss-Seidel sweeps, each
     coordinate solving its partial derivative = r_j with bracketed_root;
     returns the point found (possibly non-stationary for improper
-    utilities)."""
-    if u.kind == "MinSCPM":
-        # Maximizers are the diagonal; any of them will do.
-        return np.zeros(u.n)
+    utilities), or the start when its properness_residual is already 0."""
     floor = math.isfinite(u.domain_floor(np.zeros(u.n)))
     s = np.full(u.n, 1.0) if floor else np.zeros(u.n)
+    if u.properness_residual(s, r) == 0.0:
+        return s
     for _ in range(max_sweeps):
         moved = 0.0
         for j in range(u.n):
@@ -390,7 +382,8 @@ def identify_penalty_family(u, resolution=12):
     interior simplex grid; returns (best label, max deviation)."""
     if not u.monotone:
         raise ValueError(f"{u.kind} has no penalty function")
-    grid = simplex_grid(u.n, resolution)
+    # No more points than the N = 3 lattice: above it the grid is Dirichlet draws.
+    grid = simplex_grid(u.n, resolution)[: (resolution + 1) * (resolution + 2) // 2]
     grid = grid[np.all(grid > 1e-9, axis=1)]
     numeric = np.empty(len(grid))
     for k, p in enumerate(grid):

@@ -310,9 +310,9 @@ class QuadraticScore(Utility):
     def value(self, s):
         s = self._as_alloc(s)
         sbar = s.mean(axis=-1)
-        # s'(I - ee'/N)s = s's - N sbar^2
-        quad = np.sum(s * s, axis=-1) - self.n * sbar * sbar
-        out = sbar - quad / (4.0 * self.b)
+        # s'(I - ee'/N)s about the mean: s's - N sbar^2 cancels at large, uniform s
+        d = s - sbar[..., None]
+        out = sbar - np.sum(d * d, axis=-1) / (4.0 * self.b)
         return float(out) if np.ndim(out) == 0 else out
 
     def grad(self, s):

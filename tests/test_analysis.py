@@ -15,8 +15,8 @@ from scpm import (
     risk_measure,
     worst_case_loss,
 )
-from scpm.analysis import _solve_conjugate_point
-from scpm.utilities import KINDS
+from scpm.analysis import PENALTY_LABELS, _solve_conjugate_point
+from scpm.utilities import CATALOG, KINDS
 
 from linear_utility import LinearUtility
 
@@ -39,17 +39,23 @@ class TestWorstCaseLoss:
         u = make_utility("LogSCPM", n_outcomes=2)
         assert math.isinf(worst_case_loss(u, method="numeric").total)
 
-    @pytest.mark.parametrize("kind", ["LMSR", "QuadSCPM", "LogSCPM"])
+    @pytest.mark.parametrize("kind", ["LMSR", "QuadSCPM", "LogSCPM",
+                                      "ExponentialSCPM", "QuadraticScore", "MinSCPM"])
     @pytest.mark.parametrize("b", [0.1, 1.0, 10.0])
     def test_numeric_with_prior(self, kind, b):
-        # a non-uniform theta makes the search maximize over every index i
-        u = make_utility(kind, b=b, n_outcomes=3, theta=[0.2, 0.3, 0.5])
-        num = worst_case_loss(u, method="numeric").total
-        b_term, c0 = u.loss_bound_terms()
-        if math.isinf(b_term):
-            assert math.isinf(num)
+        # a non-uniform theta makes the search maximize over every index i;
+        # the kinds without one search index 0 at N = 2, 3 and 5
+        if CATALOG[kind].takes_theta:
+            us = [make_utility(kind, b=b, n_outcomes=3, theta=[0.2, 0.3, 0.5])]
         else:
-            assert num == pytest.approx(b_term + c0, rel=1e-9)
+            us = [make_utility(kind, b=b, n_outcomes=n) for n in (2, 3, 5)]
+        for u in us:
+            num = worst_case_loss(u, method="numeric").total
+            b_term, c0 = u.loss_bound_terms()
+            if math.isinf(b_term):
+                assert math.isinf(num)
+            else:
+                assert num == pytest.approx(b_term + c0, rel=1e-9)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
@@ -105,6 +111,24 @@ class TestConjugatePoint:
             s = _solve_conjugate_point(u, r)
             assert np.max(np.abs(grad(s) - r)) <= 1e-9
         assert len(calls) / n_points <= GRAD_BUDGET[kind]
+
+    @pytest.mark.parametrize("kind, theta", [("LMSR", None), ("LMSR", [1.0, 2.0, 4.0]),
+                                             ("MinSCPM", None)])
+    def test_stationary_start_returned_after_one_grad_call(self, kind, theta):
+        # r in the (sub)differential at the start s = 0: LMSR at r = theta/sum(theta),
+        # MinSCPM at any r, since every diagonal point is a maximizer
+        u = make_utility(kind, n_outcomes=3, theta=theta)
+        grad = u.grad
+        calls = []
+
+        def counting(s):
+            calls.append(1)
+            return grad(s)
+
+        u.grad = counting
+        r = [0.5, 0.3, 0.2] if u.theta is None else u.theta / u.theta.sum()
+        np.testing.assert_array_equal(_solve_conjugate_point(u, np.asarray(r)), np.zeros(3))
+        assert len(calls) <= 1
 
 
 class TestImplicitScoringRule:
@@ -173,6 +197,21 @@ class TestPenaltyFamily:
             got, dev = identify_penalty_family(u)
             assert got == label, f"{kind}: fit {got} (dev {dev})"
             assert dev <= 1e-5
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_labels_recovered_above_lattice(self, n):
+        # above N = 3 the fit runs on a seeded sample no larger than the
+        # N = 3 lattice, not on 100 000 Dirichlet draws
+        for kind in MONOTONE_KINDS:
+            thetas = [None]
+            if CATALOG[kind].takes_theta:
+                theta = np.arange(1.0, n + 1.0)
+                thetas.append(theta / theta.sum() if kind == "QuadSCPM" else theta)
+            for theta in thetas:
+                u = make_utility(kind, b=1.0, n_outcomes=n, theta=theta)
+                got, dev = identify_penalty_family(u)
+                assert got == PENALTY_LABELS[kind], f"{kind} theta={theta}: fit {got}"
+                assert dev <= 1e-9
 
     def test_non_monotone_rejected(self):
         with pytest.raises(ValueError, match="penalty"):

@@ -3,8 +3,9 @@
 perfbench/tracing.py wraps engine functions and utility methods by name,
 so a refactor that drops or renames one of them breaks the benchmark
 without failing any engine test.  The tracer is loaded from its file as
-the benchmark loads it, installed on one market per kind, and must
-record solves and withdrawals and restore every binding on exit.
+the benchmark loads it, installed on one market per kind and on the four
+analysis entry points, and must record their spans and restore every
+binding on exit.
 """
 
 import importlib
@@ -38,16 +39,23 @@ def test_tracer_binds_and_restores_engine_names():
     before = [getattr(owner, attr) for owner, attr in bindings]
 
     utilities = [make_utility(kind, n_outcomes=3) for kind in KINDS]
+    u2 = make_utility("LMSR", n_outcomes=2)
     tracer = tracing.Tracer()
-    with tracer.installed(utilities):
+    with tracer.installed([*utilities, u2]):
         for u in utilities:
             state = market.new_market(MarketConfig(utility=u))
             market.fill(state, Order("t", 0.6, math.inf, np.array([1.0, 0.0, 0.0])))
             market.quote(state, np.array([0.0, 1.0, 1.0]))
+        # positional, as perfbench/workloads.py calls them
+        analysis.worst_case_loss(u2, "numeric", 7)
+        analysis.check_properness(u2, 3, 7)
+        analysis.identify_penalty_family(u2)
+        analysis.risk_dual_check(u2, np.array([0.2, -0.1]), 50)
     recorded = {tracer.names[i] for i in np.unique(tracer.arrays()["name"])}
     assert {"market.fill", "market.quote", "cost.solve_t",
             "utilities.solve_withdrawal"} <= recorded
+    assert {"analysis." + n for n in tracing.ANALYSIS_NAMES} <= recorded
 
     assert all(getattr(owner, attr) is fn for (owner, attr), fn in zip(bindings, before))
-    for u in utilities:
+    for u in [*utilities, u2]:
         assert not set(tracing.UTILITY_NAMES) & set(vars(u))

@@ -169,6 +169,14 @@ class TestValuesAndGradients:
         expected = -2.0 * math.log(np.sum(np.exp(-s / 2.0)))
         assert u.value(s) == pytest.approx(expected, rel=1e-14)
 
+    def test_quadratic_score_value_at_large_near_uniform_s(self):
+        # s's - N sbar^2 cancels to 1e8 + 1.0 here; the sum about the mean does not
+        u = make_utility("QuadraticScore", b=1.0, n_outcomes=3)
+        s = 1e8 + np.array([0.0, 1.0, 2.0])
+        assert u.value(s) == 1e8 + 0.5
+        for c in (3.0, -1e8):
+            assert u.value(s + c) == u.value(s) + c
+
     def test_min_value_and_subgradient(self):
         u = make_utility("MinSCPM", n_outcomes=3)
         assert u.value(np.array([3.0, 1.0, 2.0])) == 1.0
