@@ -11,18 +11,20 @@ Conventions pinned here:
 * numeric worst-case-loss search cannot prove unboundedness, so the
   analytic catalog answer is authoritative and the search is a cross-check.
 
-Both numeric searches are coordinate ascents on a concave function whose
-partial derivative is nonincreasing in its own coordinate, so each
-coordinate step is a root of that derivative found by cost.bracketed_root:
-the worst-case loss maximizes u(s) - s_i over escalating boxes, one start
-per box, stopping a coordinate at the box end its slope points to when the
-root lies outside; the properness and penalty checks maximize u(s) - r's,
-growing each bracket from the current point with cost.expand_bracket.
+The worst-case loss climbs the engine's own market: the loss when outcome
+i happens after x of its shares were sold is concave in x, so its search
+is a climb along x with one cost solve per decade.  The properness and
+penalty checks maximize u(s) - r's, a concave function whose partial
+derivative is nonincreasing in its own coordinate, by coordinate ascent:
+each coordinate step grows a bracket from the current point with
+cost.expand_bracket and solves for a root of that derivative with
+cost.bracketed_root.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +35,8 @@ from . import utilities as util_mod
 from .oracle import simplex_grid
 
 UNBOUNDED_THRESHOLD = 1e6
-BOX_START = 100.0
-BOX_MAX = 1e8
+RAY_START = 100.0
+RAY_MAX = 1e8
 
 
 @dataclass
@@ -87,79 +89,81 @@ class Table1Row:
 # -- worst-case loss --------------------------------------------------------
 
 
-def _box_ascent(u, i, s, lo, hi, max_sweeps=30):
-    """Maximize u(s) - s_i over the box [lo, hi]^N by coordinate ascent from
-    s (updated in place); returns the value reached.  The slope
-    d_j u(s) - delta_ij is nonincreasing in s_j, so each coordinate stops
-    at the box end the slope points to or solves slope = 0 with
-    bracketed_root."""
-
-    def slope(x, j):
-        # leaves s_j at the point probed, so a box end probed last stays
-        s[j] = x
-        return float(u.grad(s)[j]) - (j == i)
-
-    tol = 1e-13 * max(1.0, abs(lo), abs(hi))
-    value = float(u.value(s) - s[i])
-    for _ in range(max_sweeps):
-        for j in range(u.n):
-            h_hi = slope(hi, j)
-            if h_hi >= 0.0:
-                continue
-            h_lo = slope(lo, j)
-            if h_lo > 0.0:
-                s[j] = bracketed_root(lambda x: -slope(x, j), lo, hi, -h_lo, -h_hi, tol)[0]
-        new = float(u.value(s) - s[i])
-        if new - value < 1e-12 * max(1.0, abs(new)):
-            return max(value, new)
-        value = new
-    return value
+def _ray(u, i, x):
+    """The cost solve at -x (e - e_i).  Minus its cost is x - C(x e_i): the
+    organizer's loss, less C(0), when outcome i happens after x of its
+    shares were sold from q = 0."""
+    q = np.full(u.n, -x)
+    q[i] = 0.0
+    return solve_t(u, q)
 
 
-def _numeric_B(u, seed=0):
-    """Search max_i max_s u(s) - s_i by coordinate ascent over escalating
-    boxes, from one seeded start per box and index since u(s) - s_i is
-    concave; returns +inf if the running max escapes past the threshold."""
-    rng = np.random.default_rng(seed)
+def _ray_peak(u, i, lo, hi, at_lo, at_hi):
+    """The solve where p_i, 1 minus the ray value's slope, crosses 1 in [lo, hi]."""
+    solved = {lo: at_lo, hi: at_hi}
+
+    def excess(x):
+        if x not in solved:
+            solved[x] = _ray(u, i, x)
+        return float(solved[x].prices[i]) - 1.0
+
+    x, _ = bracketed_root(excess, lo, hi, excess(lo), excess(hi), 1e-13 * hi)
+    return solved[x]
+
+
+def _numeric_B(u, start):
+    """Search max_i sup_x -C(-x (e - e_i)), concave in x, over tenfold growing
+    x from start, the solve at q = 0; +inf if the running max escapes past
+    the threshold.  A non-monotone kind peaks inside the ray, which ends
+    that index's climb.  The ray reaches B = sup_s u(s) - s_i when C is
+    nondecreasing (every monotone kind) or symmetric in the outcomes other
+    than i (QuadraticScore, by concavity); for any other utility it is a
+    lower bound, and no caller passes one.
+    """
     theta = u.theta
     symmetric = theta is None or np.allclose(theta, theta[0])
-    indices = [0] if symmetric else range(u.n)
-    log_domain = math.isfinite(u.domain_floor(np.zeros(u.n)))
-
-    best = -math.inf
-    box = BOX_START
+    ends = {i: start for i in ([0] if symmetric else range(u.n))}
+    peaked = set()
+    best, lo, x = -start.cost, 0.0, RAY_START
     while True:
-        lo = 1e-9 if log_domain else -box
-        level_best = -math.inf
-        for i in indices:
-            s = rng.uniform(lo, box, size=u.n)
-            level_best = max(level_best, _box_ascent(u, i, s, lo, box))
-        improvement = level_best - best
-        best = max(best, level_best)
+        for i in ends.keys() - peaked:
+            res = _ray(u, i, x)
+            # a monotone kind's p_i <= 1 holds exactly, whatever its rounding
+            if not u.monotone and res.prices[i] > 1.0:
+                res = _ray_peak(u, i, lo, x, ends[i], res)
+                peaked.add(i)
+            ends[i] = res
+        level = -min(res.cost for res in ends.values())
+        improvement = level - best
+        best = max(best, level)
         if best > UNBOUNDED_THRESHOLD:
             return math.inf
-        if box >= 1e3 and improvement < 1e-9:
+        if x >= 1e3 and improvement < 1e-9:
             return best
-        if box >= BOX_MAX:
-            # Still improving at the largest box: the loss keeps growing
+        if x >= RAY_MAX:
+            # Still improving at the far end: the loss keeps growing
             # (possibly only logarithmically), so report unbounded.
             return math.inf if improvement > 1e-6 else best
-        box *= 10.0
+        lo, x = x, 10.0 * x
 
 
 def worst_case_loss(u, method="analytic", seed=0):
     """Worst-case organizer loss B + C(0).
 
     method="analytic" reads the catalog closed forms; method="numeric"
-    runs the box-escalation search for B and the cost engine for C(0).
+    climbs the engine's own market along each ray -x (e - e_i), the loss
+    settle bounds, from the solve at q = 0 that also gives C(0).  The climb
+    is deterministic: seed is accepted for callers that pass it and unused.
     """
     if method == "analytic":
         b_term, c0 = u.loss_bound_terms()
     elif method == "numeric":
-        # ExponentialSCPM's slope overflows to +inf at the low box end.
-        with np.errstate(over="ignore"):
-            b_term = _numeric_B(u, seed=seed)
-        c0 = compute_cost(u, np.zeros(u.n))
+        start = solve_t(u, np.zeros(u.n))
+        # Past its peak a non-monotone kind's prices leave [0, 1].
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", f"{u.kind} produced negative prices")
+            b_term = _numeric_B(u, start)
+        c0 = start.cost
     else:
         raise ValueError(f"unknown method {method!r}")
     return LossBound(B=b_term, C0=c0, total=b_term + c0, analytic=method == "analytic")
@@ -382,8 +386,7 @@ def identify_penalty_family(u, resolution=12):
     interior simplex grid; returns (best label, max deviation)."""
     if not u.monotone:
         raise ValueError(f"{u.kind} has no penalty function")
-    # No more points than the N = 3 lattice: above it the grid is Dirichlet draws.
-    grid = simplex_grid(u.n, resolution)[: (resolution + 1) * (resolution + 2) // 2]
+    grid = simplex_grid(u.n, resolution)
     grid = grid[np.all(grid > 1e-9, axis=1)]
     numeric = np.empty(len(grid))
     for k, p in enumerate(grid):

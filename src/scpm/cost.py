@@ -23,9 +23,9 @@ market.fill falls back on them, on the bundle price along the order, when
 a utility's closed-form fill is missing or fails its certificate; the
 bracket grows from 1 up to the limit.  LogSCPM's level tau_S(T), for its
 withdrawal and each side of a fill, narrows one bracket.  analysis uses
-them on a partial derivative of u: the conjugate-point coordinate solve
-grows and narrows a bracket, and the worst-case-loss box ascent narrows
-one between the box ends.
+them on a partial derivative of u, where the conjugate-point coordinate
+solve grows and narrows a bracket, and on the price p_i where a
+non-monotone kind's worst-case loss peaks.
 
 Tolerances are fixed so that traces and acceptance values are bit-stable.
 """

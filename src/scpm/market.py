@@ -6,15 +6,17 @@ x in [0, limit] with f(x) = p(q + a x)'a - pi <= 0.  After the solve at 0
 a finite limit is probed; a fill that ends there takes those two solves.
 A fill whose root lies inside its reach asks the utility's solve_fill hook
 for a closed-form candidate x_hat.  With tol = FILL_RTOL * max(1, x_hat),
-the candidate is accepted only on a certificate from cost solves:
-f(x_bar) <= 0 < f(x_bar + tol), with x_bar = x_hat, or x_hat - tol when
-f(x_hat) > 0.  That is the bracket the search would give.  Otherwise (no
-form for the bundle, a candidate out of reach, a failed certificate) the
-search runs: cost.expand_bracket grows a bracket from [0, min(1, limit)],
-up to the limit or to 2**60, and cost.bracketed_root narrows it to
-FILL_RTOL * max(1, hi), so x_bar is accurate relative to itself.  Every
-point is solved once: the prices before and after and the charge are read
-from those solves.  Two charging modes exist:
+or one float spacing of q + a x_hat where that is wider, the candidate is
+accepted only on a certificate from cost solves: f(x_bar) <= 0 <
+f(x_bar + tol), with x_bar = x_hat, or x_hat - tol when f(x_hat) > 0.
+That is the bracket the search would give.  Otherwise (no form for the
+bundle, a candidate out of reach, a failed certificate) the search runs:
+cost.expand_bracket grows a bracket from [0, min(1, limit)], up to the
+limit or to 2**60, and cost.bracketed_root narrows it to the same width at
+hi, so x_bar is accurate relative to itself.  An x_bar that leaves some
+bought state's q_i unchanged is not sold: the fill ends at 0, "rejected".
+Every point is solved once: the prices before and after and the charge are
+read from those solves.  Two charging modes exist:
 
 * "integral" -- the truthful scheme, charge = C(q + a x) - C(q), equal to
   the integral of instantaneous bundle prices over the fill;
@@ -156,13 +158,19 @@ def fill(state, order):
     if a.shape != (u.n,):
         raise ValueError(f"bundle must have length {u.n}")
 
-    solved = {}
+    solved, points = {}, {}
 
     def excess(x):
         # Looked up at call time, so a wrapped cost.solve_t sees every solve.
         if x not in solved:
-            solved[x] = _cost.solve_t(u, q + a * x)
+            points[x] = q + a * x
+            solved[x] = _cost.solve_t(u, points[x])
         return float(solved[x].prices @ a) - order.pi
+
+    def width(x):
+        # No bracket is narrower than one float spacing of the point excess(x)
+        # solved: points of the order that close are one market state.
+        return max(FILL_RTOL * max(1.0, x), math.ulp(float(points[x].max())))
 
     x_bar, path = 0.0, "rejected"
     if excess(0.0) < 0.0:
@@ -171,7 +179,10 @@ def fill(state, order):
         else:
             # p(q)'a itself: excess(0) + pi loses a price far below pi.
             p_a = float(solved[0.0].prices @ a)
-            x_bar, path = _price_bound_end(u, q, order, excess, p_a)
+            x_bar, path = _price_bound_end(u, q, order, excess, width, p_a)
+        # Units that some bought state's q_i + a_i x_bar cannot record are not sold.
+        if x_bar > 0.0 and np.count_nonzero(points[x_bar] != q) < np.count_nonzero(a):
+            x_bar, path = 0.0, "rejected"
 
     before, after = solved[0.0], solved[x_bar]
     if x_bar == 0.0:
@@ -192,9 +203,10 @@ def fill(state, order):
     )
 
 
-def _price_bound_end(u, q, order, excess, p_a):
+def _price_bound_end(u, q, order, excess, width, p_a):
     """The root of excess in (0, limit), excess(0) = p_a - pi < 0 < excess(limit):
-    the hook's candidate if the engine certifies it, else the search's."""
+    the hook's candidate if the engine certifies it, else the search's, to
+    the width(x) of a bracket ending at x."""
     a, limit = order.bundle, order.limit
     if math.isinf(limit):
         # Prices of a monotone utility concentrate on max-weight states
@@ -212,8 +224,9 @@ def _price_bound_end(u, q, order, excess, p_a):
     if x_hat is not None and 0.0 <= x_hat <= reach:
         # Accepted only as the bracket the search would give: f(x_bar) <= 0
         # < f(x_bar + tol), with x_bar = x_hat or one tol below it.
-        tol = FILL_RTOL * max(1.0, x_hat)
-        if excess(x_hat) <= 0.0:
+        below = excess(x_hat) <= 0.0
+        tol = width(x_hat)
+        if below:
             if excess(x_hat + tol) > 0.0:
                 return x_hat, "closed"
         elif x_hat - tol >= 0.0 and excess(x_hat - tol) <= 0.0:
@@ -225,7 +238,7 @@ def _price_bound_end(u, q, order, excess, p_a):
     if bracket is None:
         raise UnboundedFillError("fill bracket exceeded the growth cap")
     lo, hi, f_lo, f_hi = bracket
-    x_bar, _ = _cost.bracketed_root(excess, lo, hi, f_lo, f_hi, FILL_RTOL * max(1.0, hi))
+    x_bar, _ = _cost.bracketed_root(excess, lo, hi, f_lo, f_hi, width(hi))
     return x_bar, "bracket"
 
 

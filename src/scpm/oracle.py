@@ -111,7 +111,8 @@ def brute_force_fill(state, order, step=1e-4):
 
 def simplex_grid(n, resolution):
     """All lattice simplex points with components k/resolution (n <= 3);
-    seeded Dirichlet samples for larger n."""
+    for larger n, as many seeded Dirichlet samples as the n = 3 lattice
+    has points, up to 100 000."""
     if n < 2 or resolution < 2:
         raise ValueError("need n >= 2 and resolution >= 2")
     if n == 2:
@@ -129,7 +130,7 @@ def simplex_grid(n, resolution):
             pts.append(block)
         return np.clip(np.vstack(pts), 0.0, 1.0)
     rng = np.random.default_rng(0)
-    return rng.dirichlet(np.ones(n), size=100_000)
+    return rng.dirichlet(np.ones(n), size=min((resolution + 1) * (resolution + 2) // 2, 100_000))
 
 
 @dataclass(frozen=True)

@@ -187,16 +187,11 @@ class Utility:
             f"{self.kind} has no conjugate-penalty representation"
         )
 
-    def penalty_min(self):
-        """min over the simplex of the raw penalty."""
-        raise PenaltyUnsupportedError(
-            f"{self.kind} has no conjugate-penalty representation"
-        )
-
     def conjugate_penalty(self, p):
         p = _check_simplex(p, self.n)
         raw = self.penalty_raw(p)
-        return PenaltyValue(raw, raw - self.penalty_min())
+        # Duality: min_p L(p) = -C(0), and C(0) is a catalog loss term.
+        return PenaltyValue(raw, raw + self.loss_bound_terms()[1])
 
     # -- analysis hooks -----------------------------------------------------
 
@@ -289,9 +284,6 @@ class LMSR(Utility):
         kl = np.sum(xlogy(p, p) - xlogy(p, prior), axis=-1)
         out = self.b * kl - self.b * math.log(alpha)
         return float(out) if np.ndim(out) == 0 else out
-
-    def penalty_min(self):
-        return -self.b * math.log(self.theta.sum())
 
     def loss_bound_terms(self):
         # B attained as the price concentrates on the smallest-weight state.
@@ -399,10 +391,6 @@ class LogSCPM(Utility):
         )
         return float(out) if np.ndim(out) == 0 else out
 
-    def penalty_min(self):
-        alpha = self.theta.sum()
-        return float(alpha * math.log(alpha) - alpha)
-
     def loss_bound_terms(self):
         alpha = self.theta.sum()
         return math.inf, float(alpha * (1.0 - math.log(alpha)))
@@ -434,9 +422,6 @@ class MinSCPM(Utility):
         p = np.asarray(p, dtype=float)
         out = np.zeros(p.shape[:-1])
         return float(out) if np.ndim(out) == 0 else out
-
-    def penalty_min(self):
-        return 0.0
 
     def loss_bound_terms(self):
         return 0.0, 0.0
@@ -475,9 +460,6 @@ class ExponentialSCPM(Utility):
         # b * KL(p || uniform)
         out = self.b * (np.sum(xlogy(p, p), axis=-1) + math.log(self.n))
         return float(out) if np.ndim(out) == 0 else out
-
-    def penalty_min(self):
-        return 0.0
 
     def loss_bound_terms(self):
         return self.b * math.log(self.n), 0.0
@@ -527,9 +509,6 @@ class QuadSCPM(Utility):
     def penalty_raw(self, p):
         out = self.b * np.sum((p - self.theta) ** 2, axis=-1)
         return float(out) if np.ndim(out) == 0 else out
-
-    def penalty_min(self):
-        return 0.0
 
     def loss_bound_terms(self):
         t = self.theta

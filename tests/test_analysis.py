@@ -1,6 +1,7 @@
 """Tests for loss bounds, properness, MSR equivalence, and the risk view."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,14 +42,15 @@ class TestWorstCaseLoss:
 
     @pytest.mark.parametrize("kind", ["LMSR", "QuadSCPM", "LogSCPM",
                                       "ExponentialSCPM", "QuadraticScore", "MinSCPM"])
-    @pytest.mark.parametrize("b", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("b", [0.1, 1.0, 10.0, 1e-3, 1e3])
     def test_numeric_with_prior(self, kind, b):
         # a non-uniform theta makes the search maximize over every index i;
-        # the kinds without one search index 0 at N = 2, 3 and 5
+        # the kinds without one search index 0 at N = 2, 3, 5 and 10
         if CATALOG[kind].takes_theta:
-            us = [make_utility(kind, b=b, n_outcomes=3, theta=[0.2, 0.3, 0.5])]
+            us = [make_utility(kind, b=b, n_outcomes=3, theta=[0.2, 0.3, 0.5]),
+                  make_utility(kind, b=b, n_outcomes=10, theta=np.arange(1.0, 11.0) / 55.0)]
         else:
-            us = [make_utility(kind, b=b, n_outcomes=n) for n in (2, 3, 5)]
+            us = [make_utility(kind, b=b, n_outcomes=n) for n in (2, 3, 5, 10)]
         for u in us:
             num = worst_case_loss(u, method="numeric").total
             b_term, c0 = u.loss_bound_terms()
@@ -60,6 +62,35 @@ class TestWorstCaseLoss:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
             worst_case_loss(make_utility("LMSR"), method="exact")
+
+    def test_numeric_climbs_in_few_grad_calls(self):
+        # One cost solve per decade of x along each searched ray, plus the
+        # root of p_i = 1 where QuadraticScore's value peaks.
+        for kind, cls in CATALOG.items():
+            for theta in ([None, [0.2, 0.3, 0.5]] if cls.takes_theta else [None]):
+                u = make_utility(kind, n_outcomes=3, theta=theta)
+                grad = u.grad
+                calls = []
+
+                def counting(s):
+                    calls.append(1)
+                    return grad(s)
+
+                u.grad = counting
+                worst_case_loss(u, "numeric")
+                assert len(calls) <= 16 * (1 if theta is None else 3), (kind, theta)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_numeric_quadratic_score_peak(self, n):
+        # The ray's value peaks inside it, at p_i = 1; the probes past the
+        # peak price the other outcomes below 0 without a warning.
+        for b in (1e-3, 2.5):
+            u = make_utility("QuadraticScore", b=b, n_outcomes=n)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                total = worst_case_loss(u, "numeric").total
+            assert caught == []
+            assert total == pytest.approx(b * (n - 1) / n, rel=1e-12, abs=0.0)
 
 
 class TestProperness:

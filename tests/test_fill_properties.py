@@ -11,7 +11,6 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from scpm import MarketConfig, Order, apply_fill, cost, fill, make_utility, new_market, prices
-from scpm.cost import PRICE_SUM_OK
 from scpm.market import FILL_RTOL
 from scpm.utilities import KINDS
 
@@ -90,10 +89,13 @@ def level_cases(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(level_cases())
-# A certificate the engine cannot decide: a tie at 1e8, where the step
-# FILL_RTOL * x_hat is below the float spacing of q.
+# A tie at 1e8, where FILL_RTOL * x_hat is below the float spacing of q: the
+# certificate steps one spacing instead.
 @example((make_utility("LMSR", b=1.0, n_outcomes=2), np.array([1e8, 1e8]),
           np.array([0.0, 1.0]), 0.5))
+# At 1e12 the fill's end, b log 1.5 at b = 1e-6, is below one spacing of q.
+@example((make_utility("LMSR", b=1e-6, n_outcomes=2), np.array([1e12, 1e12]),
+          np.array([1.0, 0.0]), 0.2))
 # LogSCPM prices flat near pi: a solve residual of 1e-10 moves them more
 # than the certificate's step does (test_log_fills_on_flat_prices_end_closed).
 @example(LOG_FLAT_CASE)
@@ -111,12 +113,13 @@ def test_level_fills_end_closed(case):
     if p_a >= pi:
         assert f.path == "rejected"
     elif f.path != "closed":
-        # Refused only where the engine cannot resolve the candidate's
-        # bracket, and the candidate is then as good as the engine can tell.
+        # Rejected only where the candidate lies within two of the
+        # certificate's steps of 0, at least one float spacing of q each:
+        # q cannot record a sale that small.
         x_hat = u.solve_fill(q, a, pi, p_a)
-        assert x_hat is not None
-        assert (FILL_RTOL * max(1.0, x_hat) < np.spacing(float((q + a * x_hat).max()))
-                or abs(bundle_price(u, q + a * x_hat, a) - pi) <= PRICE_SUM_OK)
+        assert f.path == "rejected"
+        assert x_hat <= 2.0 * max(FILL_RTOL * max(1.0, x_hat),
+                                  np.spacing(float((q + a * x_hat).max())))
 
 
 def test_log_fills_on_flat_prices_end_closed():

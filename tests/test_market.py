@@ -175,6 +175,26 @@ class TestFill:
         assert f.path == "closed"
         assert f.x_bar == pytest.approx(1.0, abs=1e-9)
 
+    def test_fill_below_float_spacing_of_q_is_rejected(self):
+        # At q = 1e12 one float spacing, 1.2e-4, is 122 b: b log 1.5 of the
+        # bundle, or a limit of 1e-5, leaves q where it was, so nothing is sold.
+        a = np.array([1.0, 0.0])
+        for order in (Order("t", 0.6, math.inf, a), Order("t", 0.6, 1e-5, a)):
+            state = lmsr_market(b=1e-6, q0=[1e12, 1e12])
+            f = fill(state, order)
+            assert (f.x_bar, f.charge, f.path) == (0.0, 0.0, "rejected")
+            assert f.solves <= 4
+
+    def test_certificate_steps_one_float_spacing_of_q(self):
+        # At q = 1e8 the spacing, 1.5e-8, is wider than FILL_RTOL: the
+        # certificate steps one spacing, and the closed form ends the fill.
+        state = lmsr_market(q0=[1e8, 1e8])
+        f = fill(state, Order("t", 0.6, math.inf, np.array([1.0, 0.0])))
+        assert f.path == "closed"
+        assert f.x_bar == pytest.approx(math.log(1.5), abs=2e-8)
+        apply_fill(state, f)
+        assert state.q[0] > 1e8
+
     @pytest.mark.parametrize("kind", ["LMSR", "ExponentialSCPM"])
     def test_closed_form_with_underflowed_bundle_price(self, kind):
         # At b = 1e-3 the bundle's price exp(-1000) underflows to 0; the

@@ -113,6 +113,15 @@ class TestSimplexGrid:
     def test_large_n_sampled(self):
         grid = simplex_grid(5, 10)
         np.testing.assert_allclose(grid.sum(axis=1), 1.0, atol=1e-12)
+        # As many draws as the N = 3 lattice, the first of one seeded stream,
+        # so a finer resolution extends the grid; 100 000 at most.
+        for n in (4, 5, 10):
+            grid = simplex_grid(n, 12)
+            assert grid.shape == (91, n)
+            np.testing.assert_array_equal(grid, np.random.default_rng(0).dirichlet(
+                np.ones(n), 100_000)[:91])
+        assert simplex_grid(4, 446).shape == (100_000, 4)
+        assert simplex_grid(4, 445).shape == (99_681, 4)
 
     def test_validation(self):
         with pytest.raises(ValueError):

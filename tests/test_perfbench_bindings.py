@@ -51,10 +51,16 @@ def test_tracer_binds_and_restores_engine_names():
         analysis.check_properness(u2, 3, 7)
         analysis.identify_penalty_family(u2)
         analysis.risk_dual_check(u2, np.array([0.2, -0.1]), 50)
-    recorded = {tracer.names[i] for i in np.unique(tracer.arrays()["name"])}
+    spans = tracer.arrays()
+    recorded = {tracer.names[i] for i in np.unique(spans["name"])}
     assert {"market.fill", "market.quote", "cost.solve_t",
             "utilities.solve_withdrawal"} <= recorded
     assert {"analysis." + n for n in tracing.ANALYSIS_NAMES} <= recorded
+    # The numeric loss solves through analysis.solve_t, so its solves count
+    # in analysis.solves_per_study.
+    loss = np.flatnonzero(spans["name"] == tracer.name_id("analysis.worst_case_loss"))
+    solves = spans["name"] == tracer.name_id("cost.solve_t")
+    assert loss.size == 1 and np.count_nonzero(solves & (spans["parent"] == loss[0])) >= 2
 
     assert all(getattr(owner, attr) is fn for (owner, attr), fn in zip(bindings, before))
     for u in [*utilities, u2]:

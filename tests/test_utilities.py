@@ -11,10 +11,11 @@ from scpm import (
     MinSCPM,
     PenaltyUnsupportedError,
     QuadraticScore,
+    cost,
     make_utility,
     utility_from_dict,
 )
-from scpm.utilities import KINDS
+from scpm.utilities import CATALOG, KINDS
 
 from linear_utility import LinearUtility
 
@@ -227,6 +228,20 @@ class TestPenalty:
                 s = random_alloc(rng, 2, kind)
                 best = max(best, u.value(s) - p @ s)
             assert raw >= best - 1e-9
+
+    @pytest.mark.parametrize("kind", [k for k in KINDS if k != "QuadraticScore"])
+    def test_normalization_is_cost_at_zero(self, kind):
+        # Duality: min_p L(p) = -C(0), so the shift is the engine's C(0).
+        rng = np.random.default_rng(17)
+        for n in (2, 3, 5, 10):
+            thetas = [None]
+            if CATALOG[kind].takes_theta:
+                theta = rng.uniform(0.1, 5.0, n)
+                thetas.append(theta / theta.sum() if kind == "QuadSCPM" else theta)
+            for theta in thetas:
+                u = make_utility(kind, b=2.0, n_outcomes=n, theta=theta)
+                pv = u.conjugate_penalty(rng.dirichlet(np.ones(n)))
+                assert abs(pv.normalized - pv.raw - cost(u, np.zeros(n))) <= 1e-12
 
     def test_min_penalty_vanishes(self):
         u = make_utility("MinSCPM", n_outcomes=4)
