@@ -1,22 +1,25 @@
 """Cost function C(q) = min_t t - u(te - q), state prices, and order charges.
 
-The minimizing t solves e' grad(u)(te - q) = 1.  solve_t has three
-paths, each owned by one thing:
+The minimizing t solves e' grad(u)(te - q) = 1, and then C(q) = t -
+u(te - q) and the prices are grad(u)(te - q).  solve_t has one path: the
+utility's kernel (utilities.py) returns the level t, C and the prices
+together, with the solve's path name and root probes:
 
-* "flat", owned by the kind's price_level_invariant flag: a gradient that
-  sums to 1 identically (LMSR, MinSCPM, QuadraticScore) makes the
-  objective flat in t, and the canonical t = max_i q_i is returned;
-* "closed", owned by the kind's level (utilities.py): solve_withdrawal is
-  _level at S = all, T = 1 (ExponentialSCPM, QuadSCPM, LogSCPM).  Its
-  prices are grad(u) at that level, so the price-sum check below bounds
-  the same |1 - e' grad(u)| a certificate would;
-* "root", owned by _root_t: a Utility with no level (none in the
-  catalog) is bracketed on g(t) = 1 - e' grad(u)(te - q) with
-  expand_bracket and handed to bracketed_root.
+* "flat": a gradient that sums to 1 identically (LMSR, MinSCPM,
+  QuadraticScore) makes the objective flat in t, and the kernel reads C
+  and the prices at t = max_i q_i straight from q;
+* "closed": the kind's level, _level at S = all, T = 1
+  (ExponentialSCPM, QuadSCPM, LogSCPM), with C and the prices from one
+  s = t - q.  The prices are grad(u) at that level, so the price-sum check
+  below bounds the same |1 - e' grad(u)| a certificate would.  LogSCPM's
+  level is a bracketed root, and its probes are the iterations;
+* "root", the base kernel without a level (none in the catalog): _root_t
+  brackets g(t) = 1 - e' grad(u)(te - q) with expand_bracket and hands it
+  to bracketed_root, or returns "flat" where g is 0 at both ends.
 
-Every path solves at q - max(q) and adds max(q) back: C(q + ce) = C(q) + c
-and prices are unchanged, so the level and the price check then work at
-the scale of the spread of q, not of its size.
+The kernel works at q - max(q), and solve_t adds max(q) back: C(q + ce) =
+C(q) + c and prices are unchanged, so the level and the price check then
+work at the scale of the spread of q, not of its size.
 
 expand_bracket and bracketed_root are the one 1-D search of the package.
 market.fill falls back on them, on the bundle price along the order, when
@@ -64,7 +67,7 @@ class CostSolveResult:
     prices: np.ndarray
     flat_objective: bool
     iterations: int
-    path: str  # "flat", "closed" or "root"
+    path: str  # "flat", "closed" or "root", named by the kernel
 
 
 def bracketed_root(f, lo, hi, flo, fhi, tol, ftol=None):
@@ -164,19 +167,8 @@ def solve_t(u, q):
     if q.shape != (u.n,):
         raise ValueError(f"q must have shape ({u.n},), got {q.shape}")
     qmax = float(q.max())
-    q = q - qmax
-
-    iterations = 0
-    if u.price_level_invariant:
-        t, path = 0.0, "flat"
-    elif (t := u.solve_withdrawal(q)) is not None:
-        path = "closed"
-    else:
-        t, path, iterations = _root_t(u, q)
-
-    s = t - q
-    c = t - u.value(s)
-    p = np.asarray(u.grad(s), dtype=float)
+    t, c, p, path, iterations = u._kernel(q - qmax)
+    p = np.asarray(p, dtype=float)
     gap = abs(p.sum() - 1.0)
     if gap > PRICE_SUM_OK:
         scale = max(1.0, float(np.abs(p).sum()))

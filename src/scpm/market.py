@@ -9,7 +9,9 @@ for a closed-form candidate x_hat.  With tol = FILL_RTOL * max(1, x_hat),
 or one float spacing of q + a x_hat where that is wider, the candidate is
 accepted only on a certificate from cost solves: f(x_bar) <= 0 <
 f(x_bar + tol), with x_bar = x_hat, or x_hat - tol when f(x_hat) > 0.
-That is the bracket the search would give.  Otherwise (no form for the
+That is the bracket the search would give.  Where x_hat < tol and
+f(x_hat) > 0, the solve at 0 closes [0, x_hat]: the fill ends at 0,
+"rejected".  Otherwise (no form for the
 bundle, a candidate out of reach, a failed certificate) the search runs:
 cost.expand_bracket grows a bracket from [0, min(1, limit)], up to the
 limit or to 2**60, and cost.bracketed_root narrows it to the same width at
@@ -50,6 +52,10 @@ FILL_RTOL = 1e-9
 
 # Doublings of an infinite-limit fill's bracket, from 1 up to 2**60.
 GROWTH_STEPS = 60
+
+# Rounding a settlement may show beyond the loss bound, relative to the
+# largest of the bound, the money collected and the payout.
+SETTLE_RTOL = 1e-9
 
 
 class UnboundedFillError(RuntimeError):
@@ -229,7 +235,11 @@ def _price_bound_end(u, q, order, excess, width, p_a):
         if below:
             if excess(x_hat + tol) > 0.0:
                 return x_hat, "closed"
-        elif x_hat - tol >= 0.0 and excess(x_hat - tol) <= 0.0:
+        elif x_hat < tol:
+            # f(0) < 0 < f(x_hat): the end lies within one step of 0, closer
+            # than the fill resolves, so the order buys nothing.
+            return 0.0, "rejected"
+        elif excess(x_hat - tol) <= 0.0:
             return x_hat - tol, "closed"
 
     hi = min(1.0, limit)
@@ -289,7 +299,8 @@ def settle(state, outcome):
     bound = b_term + c0
     payout = float(state.q[outcome])
     profit = state.collected - payout
-    ok = True if math.isinf(bound) else profit >= -bound - 1e-6
+    slack = SETTLE_RTOL * max(bound, state.collected, payout)
+    ok = True if math.isinf(bound) else profit >= -bound - slack
     return SettlementReport(
         outcome=outcome,
         payout=payout,

@@ -28,10 +28,18 @@ sum_{i in S} du/ds_i(tau - q_i) = T:
     QuadSCPM          water-filling over S
     LogSCPM           a bracketed root, closed form when |S| = 1
 
-At S = all, T = 1 it is the withdrawal of every non-flat kind (the
-"closed" path of cost.solve_t).  QuadraticScore has no level; its bundle
-price is affine, and its own solve_fill gives 2b (pi - p(q)'a) /
-(a'a - (e'a)^2/N), any bundle.
+At S = all, T = 1 it is the withdrawal of every non-flat kind.
+QuadraticScore has no level; its bundle price is affine, and its own
+solve_fill gives 2b (pi - p(q)'a) / (a'a - (e'a)^2/N), any bundle.
+
+_kernel(q) is the whole cost solve of cost.solve_t at q with max(q) = 0:
+the level t, C = t - u(t - q), the prices grad(u)(t - q), the path name
+and the root probes.  The flat kinds read t = 0 and both values from q in
+one pass (LMSR: one exp and one sum).  ExponentialSCPM and QuadSCPM take
+t from solve_withdrawal, LogSCPM from its level search with its probe
+count, and each computes C and the prices from one s = t - q.  The base
+kernel is the generic path: the withdrawal or cost._root_t, then value
+and grad.
 """
 
 from __future__ import annotations
@@ -39,9 +47,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
-from .cost import WIDTH_TOL, bracketed_root
+from .cost import WIDTH_TOL, _root_t, bracketed_root
 
 KINDS = (
     "LMSR",
@@ -124,8 +131,6 @@ class Utility:
 
     kind = None
     monotone = True
-    # True when e' grad(u) is identically 1, making t - u(te - q) constant in t.
-    price_level_invariant = False
     # True when the utility takes prior weights theta; others reject one.
     takes_theta = False
 
@@ -207,6 +212,23 @@ class Utility:
             return None
         return self._level(np.asarray(q, dtype=float), slice(None), 1.0)
 
+    def _kernel(self, q):
+        """(t, C, prices, path, iterations) of the cost solve at q, max(q) = 0.
+
+        The level t is the kind's withdrawal, or else cost._root_t's root
+        (or 0 where it finds the objective flat); C = t - u(t - q) and the
+        prices are grad(u) at t - q.  Kinds override it to compute both
+        from one pass over q; an override that finds no level (a subclass
+        that sets _level = None) hands q back to this one.
+        """
+        t = self.solve_withdrawal(q)
+        if t is None:
+            t, path, iterations = _root_t(self, q)
+        else:
+            path, iterations = "closed", 0
+        s = t - q
+        return t, t - self.value(s), self.grad(s), path, iterations
+
     def solve_fill(self, q, a, pi, p_a):
         """Closed-form candidate for the largest x with p(q + a x)'a <= pi,
         given the bundle price p_a = p(q)'a < pi, or None when unavailable.
@@ -248,7 +270,6 @@ class LMSR(Utility):
     """
 
     kind = "LMSR"
-    price_level_invariant = True
     takes_theta = True
 
     def __init__(self, b=1.0, n_outcomes=2, theta=None):
@@ -273,12 +294,22 @@ class LMSR(Utility):
         w = np.exp(z - z.max(axis=-1, keepdims=True))
         return w / w.sum(axis=-1, keepdims=True)
 
+    def _kernel(self, q):
+        # Flat in t: t = max(q) = 0, C = b LSE(q/b + log theta), one exp.
+        z = q / self.b + self._log_theta
+        m = z.max()
+        w = np.exp(z - m)
+        total = w.sum()
+        return 0.0, self.b * (m + np.log(total)), w / total, "flat", 0
+
     def _level(self, q, inside, total):
         # Its prices fix no level: take ExponentialSCPM's, with weights theta.
         return _lse_level(self.b, q[inside] / self.b + self._log_theta[inside], total)
 
     def penalty_raw(self, p):
         # b * KL(p || theta/alpha) - b log alpha, alpha = sum(theta)
+        from scipy.special import xlogy
+
         alpha = self.theta.sum()
         prior = self.theta / alpha
         kl = np.sum(xlogy(p, p) - xlogy(p, prior), axis=-1)
@@ -297,7 +328,6 @@ class QuadraticScore(Utility):
 
     kind = "QuadraticScore"
     monotone = False
-    price_level_invariant = True
 
     def value(self, s):
         s = self._as_alloc(s)
@@ -311,6 +341,13 @@ class QuadraticScore(Utility):
         s = self._as_alloc(s)
         sbar = s.sum(axis=-1, keepdims=True) / self.n
         return 1.0 / self.n + (sbar - s) / (2.0 * self.b)
+
+    def _kernel(self, q):
+        # Flat in t: value and grad at s = -q, read from q about its mean.
+        qbar = q.mean()
+        d = q - qbar
+        cost = qbar + np.sum(d * d) / (4.0 * self.b)
+        return 0.0, cost, 1.0 / self.n + d / (2.0 * self.b), "flat", 0
 
     def solve_fill(self, q, a, pi, p_a):
         # The bundle price is affine: p_a + x (a'a - (e'a)^2 / N) / 2b.
@@ -357,13 +394,17 @@ class LogSCPM(Utility):
         return float(np.max(q))
 
     def _level(self, q, inside, total):
+        return self._level_search(q, inside, total)[0]
+
+    def _level_search(self, q, inside, total):
         # tau with sum_S theta_i / (tau - q_i) = total lies between the level
         # of the largest q_j alone and the level of all of S's weight at q_j.
+        # Returns tau and the probes of its search.
         q, theta = q[inside], self.theta[inside]
         j = int(np.argmax(q))
         lo = q[j] + theta[j] / total
         if q.size == 1:
-            return float(lo)
+            return float(lo), 0
         hi = q[j] + theta.sum() / total
 
         def g(tau):
@@ -371,15 +412,26 @@ class LogSCPM(Utility):
 
         glo, ghi = g(lo), g(hi)
         if glo >= 0.0 or ghi <= 0.0:
-            return float(lo if glo >= 0.0 else hi)
+            return float(lo if glo >= 0.0 else hi), 0
         # The root nears lo when one weight dominates: the width is relative
         # to lo, not to hi, and a residual stop ends the search at rounding.
-        tau, _ = bracketed_root(g, lo, hi, glo, ghi, WIDTH_TOL * max(1.0, abs(lo)),
-                                LEVEL_FTOL * total)
-        return float(tau)
+        tau, probes = bracketed_root(g, lo, hi, glo, ghi, WIDTH_TOL * max(1.0, abs(lo)),
+                                     LEVEL_FTOL * total)
+        return float(tau), probes
+
+    def _kernel(self, q):
+        # Not through solve_withdrawal, whose float leaves out the probes.
+        if self._level is None:
+            return super()._kernel(q)
+        t, probes = self._level_search(q, slice(None), 1.0)
+        s = t - q
+        self._check_domain(s)
+        return t, t - float(np.sum(self.theta * np.log(s))), self.theta / s, "closed", probes
 
     def penalty_raw(self, p):
         # -sum theta log p + sum (theta log theta - theta); +inf where p_i = 0
+        from scipy.special import xlogy
+
         p = np.asarray(p, dtype=float)
         const = float(np.sum(xlogy(self.theta, self.theta) - self.theta))
         with np.errstate(divide="ignore"):
@@ -400,7 +452,6 @@ class MinSCPM(Utility):
     """Worst-case surplus utility min_i s_i (maximally risk-averse organizer)."""
 
     kind = "MinSCPM"
-    price_level_invariant = True
 
     def value(self, s):
         s = self._as_alloc(s)
@@ -413,6 +464,11 @@ class MinSCPM(Utility):
         m = s.min(axis=-1, keepdims=True)
         mask = s <= m + ARGMIN_RTOL * np.maximum(1.0, np.abs(m))
         return mask / mask.sum(axis=-1, keepdims=True)
+
+    def _kernel(self, q):
+        # Flat in t: C = max(q) = 0, prices uniform over the argmax, as grad(-q).
+        top = q >= -ARGMIN_RTOL
+        return 0.0, 0.0, top / np.count_nonzero(top), "flat", 0
 
     def _level(self, q, inside, total):
         # Prices sit on the largest q of S, whatever the total.
@@ -452,12 +508,21 @@ class ExponentialSCPM(Utility):
         s = self._as_alloc(s)
         return np.exp(-s / self.b) / self.n
 
+    def _kernel(self, q):
+        t = self.solve_withdrawal(q)
+        if t is None:
+            return super()._kernel(q)
+        w = np.exp(-(t - q) / self.b)
+        return t, t - float(self.b * (1.0 - w.mean())), w / self.n, "closed", 0
+
     def _level(self, q, inside, total):
         # LMSR's level, log theta = -log N taken out of the sum.
         return _lse_level(self.b, q[inside] / self.b, self.n * total)
 
     def penalty_raw(self, p):
         # b * KL(p || uniform)
+        from scipy.special import xlogy
+
         out = self.b * (np.sum(xlogy(p, p), axis=-1) + math.log(self.n))
         return float(out) if np.ndim(out) == 0 else out
 
@@ -496,6 +561,15 @@ class QuadSCPM(Utility):
     def grad(self, s):
         s = self._as_alloc(s)
         return np.maximum(0.0, self.theta - s / (2.0 * self.b))
+
+    def _kernel(self, q):
+        t = self.solve_withdrawal(q)
+        if t is None:
+            return super()._kernel(q)
+        s = t - q
+        v = np.minimum(s, 2.0 * self.b * self.theta)
+        value = np.sum(self.theta * v) - np.sum(v * v) / (4.0 * self.b)
+        return t, t - float(value), np.maximum(0.0, self.theta - s / (2.0 * self.b)), "closed", 0
 
     def _level(self, q, inside, total):
         # Water-filling on S: sum_S max(0, theta_i - (t - q_i) / 2b) = total

@@ -7,7 +7,7 @@ import pytest
 
 from scpm import charge, cost, make_utility, prices, solve_t
 from scpm.cost import MAX_ITER, SolverError, bracketed_root, expand_bracket
-from scpm.utilities import KINDS, ExponentialSCPM
+from scpm.utilities import KINDS, ExponentialSCPM, Utility
 
 from linear_utility import LinearUtility
 
@@ -175,6 +175,67 @@ class TestSolveT:
         res = solve_t(u, np.zeros(2))
         assert res.t_star == pytest.approx(2.0, abs=1e-9)
         assert res.cost == pytest.approx(2.0 - 2.0 * math.log(2.0), abs=1e-9)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 1024])
+    def test_kernel_is_value_and_grad_at_the_level(self, kind, n):
+        # Each kind's kernel computes C and the prices in one pass; they must
+        # be the bytes of t - u(t - q) and grad(u)(t - q) at its level, and
+        # the level that of the generic kernel (the kind's withdrawal, or
+        # the root path's 0 where the objective is flat).
+        rng = np.random.default_rng(n)
+        u0 = make_utility(kind, n_outcomes=n)
+        thetas = [None]
+        if u0.takes_theta:
+            theta = rng.uniform(0.2, 2.0, size=n)
+            thetas.append(theta / theta.sum() if kind == "QuadSCPM" else theta)
+        for theta in thetas:
+            for _ in range(10):
+                b = 10.0 ** rng.uniform(-2.0, 2.0)
+                u = make_utility(kind, b=b, n_outcomes=n, theta=theta)
+                q = b * rng.uniform(0.0, 4.0, size=n)
+                q -= q.max()
+                t, c, p, path, iterations = u._kernel(q)
+                s = t - q
+                assert c == t - u.value(s)
+                np.testing.assert_array_equal(p, u.grad(s))
+                gt, gc, gp, gpath, _ = Utility._kernel(u, q)
+                if path != "flat":
+                    assert (t, path) == (gt, gpath)
+                assert c == pytest.approx(gc, rel=1e-12, abs=1e-12 * b)
+                np.testing.assert_allclose(p, gp, rtol=0.0, atol=1e-12)
+                # The root path, without the kind's level, finds the same C
+                # (QuadraticScore's e' grad(u) at N = 1024 is 1 only up to a
+                # rounding above FLAT_TOL, so it may search a flat objective).
+                _, rc, rp, rpath, _ = Utility._kernel(no_level(u), q)
+                if path != "flat":
+                    assert rpath == "root"
+                assert rc == pytest.approx(c, rel=1e-9, abs=1e-9 * b)
+                np.testing.assert_allclose(rp, p, rtol=0.0, atol=1e-8)
+
+    def test_log_level_search_counts_as_iterations(self, monkeypatch):
+        # LogSCPM's level is a bracketed root: its probes are the solve's
+        # iterations, so the solve reads as a search, not as a closed form.
+        import scpm.utilities
+
+        probes = []
+
+        def counted(*args, **kwargs):
+            out = bracketed_root(*args, **kwargs)
+            probes.append(out[1])
+            return out
+
+        monkeypatch.setattr(scpm.utilities, "bracketed_root", counted)
+        u = make_utility("LogSCPM", n_outcomes=3)
+        res = solve_t(u, np.array([0.3, 1.2, 0.8]))
+        assert res.path == "closed"
+        assert len(probes) == 1 and res.iterations == probes[0] >= 3
+        # Where one state's weight dominates, the bracket's low end is the
+        # level: no probe is made.
+        assert solve_t(u, np.array([0.0, -1e300, -1e300])).iterations == 0
+        assert len(probes) == 1
 
 
 class TestCostProperties:

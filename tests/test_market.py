@@ -185,6 +185,17 @@ class TestFill:
             assert (f.x_bar, f.charge, f.path) == (0.0, 0.0, "rejected")
             assert f.solves <= 4
 
+    def test_end_within_one_step_of_zero_is_rejected(self):
+        # x_hat lies below one float spacing of q and prices the bundle above
+        # pi: the solve at 0 already closes the bracket [0, x_hat], so the
+        # fill ends there without the search (which took 13 solves here).
+        u = make_utility("ExponentialSCPM", b=1.2885754831187525e-06, n_outcomes=3)
+        q0 = [17225514652.90035, 17225514652.90035, 17225514652.900345]
+        state = new_market(MarketConfig(utility=u, initial_q=q0))
+        f = fill(state, Order("t", 0.9408506832356209, math.inf, np.array([0.0, 1.0, 1.0])))
+        assert (f.x_bar, f.charge, f.path) == (0.0, 0.0, "rejected")
+        assert f.solves <= 3
+
     def test_certificate_steps_one_float_spacing_of_q(self):
         # At q = 1e8 the spacing, 1.5e-8, is wider than FILL_RTOL: the
         # certificate steps one spacing, and the closed form ends the fill.
@@ -322,6 +333,17 @@ class TestSettlement:
         run_orders(state, [Order("t", 0.9, 5.0, np.array([1.0, 0.0]))])
         for i in range(2):
             assert settle(state, i).bound_ok
+
+
+    def test_loss_bound_slack_is_relative(self):
+        # At b = 1e-6 the bound b log 2 is 6.9e-7: a shortfall 4e-7 beyond it
+        # is no rounding, though it is below an absolute slack of 1e-6.
+        state = lmsr_market(b=1e-6, n=2)
+        run_orders(state, [Order("t", 0.9, 5.0, np.array([1.0, 0.0]))])
+        assert all(settle(state, i).bound_ok for i in range(2))
+        rep = settle(state, 0)
+        state.collected = state.q[0] - rep.loss_bound - 4e-7
+        assert not settle(state, 0).bound_ok
 
 
 class TestStreamFormats:

@@ -1,6 +1,10 @@
 """Unit tests for the concave utility catalog."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from scpm import (
     make_utility,
     utility_from_dict,
 )
+import scpm
 from scpm.utilities import CATALOG, KINDS
 
 from linear_utility import LinearUtility
@@ -309,3 +314,23 @@ class TestLinearUtility:
             np.testing.assert_allclose(u.grad(rng.normal(size=2)), [0.6, 0.4])
         # batched: one gradient row per allocation row
         np.testing.assert_array_equal(u.grad(np.zeros((3, 2))), np.tile([0.6, 0.4], (3, 1)))
+
+
+def test_market_path_leaves_scipy_special_unloaded():
+    # scipy.special serves only the conjugate penalties; loading it doubles
+    # the resident memory of a process that only trades.
+    code = """
+import math, sys
+import numpy as np
+import scpm
+for kind in scpm.utilities.KINDS:
+    u = scpm.make_utility(kind, n_outcomes=3)
+    state = scpm.new_market(scpm.MarketConfig(utility=u))
+    scpm.fill(state, scpm.Order("t", 0.6, math.inf, np.array([1.0, 0.0, 0.0])))
+    scpm.quote(state, np.array([0.0, 1.0, 1.0]))
+assert "scipy.special" not in sys.modules
+"""
+    src = str(Path(scpm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
