@@ -14,11 +14,12 @@ Conventions pinned here:
 The worst-case loss climbs the engine's own market: the loss when outcome
 i happens after x of its shares were sold is concave in x, so its search
 is a climb along x with one cost solve per decade.  The properness and
-penalty checks maximize u(s) - r's, a concave function whose partial
-derivative is nonincreasing in its own coordinate, by coordinate ascent:
-each coordinate step grows a bracket from the current point with
-cost.expand_bracket and solves for a root of that derivative with
-cost.bracketed_root.
+penalty checks read the conjugate point, the maximizer of the concave
+u(s) - r's, where grad(u)(s) = r.  Each study finds all of its points in
+one damped Newton solve over an (M, N) block of beliefs: every step is
+one batched grad call at the live rows' trial points and their
+forward-difference neighbours, then a least-squares step per row, since
+the Jacobian is singular along e for the kinds whose gradient sums to 1.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import bracketed_root, cost as compute_cost, expand_bracket, solve_t
+from .cost import MAX_ITER, bracketed_root, cost as compute_cost, solve_t
 from . import market as market_mod
 from . import utilities as util_mod
 from .oracle import simplex_grid
@@ -37,6 +38,13 @@ from .oracle import simplex_grid
 UNBOUNDED_THRESHOLD = 1e6
 RAY_START = 100.0
 RAY_MAX = 1e8
+# The conjugate-point Newton: its forward-difference step, relative to
+# max(|s|, b), and the regularization of its least-squares step, relative
+# to each column of the Jacobian; the directions probed for a gradient jump.
+FD_STEP = math.sqrt(np.finfo(float).eps)
+STEP_RCOND = 1e-6
+N_PROBES = 16
+TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -172,56 +180,90 @@ def worst_case_loss(u, method="analytic", seed=0):
 # -- properness -------------------------------------------------------------
 
 
-def _solve_conjugate_point(u, r, max_sweeps=40):
-    """Numerically maximize u(s) - r's by Gauss-Seidel sweeps, each
-    coordinate solving its partial derivative = r_j with bracketed_root;
-    returns the point found (possibly non-stationary for improper
-    utilities), or the start when its properness_residual is already 0."""
-    floor = math.isfinite(u.domain_floor(np.zeros(u.n)))
-    s = np.full(u.n, 1.0) if floor else np.zeros(u.n)
-    if u.properness_residual(s, r) == 0.0:
-        return s
-    for _ in range(max_sweeps):
-        moved = 0.0
-        for j in range(u.n):
-            new = _coordinate_root(u, s, j, r[j], positive=floor)
-            if new is not None:
-                moved = max(moved, abs(new - s[j]))
-                s[j] = new
-        if moved < 1e-11:
-            break
-    return s
+def _solve_conjugate_points(u, R):
+    """Maximize u(s) - r's for every row r of R at once by a damped Newton
+    solve of grad(u)(s) = r from s = 1 (a domain s > 0) or s = 0.
+
+    Each step makes one grad call, at the trial point of every live row
+    and at its N forward-difference neighbours, so an accepted trial
+    brings its own Jacobian.  The step is the least-squares solution of
+    J d = r - grad(u)(s), regularized at STEP_RCOND times each column of J:
+    J is singular along e for the kinds whose gradient sums to 1, and a
+    forward-difference J is singular there only up to its rounding.  A
+    trial that does not lower the row's max residual |grad(u) - r| halves
+    the step, as does one that leaves s > 0.  A row stops when its
+    residual is 0 or once it has tried a point within the difference step
+    of s: past that the residual stops falling.  A row that
+    properness_residual finds stationary at the start takes no step.
+    Returns the (M, N) points found, non-stationary where u is improper.
+    """
+    R = np.asarray(R, dtype=float)
+    positive = math.isfinite(u.domain_floor(np.zeros(u.n)))
+    S = np.full(R.shape, 1.0 if positive else 0.0)
+    rows = np.flatnonzero(u.properness_residual(S, R) > 0.0)
+    if rows.size == 0:
+        return S
+    s, r = S[rows], R[rows]
+    trial, step = s, np.zeros_like(s)
+    f, alpha = np.full(rows.size, np.inf), np.ones(rows.size)
+    # the trial point and its N forward-difference neighbours
+    E = np.vstack([np.zeros(u.n), np.eye(u.n)])
+    for _ in range(MAX_ITER):
+        h = FD_STEP * np.maximum(np.abs(trial), u.b)
+        G = u.grad(trial[:, None] + h[:, None] * E)
+        ft = np.abs(G[:, 0] - r).max(axis=-1)
+        better = ft < f
+        done = ft == 0.0
+        if better.all():
+            s, f, alpha[:] = trial, ft, 1.0
+            step = _newton_step(G, h, r)
+        else:
+            # A trial within the difference step of s that does not lower
+            # the residual has met the rounding of grad.
+            done |= ~better & (np.abs(trial - s) <= h).all(axis=-1)
+            alpha = np.where(better, 1.0, 0.5 * alpha)
+            if better.any():
+                s[better], f[better] = trial[better], ft[better]
+                step[better] = _newton_step(G[better], h[better], r[better])
+        trial = s + alpha[:, None] * step
+        if positive:
+            out = (trial <= 0.0).any(axis=-1)
+            while out.any():
+                alpha[out] *= 0.5
+                trial[out] = s[out] + alpha[out, None] * step[out]
+                out = (trial <= 0.0).any(axis=-1)
+        if done.any():
+            S[rows[done]] = s[done]
+            keep = ~done
+            if not keep.any():
+                return S
+            rows, s, r, trial, step, f, alpha = (
+                rows[keep], s[keep], r[keep], trial[keep], step[keep], f[keep], alpha[keep])
+    S[rows] = s
+    return S
 
 
-def _coordinate_root(u, s, j, target, positive):
-    """Solve grad(u)(s)_j = target in s_j; the partial derivative is
-    nonincreasing in s_j, so the bracket is grown from s_j and narrowed on
-    target minus it.  Returns None when no sign change exists."""
-
-    def f(x):
-        v = s.copy()
-        v[j] = x
-        return target - float(u.grad(v)[j])
-
-    f0 = f(s[j])
-    floor = 1e-12 if positive else -math.inf
-    bracket = expand_bracket(f, s[j], s[j], f0, f0, floor, max_steps=80)
-    if bracket is None:
-        return None
-    lo, hi, flo, fhi = bracket
-    tol = 1e-13 * max(1.0, abs(lo), abs(hi))
-    return bracketed_root(f, lo, hi, flo, fhi, tol)[0]
+def _newton_step(G, h, r):
+    """Per row, the step d minimizing |J d - res|^2 + STEP_RCOND^2 sum_j
+    |J e_j|^2 d_j^2, res = r - grad(u)(s), from G = grad(u) at s and at its
+    forward-difference neighbours s + h_j e_j; 0 where J is 0."""
+    Jt = (G[:, 1:] - G[:, :1]) / h[:, :, None]  # Jt[k, j, i] = d grad_i / d s_j
+    A = Jt @ Jt.transpose(0, 2, 1)
+    diagonal = A.reshape(len(A), -1)[:, ::A.shape[-1] + 1]  # a view
+    diagonal *= 1.0 + STEP_RCOND ** 2
+    diagonal += TINY
+    return np.linalg.solve(A, Jt @ (r - G[:, 0])[:, :, None])[..., 0]
 
 
-def _gradient_jump(u, s_star, rng, eps=1e-6, n_probes=16):
-    """Probe gradient continuity at the optimum; a jump signals a
-    non-singleton subdifferential / multiple optimal prices."""
-    g0 = np.asarray(u.grad(s_star), dtype=float)
-    d = rng.standard_normal((n_probes, u.n))
-    S = s_star + eps * d / np.linalg.norm(d, axis=-1, keepdims=True)
+def _gradient_jump(u, S, D, eps=1e-6):
+    """Probe gradient continuity around every row of S along the directions
+    D, (M, n_probes, N); a jump signals a non-singleton subdifferential /
+    multiple optimal prices."""
+    P = S[:, None] + eps * D / np.linalg.norm(D, axis=-1, keepdims=True)
     if math.isfinite(u.domain_floor(np.zeros(u.n))):
-        S = np.maximum(S, 1e-9)
-    return bool(np.any(np.max(np.abs(np.asarray(u.grad(S)) - g0), axis=-1) > 1e-2))
+        P = np.maximum(P, 1e-9)
+    G = u.grad(np.concatenate([S[:, None], P], axis=1))
+    return bool(np.any(np.max(np.abs(G[:, 1:] - G[:, :1]), axis=-1) > 1e-2))
 
 
 def check_properness(u, n_samples=200, seed=0):
@@ -230,15 +272,15 @@ def check_properness(u, n_samples=200, seed=0):
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    multiplicity = False
-    for _ in range(n_samples):
-        r = rng.dirichlet(np.ones(u.n))
-        r = 0.9 * r + 0.1 / u.n  # keep away from the boundary
-        s_star = _solve_conjugate_point(u, r)
-        worst = max(worst, u.properness_residual(s_star, r))
-        if not multiplicity:
-            multiplicity = _gradient_jump(u, s_star, rng)
+    R = np.empty((n_samples, u.n))
+    D = np.empty((n_samples, N_PROBES, u.n))
+    for k in range(n_samples):
+        R[k] = rng.dirichlet(np.ones(u.n))
+        D[k] = rng.standard_normal((N_PROBES, u.n))
+    R = 0.9 * R + 0.1 / u.n  # keep away from the boundary
+    S = _solve_conjugate_points(u, R)
+    worst = float(np.max(u.properness_residual(S, R)))
+    multiplicity = _gradient_jump(u, S, D)
     proper = worst <= 1e-6
     return PropernessReport(
         proper=proper,
@@ -388,10 +430,8 @@ def identify_penalty_family(u, resolution=12):
         raise ValueError(f"{u.kind} has no penalty function")
     grid = simplex_grid(u.n, resolution)
     grid = grid[np.all(grid > 1e-9, axis=1)]
-    numeric = np.empty(len(grid))
-    for k, p in enumerate(grid):
-        s_star = _solve_conjugate_point(u, p)
-        numeric[k] = u.value(s_star) - p @ s_star
+    S = _solve_conjugate_points(u, grid)
+    numeric = u.value(S) - np.sum(grid * S, axis=-1)
     numeric -= numeric.min()
     fits = []
     for kind, label in PENALTY_LABELS.items():

@@ -15,7 +15,8 @@ together, with the solve's path name and root probes:
   level is a bracketed root, and its probes are the iterations;
 * "root", the base kernel without a level (none in the catalog): _root_t
   brackets g(t) = 1 - e' grad(u)(te - q) with expand_bracket and hands it
-  to bracketed_root, or returns "flat" where g is 0 at both ends.
+  to bracketed_root, or returns "flat" where g is 0 at both ends up to the
+  rounding of the price sum.
 
 The kernel works at q - max(q), and solve_t adds max(q) back: C(q + ce) =
 C(q) + c and prices are unchanged, so the level and the price check then
@@ -26,9 +27,8 @@ market.fill falls back on them, on the bundle price along the order, when
 a utility's closed-form fill is missing or fails its certificate; the
 bracket grows from 1 up to the limit.  LogSCPM's level tau_S(T), for its
 withdrawal and each side of a fill, narrows one bracket.  analysis uses
-them on a partial derivative of u, where the conjugate-point coordinate
-solve grows and narrows a bracket, and on the price p_i where a
-non-monotone kind's worst-case loss peaks.
+bracketed_root on the price p_i where a non-monotone kind's worst-case
+loss peaks.
 
 Tolerances are fixed so that traces and acceptance values are bit-stable.
 """
@@ -45,6 +45,8 @@ GRAD_TOL = 1e-10
 WIDTH_TOL = 1e-12
 MAX_ITER = 200
 MAX_EXPAND = 128
+# g = 1 - e' grad(u) within FLAT_TOL max(1, sum |p_i|) at both ends of the
+# first bracket is flat: the sum carries rounding of the prices' own size.
 FLAT_TOL = 1e-12
 FLOOR_PAD = 1e-9
 
@@ -144,11 +146,15 @@ def _root_t(u, q):
     def g(t):
         return 1.0 - u.grad_sum(t - q)
 
+    def end(t):
+        # g(t) and the scale of its rounding, sum |p_i|, for the flat test
+        p = u.grad(t - q)
+        return 1.0 - float(p.sum()), float(np.abs(p).sum())
+
     lo = max(-1.0, floor)
     hi = 1.0 if lo < 1.0 else lo + 1.0
-    glo = g(lo)
-    ghi = g(hi)
-    if abs(glo) <= FLAT_TOL and abs(ghi) <= FLAT_TOL:
+    (glo, slo), (ghi, shi) = end(lo), end(hi)
+    if max(abs(glo), abs(ghi)) <= FLAT_TOL * max(1.0, slo, shi):
         return 0.0, "flat", 0
 
     bracket = expand_bracket(g, lo, hi, glo, ghi, floor)

@@ -120,15 +120,15 @@ def simplex_grid(n, resolution):
         p0 = k / resolution
         return np.column_stack([p0, 1.0 - p0])
     if n == 3:
-        pts = []
-        for k1 in range(resolution + 1):
-            k2 = np.arange(resolution - k1 + 1)
-            block = np.empty((k2.size, 3))
-            block[:, 0] = k1 / resolution
-            block[:, 1] = k2 / resolution
-            block[:, 2] = 1.0 - block[:, 0] - block[:, 1]
-            pts.append(block)
-        return np.clip(np.vstack(pts), 0.0, 1.0)
+        # k1 = 0..resolution, each with k2 = 0..resolution - k1
+        counts = np.arange(resolution + 1, 0, -1)
+        k1 = np.repeat(np.arange(resolution + 1), counts)
+        k2 = np.arange(k1.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        grid = np.empty((k1.size, 3))
+        grid[:, 0] = k1 / resolution
+        grid[:, 1] = k2 / resolution
+        grid[:, 2] = 1.0 - grid[:, 0] - grid[:, 1]
+        return np.clip(grid, 0.0, 1.0, out=grid)
     rng = np.random.default_rng(0)
     return rng.dirichlet(np.ones(n), size=min((resolution + 1) * (resolution + 2) // 2, 100_000))
 

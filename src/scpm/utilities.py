@@ -246,8 +246,10 @@ class Utility:
         return max(0.0, self._level(q, ~inside, 1.0 - pi) - self._level(q, inside, pi))
 
     def properness_residual(self, s, r):
-        """Distance from r to the (sub)differential of u at s, inf-norm."""
-        return float(np.max(np.abs(self.grad(s) - r)))
+        """Distance from r to the (sub)differential of u at s, inf-norm,
+        batched over the last axis."""
+        out = np.max(np.abs(self.grad(s) - r), axis=-1)
+        return float(out) if np.ndim(out) == 0 else out
 
     # -- serialization ------------------------------------------------------
 
@@ -486,10 +488,11 @@ class MinSCPM(Utility):
         # Subdifferential at s is the simplex over the argmin set, so the
         # distance from r is the mass r places outside that set.
         s = self._as_alloc(s)
-        m = s.min()
-        tol = ARGMIN_RTOL * max(1.0, abs(m))
-        outside = np.asarray(r)[s > m + tol]
-        return float(outside.max()) if outside.size else 0.0
+        m = s.min(axis=-1, keepdims=True)
+        outside = s > m + ARGMIN_RTOL * np.maximum(1.0, np.abs(m))
+        # r >= 0, so 0 stands for the mass of an empty outside set.
+        out = np.max(np.where(outside, r, 0.0), axis=-1)
+        return float(out) if np.ndim(out) == 0 else out
 
 
 class ExponentialSCPM(Utility):

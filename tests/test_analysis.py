@@ -14,9 +14,10 @@ from scpm import (
     msr_equivalence_check,
     risk_dual_check,
     risk_measure,
+    table1,
     worst_case_loss,
 )
-from scpm.analysis import PENALTY_LABELS, _solve_conjugate_point
+from scpm.analysis import PENALTY_LABELS, _solve_conjugate_points
 from scpm.utilities import CATALOG, KINDS
 
 from linear_utility import LinearUtility
@@ -116,32 +117,41 @@ class TestProperness:
             check_properness(make_utility("LMSR"), n_samples=0)
 
 
-# Mean grad calls per conjugate point: coupled kinds move every partial
-# derivative with each coordinate, separable kinds settle in one sweep.
-GRAD_BUDGET = {"LMSR": 300, "QuadraticScore": 300, "LogSCPM": 100,
-               "ExponentialSCPM": 100, "QuadSCPM": 100}
+def counting_grad(u):
+    """Count u's grad calls; returns the uncounted grad and the call list."""
+    grad = u.grad
+    calls = []
+
+    def counting(s):
+        calls.append(1)
+        return grad(s)
+
+    u.grad = counting
+    return grad, calls
+
+
+def beliefs(rng, m, n):
+    return 0.9 * rng.dirichlet(np.ones(n), size=m) + 0.1 / n
 
 
 class TestConjugatePoint:
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("kind", sorted(GRAD_BUDGET))
+    # One batched Newton solve for all beliefs: a grad call per step, at
+    # every live row and its forward-difference neighbours.
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("kind", [k for k in sorted(KINDS) if k != "MinSCPM"])
     def test_stationary_within_grad_budget(self, kind, n):
-        u = make_utility(kind, n_outcomes=n)
-        grad = u.grad
-        calls = []
-
-        def counting(s):
-            calls.append(1)
-            return grad(s)
-
-        u.grad = counting
-        rng = np.random.default_rng(11)
-        n_points = 20
-        for _ in range(n_points):
-            r = 0.9 * rng.dirichlet(np.ones(n)) + 0.1 / n
-            s = _solve_conjugate_point(u, r)
-            assert np.max(np.abs(grad(s) - r)) <= 1e-9
-        assert len(calls) / n_points <= GRAD_BUDGET[kind]
+        thetas = [None]
+        if CATALOG[kind].takes_theta:
+            theta = np.arange(1.0, n + 1.0)
+            thetas.append(theta / theta.sum() if kind == "QuadSCPM" else theta)
+        for theta in thetas:
+            for b in (1e-3, 1.0, 1e3):
+                u = make_utility(kind, b=b, n_outcomes=n, theta=theta)
+                grad, calls = counting_grad(u)
+                R = beliefs(np.random.default_rng(11), 20, n)
+                S = _solve_conjugate_points(u, R)
+                assert np.max(np.abs(grad(S) - R)) <= 1e-12, (theta, b)
+                assert len(calls) <= 30, (theta, b)
 
     @pytest.mark.parametrize("kind, theta", [("LMSR", None), ("LMSR", [1.0, 2.0, 4.0]),
                                              ("MinSCPM", None)])
@@ -149,17 +159,73 @@ class TestConjugatePoint:
         # r in the (sub)differential at the start s = 0: LMSR at r = theta/sum(theta),
         # MinSCPM at any r, since every diagonal point is a maximizer
         u = make_utility(kind, n_outcomes=3, theta=theta)
-        grad = u.grad
-        calls = []
-
-        def counting(s):
-            calls.append(1)
-            return grad(s)
-
-        u.grad = counting
-        r = [0.5, 0.3, 0.2] if u.theta is None else u.theta / u.theta.sum()
-        np.testing.assert_array_equal(_solve_conjugate_point(u, np.asarray(r)), np.zeros(3))
+        _, calls = counting_grad(u)
+        if kind == "MinSCPM":
+            R = beliefs(np.random.default_rng(3), 20, 3)
+        else:
+            R = np.tile(u.theta / u.theta.sum(), (5, 1))
+        np.testing.assert_array_equal(_solve_conjugate_points(u, R), np.zeros_like(R))
         assert len(calls) <= 1
+
+    def test_stationary_rows_unmoved_among_live_rows(self):
+        u = make_utility("LMSR", n_outcomes=3, theta=[1.0, 2.0, 4.0])
+        R = beliefs(np.random.default_rng(5), 6, 3)
+        R[::2] = u.theta / u.theta.sum()
+        S = _solve_conjugate_points(u, R)
+        np.testing.assert_array_equal(S[::2], 0.0)
+        assert np.all(np.any(S[1::2] != 0.0, axis=-1))
+        assert np.max(np.abs(u.grad(S) - R)) <= 1e-12
+
+    def test_linear_rows_end_unmoved(self):
+        # A constant gradient: the Jacobian is 0, so the step is 0 and each
+        # row ends at the start, as far from r as it began.
+        u = LinearUtility([0.6, 0.4])
+        _, calls = counting_grad(u)
+        p0 = np.linspace(0.05, 0.45, 9)
+        R = np.column_stack([p0, 1.0 - p0])
+        S = _solve_conjugate_points(u, R)
+        assert len(calls) <= 3
+        np.testing.assert_array_equal(S, 0.0)
+        assert np.min(u.properness_residual(S, R)) >= 0.1
+
+    @pytest.mark.parametrize("kind", [*KINDS, "Linear"])
+    def test_batched_residual_matches_rows(self, kind):
+        rng = np.random.default_rng(7)
+        if kind == "Linear":
+            u = LinearUtility([0.6, 0.1, 0.2, 0.1])
+        else:
+            u = make_utility(kind, n_outcomes=4)
+        S = rng.uniform(0.5, 3.0, size=(12, 4))
+        S[::3, 1] = S[::3, 0] = S[::3].min(axis=-1)  # ties for MinSCPM's argmin
+        R = beliefs(rng, 12, 4)
+        rows = [u.properness_residual(s, r) for s, r in zip(S, R)]
+        assert all(isinstance(v, float) for v in rows)
+        np.testing.assert_array_equal(u.properness_residual(S, R), rows)
+
+
+class TestStudyGradCalls:
+    # Each study makes one batched Newton solve: the counts repeat exactly,
+    # so a return to per-point sweeps (hundreds of calls per point) shows.
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_at_most_50_grad_calls_per_study(self, kind, n):
+        u = make_utility(kind, n_outcomes=n)
+        _, calls = counting_grad(u)
+        check_properness(u, n_samples=50)
+        assert len(calls) <= 50
+        if u.monotone:
+            calls.clear()
+            identify_penalty_family(u)
+            assert len(calls) <= 50
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_table1_labels(self, n):
+        for row in table1(1.0, n):
+            assert row.properness == ("proper" if row.kind == "MinSCPM" else "strictly proper")
+            if row.kind == "QuadraticScore":
+                assert row.penalty is None
+            else:
+                assert row.penalty == PENALTY_LABELS[row.kind], row
 
 
 class TestImplicitScoringRule:

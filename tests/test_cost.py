@@ -148,6 +148,22 @@ class TestSolveT:
         np.testing.assert_array_equal(res.prices, c)
         assert res.cost == pytest.approx(c @ q, rel=1e-15)
 
+    def test_flat_objective_found_at_large_n(self):
+        # 1 - e' grad(u) carries rounding of about N eps max|p_i|, about 5e-12
+        # here, so the flat test scales with sum |p_i|; the same q and b
+        # still take the root path for a kind whose objective is sloped.
+        rng = np.random.default_rng(5)
+        n = 1024
+        for _ in range(20):
+            q = rng.uniform(0.0, 4.0, size=n)
+            b = 10.0 ** rng.uniform(-2.0, 2.0)
+            q = b * q
+            q -= q.max()
+            flat = no_level(make_utility("QuadraticScore", b=b, n_outcomes=n))
+            assert Utility._kernel(flat, q)[3] == "flat"
+            sloped = no_level(make_utility("ExponentialSCPM", b=b, n_outcomes=n))
+            assert Utility._kernel(sloped, q)[3] == "root"
+
     def test_solve_path_recorded(self):
         q = np.array([0.3, 1.2, 0.8])
         paths = {kind: solve_t(make_utility(kind, n_outcomes=3), q).path for kind in KINDS}
@@ -206,12 +222,10 @@ class TestKernels:
                     assert (t, path) == (gt, gpath)
                 assert c == pytest.approx(gc, rel=1e-12, abs=1e-12 * b)
                 np.testing.assert_allclose(p, gp, rtol=0.0, atol=1e-12)
-                # The root path, without the kind's level, finds the same C
-                # (QuadraticScore's e' grad(u) at N = 1024 is 1 only up to a
-                # rounding above FLAT_TOL, so it may search a flat objective).
+                # The root path, without the kind's level, finds the same C,
+                # and finds a flat objective flat.
                 _, rc, rp, rpath, _ = Utility._kernel(no_level(u), q)
-                if path != "flat":
-                    assert rpath == "root"
+                assert rpath == ("flat" if path == "flat" else "root")
                 assert rc == pytest.approx(c, rel=1e-9, abs=1e-9 * b)
                 np.testing.assert_allclose(rp, p, rtol=0.0, atol=1e-8)
 

@@ -105,6 +105,23 @@ class TestSimplexGrid:
         np.testing.assert_allclose(grid.sum(axis=1), 1.0, atol=1e-12)
         assert grid.min() >= 0.0
 
+    @pytest.mark.parametrize("resolution", [*range(2, 41), 400, 1000])
+    def test_three_outcomes_match_the_loop(self, resolution):
+        # The lattice built one k1 block at a time, as the reference: the
+        # vectorized grid must have its bytes.
+        pts = []
+        for k1 in range(resolution + 1):
+            k2 = np.arange(resolution - k1 + 1)
+            block = np.empty((k2.size, 3))
+            block[:, 0] = k1 / resolution
+            block[:, 1] = k2 / resolution
+            block[:, 2] = 1.0 - block[:, 0] - block[:, 1]
+            pts.append(block)
+        loop = np.clip(np.vstack(pts), 0.0, 1.0)
+        grid = simplex_grid(3, resolution)
+        assert grid.shape == loop.shape
+        assert grid.tobytes() == loop.tobytes()
+
     def test_contains_vertices(self):
         grid = simplex_grid(3, 5)
         for v in np.eye(3):
