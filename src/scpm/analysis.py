@@ -272,12 +272,8 @@ def check_properness(u, n_samples=200, seed=0):
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    R = np.empty((n_samples, u.n))
-    D = np.empty((n_samples, N_PROBES, u.n))
-    for k in range(n_samples):
-        R[k] = rng.dirichlet(np.ones(u.n))
-        D[k] = rng.standard_normal((N_PROBES, u.n))
-    R = 0.9 * R + 0.1 / u.n  # keep away from the boundary
+    R = 0.9 * rng.dirichlet(np.ones(u.n), size=n_samples) + 0.1 / u.n  # off the boundary
+    D = rng.standard_normal((n_samples, N_PROBES, u.n))
     S = _solve_conjugate_points(u, R)
     worst = float(np.max(u.properness_residual(S, R)))
     multiplicity = _gradient_jump(u, S, D)
@@ -406,7 +402,7 @@ def risk_dual_check(u, Z, grid_resolution=1000):
     Z = np.asarray(Z, dtype=float)
     P = simplex_grid(u.n, grid_resolution)
     vals = P @ Z + u.penalty_raw(P)
-    dual = -float(np.min(vals[np.isfinite(vals)]))
+    dual = -float(np.min(vals))
     return RiskEvaluation(
         rho=ev.rho, t_star=ev.t_star, dual_value=dual, dual_gap=abs(ev.rho - dual)
     )

@@ -45,6 +45,7 @@ and grad.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +84,11 @@ def _logsumexp(z):
     return m + np.log(np.exp(z - m[..., None]).sum(axis=-1))
 
 
+def _xlogx(p):
+    """sum_i p_i log p_i over the last axis, with 0 log 0 = 0."""
+    return np.sum(p * np.log(p, out=np.zeros_like(p), where=p > 0), axis=-1)
+
+
 def _in_set(a):
     """In-set mask of a 0/1 bundle whose out-set is not empty, or None."""
     inside = a == 1.0
@@ -108,6 +114,7 @@ def _check_simplex(p, n):
     return np.clip(p, 0.0, None)
 
 
+@dataclass(frozen=True)
 class PenaltyValue:
     """Conjugate penalty L(p), both raw and shifted so that min_p L(p) = 0.
 
@@ -116,14 +123,8 @@ class PenaltyValue:
     constant, matching the usual penalty-family tables.
     """
 
-    __slots__ = ("raw", "normalized")
-
-    def __init__(self, raw, normalized):
-        self.raw = float(raw)
-        self.normalized = float(normalized)
-
-    def __repr__(self):
-        return f"PenaltyValue(raw={self.raw!r}, normalized={self.normalized!r})"
+    raw: float
+    normalized: float
 
 
 class Utility:
@@ -194,7 +195,7 @@ class Utility:
 
     def conjugate_penalty(self, p):
         p = _check_simplex(p, self.n)
-        raw = self.penalty_raw(p)
+        raw = float(self.penalty_raw(p))
         # Duality: min_p L(p) = -C(0), and C(0) is a catalog loss term.
         return PenaltyValue(raw, raw + self.loss_bound_terms()[1])
 
@@ -218,8 +219,7 @@ class Utility:
         The level t is the kind's withdrawal, or else cost._root_t's root
         (or 0 where it finds the objective flat); C = t - u(t - q) and the
         prices are grad(u) at t - q.  Kinds override it to compute both
-        from one pass over q; an override that finds no level (a subclass
-        that sets _level = None) hands q back to this one.
+        from one pass over q.
         """
         t = self.solve_withdrawal(q)
         if t is None:
@@ -310,12 +310,8 @@ class LMSR(Utility):
 
     def penalty_raw(self, p):
         # b * KL(p || theta/alpha) - b log alpha, alpha = sum(theta)
-        from scipy.special import xlogy
-
         alpha = self.theta.sum()
-        prior = self.theta / alpha
-        kl = np.sum(xlogy(p, p) - xlogy(p, prior), axis=-1)
-        out = self.b * kl - self.b * math.log(alpha)
+        out = self.b * (_xlogx(p) - p @ np.log(self.theta / alpha) - math.log(alpha))
         return float(out) if np.ndim(out) == 0 else out
 
     def loss_bound_terms(self):
@@ -423,26 +419,16 @@ class LogSCPM(Utility):
 
     def _kernel(self, q):
         # Not through solve_withdrawal, whose float leaves out the probes.
-        if self._level is None:
-            return super()._kernel(q)
         t, probes = self._level_search(q, slice(None), 1.0)
         s = t - q
         self._check_domain(s)
         return t, t - float(np.sum(self.theta * np.log(s))), self.theta / s, "closed", probes
 
     def penalty_raw(self, p):
-        # -sum theta log p + sum (theta log theta - theta); +inf where p_i = 0
-        from scipy.special import xlogy
-
-        p = np.asarray(p, dtype=float)
-        const = float(np.sum(xlogy(self.theta, self.theta) - self.theta))
+        # -sum theta log p + sum (theta log theta - theta); theta > 0 makes
+        # it +inf where some p_i = 0
         with np.errstate(divide="ignore"):
-            logp = np.log(p)
-        out = np.where(
-            np.any((p == 0) & (self.theta > 0), axis=-1),
-            np.inf,
-            -np.sum(self.theta * np.where(p > 0, logp, 0.0), axis=-1) + const,
-        )
+            out = _xlogx(self.theta) - self.theta.sum() - np.log(p) @ self.theta
         return float(out) if np.ndim(out) == 0 else out
 
     def loss_bound_terms(self):
@@ -513,8 +499,6 @@ class ExponentialSCPM(Utility):
 
     def _kernel(self, q):
         t = self.solve_withdrawal(q)
-        if t is None:
-            return super()._kernel(q)
         w = np.exp(-(t - q) / self.b)
         return t, t - float(self.b * (1.0 - w.mean())), w / self.n, "closed", 0
 
@@ -524,9 +508,7 @@ class ExponentialSCPM(Utility):
 
     def penalty_raw(self, p):
         # b * KL(p || uniform)
-        from scipy.special import xlogy
-
-        out = self.b * (np.sum(xlogy(p, p), axis=-1) + math.log(self.n))
+        out = self.b * (_xlogx(p) + math.log(self.n))
         return float(out) if np.ndim(out) == 0 else out
 
     def loss_bound_terms(self):
@@ -567,8 +549,6 @@ class QuadSCPM(Utility):
 
     def _kernel(self, q):
         t = self.solve_withdrawal(q)
-        if t is None:
-            return super()._kernel(q)
         s = t - q
         v = np.minimum(s, 2.0 * self.b * self.theta)
         value = np.sum(self.theta * v) - np.sum(v * v) / (4.0 * self.b)

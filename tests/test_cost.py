@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scpm import charge, cost, make_utility, prices, solve_t
-from scpm.cost import MAX_ITER, SolverError, bracketed_root, expand_bracket
+from scpm.cost import MAX_ITER, PRICE_SUM_OK, SolverError, bracketed_root, expand_bracket
 from scpm.utilities import KINDS, ExponentialSCPM, Utility
 
 from linear_utility import LinearUtility
@@ -18,7 +19,7 @@ def random_q(rng, n, scale=4.0):
 
 def no_level(u):
     """The same utility without its level, so that solve_t takes the root path."""
-    generic = type(type(u).__name__, (type(u),), {"_level": None})
+    generic = type(type(u).__name__, (type(u),), {"_level": None, "_kernel": Utility._kernel})
     return generic(b=u.b, n_outcomes=u.n, theta=u.theta)
 
 
@@ -318,6 +319,28 @@ class TestCostProperties:
             p = prices(u, np.array([10.0, 0.0]))
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert p.min() < 0.0
+
+
+@st.composite
+def large_markets(draw):
+    # N = 50, b over twelve decades, and q below 1e12 spread over any
+    # decade up to its own size: wide spreads put every price but one near
+    # 0, narrow ones at large q leave differences of a few float spacings.
+    kind = draw(st.sampled_from([k for k in KINDS if k != "QuadraticScore"]))
+    b = 10.0 ** draw(st.floats(-6.0, 6.0))
+    top = draw(st.floats(-6.0, 12.0))
+    spread = 10.0 ** draw(st.floats(-6.0, top))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return make_utility(kind, b=b, n_outcomes=50), 10.0 ** top - spread * rng.uniform(size=50)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(large_markets())
+def test_prices_on_simplex_at_large_n(case):
+    u, q = case
+    p = solve_t(u, q).prices
+    assert abs(p.sum() - 1.0) <= PRICE_SUM_OK * max(1.0, float(np.abs(p).sum()))
+    assert np.all((0.0 <= p) & (p <= 1.0))
 
 
 class TestCharge:

@@ -257,6 +257,41 @@ class TestPenalty:
         u = make_utility("LogSCPM", n_outcomes=2)
         assert math.isinf(u.conjugate_penalty(np.array([1.0, 0.0])).raw)
 
+    @pytest.mark.parametrize("kind, with_theta", [("LMSR", False), ("LMSR", True),
+                                                  ("ExponentialSCPM", False),
+                                                  ("LogSCPM", True)])
+    def test_entropy_penalties_match_xlogy_reference(self, kind, with_theta):
+        # The closed forms written with scipy's xlogy, 0 log 0 = 0.
+        from scipy.special import xlogy
+
+        def reference(u, p):
+            if kind == "LMSR":
+                alpha = u.theta.sum()
+                kl = np.sum(xlogy(p, p) - xlogy(p, u.theta / alpha), axis=-1)
+                return u.b * kl - u.b * math.log(alpha)
+            if kind == "ExponentialSCPM":
+                return u.b * (np.sum(xlogy(p, p), axis=-1) + math.log(u.n))
+            const = float(np.sum(xlogy(u.theta, u.theta) - u.theta))
+            with np.errstate(divide="ignore"):
+                logp = np.log(p)
+            return np.where(np.any((p == 0) & (u.theta > 0), axis=-1), np.inf,
+                            -np.sum(u.theta * np.where(p > 0, logp, 0.0), axis=-1) + const)
+
+        for n in (2, 3, 5, 50):
+            rng = np.random.default_rng(n)
+            faces = rng.dirichlet(np.ones(n), size=n)
+            faces[np.arange(n), np.arange(n)] = 0.0
+            faces /= faces.sum(axis=-1, keepdims=True)
+            P = np.concatenate([rng.dirichlet(np.ones(n), size=20), faces, np.eye(n)])
+            theta = rng.uniform(0.1, 5.0, n) if with_theta else None
+            for b in (1e-3, 1.0, 1e3):
+                u = make_utility(kind, b=b, n_outcomes=n, theta=theta)
+                got, want = u.penalty_raw(P), reference(u, P)
+                np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+                finite = np.isfinite(want)
+                got, want = got[finite], want[finite]
+                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
     def test_simplex_validation(self):
         u = make_utility("LMSR", n_outcomes=2)
         with pytest.raises(ValueError, match="sum to 1"):
@@ -317,17 +352,27 @@ class TestLinearUtility:
 
 
 def test_market_path_leaves_scipy_special_unloaded():
-    # scipy.special serves only the conjugate penalties; loading it doubles
-    # the resident memory of a process that only trades.
+    # scipy.special serves only the independent LMSR reference of
+    # msr_equivalence_check; loading it doubles the resident memory of a
+    # process that trades or analyses the catalog.
     code = """
 import math, sys
 import numpy as np
 import scpm
+from scpm import analysis
 for kind in scpm.utilities.KINDS:
     u = scpm.make_utility(kind, n_outcomes=3)
     state = scpm.new_market(scpm.MarketConfig(utility=u))
     scpm.fill(state, scpm.Order("t", 0.6, math.inf, np.array([1.0, 0.0, 0.0])))
     scpm.quote(state, np.array([0.0, 1.0, 1.0]))
+for kind in scpm.utilities.KINDS:
+    for n in (2, 3):
+        u = scpm.make_utility(kind, n_outcomes=n)
+        if u.monotone:
+            analysis.worst_case_loss(u, "numeric", 1)
+            analysis.check_properness(u, 50, 1)
+            analysis.identify_penalty_family(u)
+            analysis.risk_dual_check(u, np.linspace(-0.5, 0.5, n), 400)
 assert "scipy.special" not in sys.modules
 """
     src = str(Path(scpm.__file__).resolve().parents[1])
