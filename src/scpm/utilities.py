@@ -16,6 +16,16 @@ an analytic (sub)gradient, the feasibility floor for t in te - q, the
 concave-conjugate penalty L(p) = sup_s u(s) - p's in closed form, and
 its analytic worst-case-loss terms (B, C(0)).
 
+A kind writes only its formulas: _value(s) and _grad(s) on float arrays
+(..., N) and loss_bound_terms() always; _level, _penalty, _kernel and
+_residual (for a set-valued subdifferential) where it has them.
+The base class owns the plumbing: value, grad, penalty_raw,
+conjugate_penalty and properness_residual coerce their input (_as_alloc:
+length N, and s > 0 for LogSCPM) and return a float for one row and the
+array for a batch, each row bit for bit as its own call.  solve_withdrawal
+and solve_fill come from _level; a kind without _penalty raises
+PenaltyUnsupportedError.
+
 solve_fill gives the end of a fill along a 0/1 bundle in closed form
 (market.fill certifies it).  The out-set B then holds price 1 - pi at the
 unmoved level and the in-set A holds pi, so x = max(0, tau_B(1 - pi) -
@@ -51,15 +61,6 @@ import numpy as np
 
 from .cost import WIDTH_TOL, _root_t, bracketed_root
 
-KINDS = (
-    "LMSR",
-    "QuadraticScore",
-    "LogSCPM",
-    "MinSCPM",
-    "ExponentialSCPM",
-    "QuadSCPM",
-)
-
 # Relative tolerance for argmin membership in the MinSCPM subgradient.
 ARGMIN_RTOL = 1e-12
 
@@ -78,6 +79,11 @@ class PenaltyUnsupportedError(ValueError):
     """The utility has no conjugate-penalty / risk interpretation."""
 
 
+def _scalar(out):
+    """A float for one row, the array for a batch."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def _logsumexp(z):
     """log sum exp over the last axis, shifted by the row maximum."""
     m = z.max(axis=-1)
@@ -87,6 +93,12 @@ def _logsumexp(z):
 def _xlogx(p):
     """sum_i p_i log p_i over the last axis, with 0 log 0 = 0."""
     return np.sum(p * np.log(p, out=np.zeros_like(p), where=p > 0), axis=-1)
+
+
+def _dot(p, w):
+    """p'w over the last axis, each row of a batch bit for bit as its own
+    call (p @ w rounds differently as a matrix and as a vector product)."""
+    return np.einsum("...i,i->...", p, w)
 
 
 def _in_set(a):
@@ -120,11 +132,12 @@ class PenaltyValue:
 
     The raw value is the supremum sup_s u(s) - p's (may be +inf at the
     simplex boundary for LogSCPM); the normalized value drops the additive
-    constant, matching the usual penalty-family tables.
+    constant, matching the usual penalty-family tables.  Both are floats
+    for one simplex vector and (M,) arrays for an (M, N) batch.
     """
 
-    raw: float
-    normalized: float
+    raw: float | np.ndarray
+    normalized: float | np.ndarray
 
 
 class Utility:
@@ -172,10 +185,12 @@ class Utility:
         return s
 
     def value(self, s):
-        raise NotImplementedError
+        """u(s), batched over the last axis."""
+        return _scalar(self._value(self._as_alloc(s)))
 
     def grad(self, s):
-        raise NotImplementedError
+        """(Sub)gradient of u at s, batched over the last axis."""
+        return self._grad(self._as_alloc(s))
 
     def grad_sum(self, s):
         """Sum of the (sub)gradient components, the derivative of cost._root_t."""
@@ -189,13 +204,16 @@ class Utility:
 
     def penalty_raw(self, p):
         """Raw L(p) = sup_s u(s) - p's, vectorized over the last axis."""
+        return _scalar(self._penalty(np.asarray(p, dtype=float)))
+
+    def _penalty(self, p):
         raise PenaltyUnsupportedError(
             f"{self.kind} has no conjugate-penalty representation"
         )
 
     def conjugate_penalty(self, p):
-        p = _check_simplex(p, self.n)
-        raw = float(self.penalty_raw(p))
+        """L(p) for one simplex vector, or per row of an (M, N) batch."""
+        raw = self.penalty_raw(_check_simplex(p, self.n))
         # Duality: min_p L(p) = -C(0), and C(0) is a catalog loss term.
         return PenaltyValue(raw, raw + self.loss_bound_terms()[1])
 
@@ -248,8 +266,10 @@ class Utility:
     def properness_residual(self, s, r):
         """Distance from r to the (sub)differential of u at s, inf-norm,
         batched over the last axis."""
-        out = np.max(np.abs(self.grad(s) - r), axis=-1)
-        return float(out) if np.ndim(out) == 0 else out
+        return _scalar(self._residual(self._as_alloc(s), r))
+
+    def _residual(self, s, r):
+        return np.max(np.abs(self.grad(s) - r), axis=-1)
 
     # -- serialization ------------------------------------------------------
 
@@ -284,14 +304,11 @@ class LMSR(Utility):
             raise ValueError("LMSR theta components must be strictly positive")
         self._log_theta = np.log(self.theta)
 
-    def value(self, s):
-        s = self._as_alloc(s)
+    def _value(self, s):
         z = -s / self.b + self._log_theta
-        out = -self.b * _logsumexp(z)
-        return float(out) if out.ndim == 0 else out
+        return -self.b * _logsumexp(z)
 
-    def grad(self, s):
-        s = self._as_alloc(s)
+    def _grad(self, s):
         z = -s / self.b + self._log_theta
         w = np.exp(z - z.max(axis=-1, keepdims=True))
         return w / w.sum(axis=-1, keepdims=True)
@@ -308,11 +325,10 @@ class LMSR(Utility):
         # Its prices fix no level: take ExponentialSCPM's, with weights theta.
         return _lse_level(self.b, q[inside] / self.b + self._log_theta[inside], total)
 
-    def penalty_raw(self, p):
+    def _penalty(self, p):
         # b * KL(p || theta/alpha) - b log alpha, alpha = sum(theta)
         alpha = self.theta.sum()
-        out = self.b * (_xlogx(p) - p @ np.log(self.theta / alpha) - math.log(alpha))
-        return float(out) if np.ndim(out) == 0 else out
+        return self.b * (_xlogx(p) - _dot(p, np.log(self.theta / alpha)) - math.log(alpha))
 
     def loss_bound_terms(self):
         # B attained as the price concentrates on the smallest-weight state.
@@ -327,16 +343,13 @@ class QuadraticScore(Utility):
     kind = "QuadraticScore"
     monotone = False
 
-    def value(self, s):
-        s = self._as_alloc(s)
+    def _value(self, s):
         sbar = s.mean(axis=-1)
         # s'(I - ee'/N)s about the mean: s's - N sbar^2 cancels at large, uniform s
         d = s - sbar[..., None]
-        out = sbar - np.sum(d * d, axis=-1) / (4.0 * self.b)
-        return float(out) if np.ndim(out) == 0 else out
+        return sbar - np.sum(d * d, axis=-1) / (4.0 * self.b)
 
-    def grad(self, s):
-        s = self._as_alloc(s)
+    def _grad(self, s):
         sbar = s.sum(axis=-1, keepdims=True) / self.n
         return 1.0 / self.n + (sbar - s) / (2.0 * self.b)
 
@@ -373,19 +386,16 @@ class LogSCPM(Utility):
         elif np.any(self.theta <= 0):
             raise ValueError("LogSCPM theta components must be strictly positive")
 
-    def _check_domain(self, s):
+    def _as_alloc(self, s):
+        s = super()._as_alloc(s)
         if np.any(s <= 0):
             raise DomainError("LogSCPM requires s > 0 componentwise")
+        return s
 
-    def value(self, s):
-        s = self._as_alloc(s)
-        self._check_domain(s)
-        out = np.sum(self.theta * np.log(s), axis=-1)
-        return float(out) if np.ndim(out) == 0 else out
+    def _value(self, s):
+        return np.sum(self.theta * np.log(s), axis=-1)
 
-    def grad(self, s):
-        s = self._as_alloc(s)
-        self._check_domain(s)
+    def _grad(self, s):
         return self.theta / s
 
     def domain_floor(self, q):
@@ -420,16 +430,14 @@ class LogSCPM(Utility):
     def _kernel(self, q):
         # Not through solve_withdrawal, whose float leaves out the probes.
         t, probes = self._level_search(q, slice(None), 1.0)
-        s = t - q
-        self._check_domain(s)
+        s = self._as_alloc(t - q)
         return t, t - float(np.sum(self.theta * np.log(s))), self.theta / s, "closed", probes
 
-    def penalty_raw(self, p):
+    def _penalty(self, p):
         # -sum theta log p + sum (theta log theta - theta); theta > 0 makes
         # it +inf where some p_i = 0
         with np.errstate(divide="ignore"):
-            out = _xlogx(self.theta) - self.theta.sum() - np.log(p) @ self.theta
-        return float(out) if np.ndim(out) == 0 else out
+            return _xlogx(self.theta) - self.theta.sum() - _dot(np.log(p), self.theta)
 
     def loss_bound_terms(self):
         alpha = self.theta.sum()
@@ -441,14 +449,11 @@ class MinSCPM(Utility):
 
     kind = "MinSCPM"
 
-    def value(self, s):
-        s = self._as_alloc(s)
-        out = s.min(axis=-1)
-        return float(out) if np.ndim(out) == 0 else out
+    def _value(self, s):
+        return s.min(axis=-1)
 
-    def grad(self, s):
+    def _grad(self, s):
         # Canonical subgradient: uniform over the argmin set.
-        s = self._as_alloc(s)
         m = s.min(axis=-1, keepdims=True)
         mask = s <= m + ARGMIN_RTOL * np.maximum(1.0, np.abs(m))
         return mask / mask.sum(axis=-1, keepdims=True)
@@ -462,23 +467,19 @@ class MinSCPM(Utility):
         # Prices sit on the largest q of S, whatever the total.
         return float(q[inside].max())
 
-    def penalty_raw(self, p):
-        p = np.asarray(p, dtype=float)
-        out = np.zeros(p.shape[:-1])
-        return float(out) if np.ndim(out) == 0 else out
+    def _penalty(self, p):
+        return np.zeros(p.shape[:-1])
 
     def loss_bound_terms(self):
         return 0.0, 0.0
 
-    def properness_residual(self, s, r):
+    def _residual(self, s, r):
         # Subdifferential at s is the simplex over the argmin set, so the
         # distance from r is the mass r places outside that set.
-        s = self._as_alloc(s)
         m = s.min(axis=-1, keepdims=True)
         outside = s > m + ARGMIN_RTOL * np.maximum(1.0, np.abs(m))
         # r >= 0, so 0 stands for the mass of an empty outside set.
-        out = np.max(np.where(outside, r, 0.0), axis=-1)
-        return float(out) if np.ndim(out) == 0 else out
+        return np.max(np.where(outside, r, 0.0), axis=-1)
 
 
 class ExponentialSCPM(Utility):
@@ -486,15 +487,12 @@ class ExponentialSCPM(Utility):
 
     kind = "ExponentialSCPM"
 
-    def value(self, s):
-        s = self._as_alloc(s)
+    def _value(self, s):
         # overflow for very negative s harmlessly saturates to -inf
         with np.errstate(over="ignore"):
-            out = self.b * (1.0 - np.mean(np.exp(-s / self.b), axis=-1))
-        return float(out) if np.ndim(out) == 0 else out
+            return self.b * (1.0 - np.mean(np.exp(-s / self.b), axis=-1))
 
-    def grad(self, s):
-        s = self._as_alloc(s)
+    def _grad(self, s):
         return np.exp(-s / self.b) / self.n
 
     def _kernel(self, q):
@@ -506,10 +504,9 @@ class ExponentialSCPM(Utility):
         # LMSR's level, log theta = -log N taken out of the sum.
         return _lse_level(self.b, q[inside] / self.b, self.n * total)
 
-    def penalty_raw(self, p):
+    def _penalty(self, p):
         # b * KL(p || uniform)
-        out = self.b * (_xlogx(p) + math.log(self.n))
-        return float(out) if np.ndim(out) == 0 else out
+        return self.b * (_xlogx(p) + math.log(self.n))
 
     def loss_bound_terms(self):
         return self.b * math.log(self.n), 0.0
@@ -537,14 +534,11 @@ class QuadSCPM(Utility):
                 f"QuadSCPM theta must sum to 1, got sum {self.theta.sum()}"
             )
 
-    def value(self, s):
-        s = self._as_alloc(s)
+    def _value(self, s):
         v = np.minimum(s, 2.0 * self.b * self.theta)
-        out = np.sum(self.theta * v, axis=-1) - np.sum(v * v, axis=-1) / (4.0 * self.b)
-        return float(out) if np.ndim(out) == 0 else out
+        return np.sum(self.theta * v, axis=-1) - np.sum(v * v, axis=-1) / (4.0 * self.b)
 
-    def grad(self, s):
-        s = self._as_alloc(s)
+    def _grad(self, s):
         return np.maximum(0.0, self.theta - s / (2.0 * self.b))
 
     def _kernel(self, q):
@@ -563,9 +557,8 @@ class QuadSCPM(Utility):
         t = (np.cumsum(c) - 2.0 * self.b * total) / np.arange(1, c.size + 1)
         return float(t[np.count_nonzero(c > t) - 1])
 
-    def penalty_raw(self, p):
-        out = self.b * np.sum((p - self.theta) ** 2, axis=-1)
-        return float(out) if np.ndim(out) == 0 else out
+    def _penalty(self, p):
+        return self.b * np.sum((p - self.theta) ** 2, axis=-1)
 
     def loss_bound_terms(self):
         t = self.theta
@@ -574,6 +567,7 @@ class QuadSCPM(Utility):
 
 CATALOG = {u.kind: u for u in (LMSR, QuadraticScore, LogSCPM, MinSCPM,
                                ExponentialSCPM, QuadSCPM)}
+KINDS = tuple(CATALOG)
 
 
 def make_utility(kind, b=1.0, n_outcomes=2, theta=None):

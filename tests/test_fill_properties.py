@@ -1,4 +1,5 @@
-"""Property tests of the limit-order fill, over every catalog kind.
+"""Property tests of the limit-order fill and of the streams it makes, over
+every catalog kind.
 
 Quantities are drawn in units of the liquidity b, the scale on which
 prices move, with b itself spanning six decades.  The closed-form level
@@ -8,9 +9,11 @@ property draws q and b apart, so that bundle prices underflow.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scpm import MarketConfig, Order, apply_fill, cost, fill, make_utility, new_market, prices
+from scpm import (MarketConfig, Order, UnboundedFillError, apply_fill, cost, fill, make_utility,
+                  new_market, prices, settle)
 from scpm.market import FILL_RTOL
 from scpm.utilities import KINDS
 
@@ -228,3 +231,42 @@ def test_lmsr_far_limit_matches_closed_form(case):
     w = np.exp(q / b)
     exact = max(0.0, b * math.log(pi * w[a == 0].sum() / ((1.0 - pi) * w[a == 1].sum())))
     assert abs(f.x_bar - exact) <= 1e-8 * max(1.0, exact)
+
+
+@st.composite
+def streams(draw):
+    n = draw(st.sampled_from([2, 3, 10]))
+    b = 10.0 ** draw(st.floats(-3.0, 3.0))
+    entry = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 3.0))
+    orders = []
+    for _ in range(draw(st.integers(1, 6))):
+        a = np.array(draw(st.lists(entry, min_size=n, max_size=n).filter(any)))
+        limit = draw(st.one_of(st.just(math.inf),
+                               st.floats(-2.0, 3.0).map(lambda e: b * 10.0 ** e)))
+        # pi lies this far from the bundle's price towards max(a), the most a
+        # monotone kind's bundle price approaches: below it when no limit
+        # ends the fill.
+        towards = draw(st.floats(0.01, 0.99 if limit == math.inf else 1.5))
+        orders.append((a, towards, limit))
+    return n, b, orders
+
+
+@pytest.mark.filterwarnings("ignore:QuadraticScore produced negative prices")
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "LogSCPM"])  # finite B + C(0)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(streams())
+def test_settlement_within_loss_bound(kind, case):
+    # Whichever outcome occurs, the organizer loses at most B + C(0).
+    n, b, orders = case
+    u = make_utility(kind, b=b, n_outcomes=n)
+    state = new_market(MarketConfig(utility=u))
+    for k, (a, towards, limit) in enumerate(orders):
+        p_a = bundle_price(u, state.q, a)
+        pi = max(0.0, p_a + towards * (float(a.max()) - p_a))
+        try:
+            apply_fill(state, fill(state, Order(f"t{k}", pi, limit, a)))
+        except UnboundedFillError:
+            # A refused order: entries far below b move prices only past
+            # the fill's growth cap (or, for MinSCPM, past its tie tolerance).
+            continue
+    assert all(settle(state, i).bound_ok for i in range(n))

@@ -61,7 +61,13 @@ def test_tracer_binds_and_restores_engine_names():
     loss = np.flatnonzero(spans["name"] == tracer.name_id("analysis.worst_case_loss"))
     solves = spans["name"] == tracer.name_id("cost.solve_t")
     assert loss.size == 1 and np.count_nonzero(solves & (spans["parent"] == loss[0])) >= 2
+    # check_properness calls the instance's traced grad, not the kind's
+    # _grad hook, so utilities.calls_per_op.grad counts its calls.
+    study = np.flatnonzero(spans["name"] == tracer.name_id("analysis.check_properness"))
+    grads = spans["name"] == tracer.name_id("utilities.grad")
+    assert study.size == 1 and np.any(grads & (spans["parent"] == study[0]))
 
     assert all(getattr(owner, attr) is fn for (owner, attr), fn in zip(bindings, before))
     for u in [*utilities, u2]:
         assert not set(tracing.UTILITY_NAMES) & set(vars(u))
+        assert all(callable(getattr(u, name)) for name in tracing.UTILITY_NAMES)

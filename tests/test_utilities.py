@@ -127,6 +127,17 @@ class TestValuesAndGradients:
         batched = u.value(S)
         singles = np.array([u.value(s) for s in S])
         np.testing.assert_allclose(batched, singles, rtol=1e-14)
+        assert type(u.value(S[0])) is float
+        # The same contract for the other batched methods: a float for one
+        # row, and each row of a batch bit for bit as its own call.
+        R = rng.dirichlet(np.ones(3), size=50)
+        methods = [u.properness_residual]
+        if u.monotone:
+            methods.append(lambda s, p: u.penalty_raw(p))
+        for method in methods:
+            rows = [method(s, r) for s, r in zip(S, R)]
+            assert all(type(v) is float for v in rows)
+            np.testing.assert_array_equal(method(S, R), rows)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_grad_batching_matches_rows(self, kind):
@@ -204,6 +215,11 @@ class TestValuesAndGradients:
             u.value(np.array([1.0, -0.5]))
         with pytest.raises(DomainError):
             u.grad(np.array([0.0, 1.0]))
+        # one row out of the domain fails the whole batch
+        batch = np.array([[1.0, 2.0], [0.5, 0.0], [3.0, 1.0]])
+        for method in (u.value, u.grad, lambda s: u.properness_residual(s, [0.5, 0.5])):
+            with pytest.raises(DomainError):
+                method(batch)
 
 
 class TestPenalty:
@@ -211,6 +227,29 @@ class TestPenalty:
         u = make_utility("QuadraticScore")
         with pytest.raises(PenaltyUnsupportedError):
             u.conjugate_penalty(np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_conjugate_penalty_takes_a_batch(self, kind):
+        # (M, N) rows give (M,) raw and normalized arrays, each row bit for
+        # bit as its own call; one vector gives floats.
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 5):
+            P = np.vstack([rng.dirichlet(np.ones(n), size=20), np.eye(n)])
+            thetas = [None]
+            if CATALOG[kind].takes_theta:
+                theta = rng.uniform(0.1, 5.0, n)
+                thetas.append(theta / theta.sum() if kind == "QuadSCPM" else theta)
+            for theta in thetas:
+                u = make_utility(kind, b=0.8, n_outcomes=n, theta=theta)
+                if not u.monotone:
+                    with pytest.raises(PenaltyUnsupportedError):
+                        u.conjugate_penalty(P)
+                    continue
+                batch = u.conjugate_penalty(P)
+                rows = [u.conjugate_penalty(p) for p in P]
+                assert all(type(v.raw) is float and type(v.normalized) is float for v in rows)
+                np.testing.assert_array_equal(batch.raw, [v.raw for v in rows])
+                np.testing.assert_array_equal(batch.normalized, [v.normalized for v in rows])
 
     @pytest.mark.parametrize("kind", [k for k in KINDS if k != "QuadraticScore"])
     def test_normalized_penalty_is_nonnegative(self, kind):
