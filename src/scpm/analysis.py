@@ -25,7 +25,6 @@ the Jacobian is singular along e for the kinds whose gradient sums to 1.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +128,8 @@ def _numeric_B(u, start):
     lower bound, and no caller passes one.
     """
     theta = u.theta
-    symmetric = theta is None or np.allclose(theta, theta[0])
+    # Exact: a prior off symmetry by one ulp has its own, larger B.
+    symmetric = theta is None or (theta == theta[0]).all()
     ends = {i: start for i in ([0] if symmetric else range(u.n))}
     peaked = set()
     best, lo, x = -start.cost, 0.0, RAY_START
@@ -167,10 +167,7 @@ def worst_case_loss(u, method="analytic", seed=0):
         b_term, c0 = u.loss_bound_terms()
     elif method == "numeric":
         start = solve_t(u, np.zeros(u.n))
-        # Past its peak a non-monotone kind's prices leave [0, 1].
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", f"{u.kind} produced negative prices")
-            b_term = _numeric_B(u, start)
+        b_term = _numeric_B(u, start)
         c0 = start.cost
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -36,7 +36,6 @@ Tolerances are fixed so that traces and acceptance values are bit-stable.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,8 +185,6 @@ def solve_t(u, q):
         if p.min() < -1e-10:
             raise SolverError("negative price from a non-decreasing utility")
         p = np.maximum(p, 0.0)
-    elif p.min() < 0:
-        warnings.warn(f"{u.kind} produced negative prices", stacklevel=2)
     return CostSolveResult(float(t + qmax), float(c + qmax), p, path == "flat", iterations, path)
 
 

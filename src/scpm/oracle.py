@@ -150,9 +150,9 @@ def cross_check(rng, scope="all"):
     Per kind: 8 costs at q ~ U(0, 4)^3 (tolerance 1e-6), one charge of
     x = 1.5 units of [1, 0, 1] at q ~ U(0, 2)^3 (1e-4, 1e-3 for MinSCPM's
     kinked prices), and one fill of (pi 0.6, limit 2, e_0) from q = 0
-    against a 1e-4 step scan (2 steps; QuadraticScore is skipped, its
-    prices can leave [0, 1]).  Every q is drawn whatever the scope, so
-    the sample points do not depend on it.
+    against a 1e-4 step scan (2 steps; a kind that is not monotone is
+    skipped, its prices can leave [0, 1]).  Every q is drawn whatever the
+    scope, so the sample points do not depend on it.
     """
     if scope not in ("all", "cost", "charge", "fill"):
         raise ValueError(f"unknown scope {scope!r}")
@@ -168,7 +168,7 @@ def cross_check(rng, scope="all"):
             gap = abs(quadrature_charge(u, q, a, 1.5) - _engine.charge(u, q, a, 1.5))
             tol = 1e-3 if kind == "MinSCPM" else 1e-4
             checks.append(CrossCheck(f"charge {kind} quadrature-vs-engine", gap, tol))
-        if scope in ("fill", "all") and kind != "QuadraticScore":
+        if scope in ("fill", "all") and u.monotone:
             state = market_mod.new_market(market_mod.MarketConfig(utility=u))
             order = market_mod.Order("v", 0.6, 2.0, np.array([1.0, 0.0, 0.0]))
             x_bar = market_mod.fill(state, order).x_bar

@@ -18,7 +18,10 @@ its analytic worst-case-loss terms (B, C(0)).
 
 A kind writes only its formulas: _value(s) and _grad(s) on float arrays
 (..., N) and loss_bound_terms() always; _level, _penalty, _kernel and
-_residual (for a set-valued subdifferential) where it has them.
+_residual (for a set-valued subdifferential) where it has them, and
+_default_theta and _check_theta if it takes a prior.  MinSCPM's
+subdifferential is the simplex over the argmin of s, so its prices are
+uniform over the exact argmax of q: no tolerance decides a tie.
 The base class owns the plumbing: value, grad, penalty_raw,
 conjugate_penalty and properness_residual coerce their input (_as_alloc:
 length N, and s > 0 for LogSCPM) and return a float for one row and the
@@ -60,9 +63,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import WIDTH_TOL, _root_t, bracketed_root
-
-# Relative tolerance for argmin membership in the MinSCPM subgradient.
-ARGMIN_RTOL = 1e-12
 
 SIMPLEX_TOL = 1e-10
 
@@ -144,6 +144,7 @@ class Utility:
     """Base class: immutable after construction, safe to share across threads."""
 
     kind = None
+    # False when the prices may leave [0, 1]; solve_t then leaves them as is.
     monotone = True
     # True when the utility takes prior weights theta; others reject one.
     takes_theta = False
@@ -160,21 +161,36 @@ class Utility:
         self.theta = self._validate_theta(theta)
 
     def _validate_theta(self, theta):
-        if theta is None:
-            return None
+        """The prior as a read-only copy: the kind's default when none is
+        given, else finite, nonnegative, of length N and passing the kind's
+        own rule.  None for a kind that takes no prior."""
         if not self.takes_theta:
-            raise ValueError(f"{self.kind} takes no theta parameter")
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.n,):
-            raise ValueError(
-                f"theta must have length {self.n}, got shape {theta.shape}"
-            )
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta components must be finite")
-        if np.any(theta < 0):
-            raise ValueError("theta components must be nonnegative")
+            if theta is not None:
+                raise ValueError(f"{self.kind} takes no theta parameter")
+            return None
+        if theta is None:
+            theta = self._default_theta()
+        else:
+            theta = np.array(theta, dtype=float)
+            if theta.shape != (self.n,):
+                raise ValueError(
+                    f"theta must have length {self.n}, got shape {theta.shape}"
+                )
+            if not np.all(np.isfinite(theta)):
+                raise ValueError("theta components must be finite")
+            if np.any(theta < 0):
+                raise ValueError("theta components must be nonnegative")
+            self._check_theta(theta)
         theta.setflags(write=False)
         return theta
+
+    def _default_theta(self):
+        return np.ones(self.n)
+
+    def _check_theta(self, theta):
+        # The prior's weights enter through their logs (LMSR, LogSCPM).
+        if np.any(theta <= 0):
+            raise ValueError(f"{self.kind} theta components must be strictly positive")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -252,8 +268,8 @@ class Utility:
         given the bundle price p_a = p(q)'a < pi, or None when unavailable.
 
         For a 0/1 bundle this is tau_B(1 - pi) - tau_A(pi) from _level,
-        clamped at 0: p_a < pi puts the end at x >= 0, and only rounding
-        (a near-tie of MinSCPM's maxima) makes the difference negative.
+        clamped at 0: p_a < pi puts the end at x >= 0, and only the
+        rounding of the two levels makes the difference negative.
         Makes no cost solve.  market.fill accepts the candidate only after
         cost solves bracket it, and otherwise searches.
         """
@@ -296,12 +312,6 @@ class LMSR(Utility):
 
     def __init__(self, b=1.0, n_outcomes=2, theta=None):
         super().__init__(b, n_outcomes, theta)
-        if self.theta is None:
-            theta = np.ones(self.n)
-            theta.setflags(write=False)
-            self.theta = theta
-        elif np.any(self.theta <= 0):
-            raise ValueError("LMSR theta components must be strictly positive")
         self._log_theta = np.log(self.theta)
 
     def _value(self, s):
@@ -377,15 +387,6 @@ class LogSCPM(Utility):
     kind = "LogSCPM"
     takes_theta = True
 
-    def __init__(self, b=1.0, n_outcomes=2, theta=None):
-        super().__init__(b, n_outcomes, theta)
-        if self.theta is None:
-            theta = np.ones(self.n)
-            theta.setflags(write=False)
-            self.theta = theta
-        elif np.any(self.theta <= 0):
-            raise ValueError("LogSCPM theta components must be strictly positive")
-
     def _as_alloc(self, s):
         s = super()._as_alloc(s)
         if np.any(s <= 0):
@@ -453,14 +454,13 @@ class MinSCPM(Utility):
         return s.min(axis=-1)
 
     def _grad(self, s):
-        # Canonical subgradient: uniform over the argmin set.
-        m = s.min(axis=-1, keepdims=True)
-        mask = s <= m + ARGMIN_RTOL * np.maximum(1.0, np.abs(m))
+        # Canonical subgradient: uniform over the exact argmin set.
+        mask = s == s.min(axis=-1, keepdims=True)
         return mask / mask.sum(axis=-1, keepdims=True)
 
     def _kernel(self, q):
         # Flat in t: C = max(q) = 0, prices uniform over the argmax, as grad(-q).
-        top = q >= -ARGMIN_RTOL
+        top = q == 0.0
         return 0.0, 0.0, top / np.count_nonzero(top), "flat", 0
 
     def _level(self, q, inside, total):
@@ -476,8 +476,7 @@ class MinSCPM(Utility):
     def _residual(self, s, r):
         # Subdifferential at s is the simplex over the argmin set, so the
         # distance from r is the mass r places outside that set.
-        m = s.min(axis=-1, keepdims=True)
-        outside = s > m + ARGMIN_RTOL * np.maximum(1.0, np.abs(m))
+        outside = s > s.min(axis=-1, keepdims=True)
         # r >= 0, so 0 stands for the mass of an empty outside set.
         return np.max(np.where(outside, r, 0.0), axis=-1)
 
@@ -523,16 +522,12 @@ class QuadSCPM(Utility):
     kind = "QuadSCPM"
     takes_theta = True
 
-    def __init__(self, b=1.0, n_outcomes=2, theta=None):
-        super().__init__(b, n_outcomes, theta)
-        if self.theta is None:
-            theta = np.full(self.n, 1.0 / self.n)
-            theta.setflags(write=False)
-            self.theta = theta
-        elif abs(self.theta.sum() - 1.0) > 1e-12:
-            raise ValueError(
-                f"QuadSCPM theta must sum to 1, got sum {self.theta.sum()}"
-            )
+    def _default_theta(self):
+        return np.full(self.n, 1.0 / self.n)
+
+    def _check_theta(self, theta):
+        if abs(theta.sum() - 1.0) > 1e-12:
+            raise ValueError(f"QuadSCPM theta must sum to 1, got sum {theta.sum()}")
 
     def _value(self, s):
         v = np.minimum(s, 2.0 * self.b * self.theta)

@@ -241,7 +241,6 @@ def test_criterion_08_oracle_cross_checks():
             f"cost {worst_cost:.2e}, fill {worst_fill:.2e}, {elapsed:.1f}s")
 
 
-@pytest.mark.filterwarnings("ignore:QuadraticScore produced negative prices")
 def test_criterion_09_loss_bound_in_simulation():
     """Worst-outcome P&L never dips below -(B + C(0)) on random streams."""
     rng = np.random.default_rng(9)

@@ -60,6 +60,17 @@ class TestWorstCaseLoss:
             else:
                 assert num == pytest.approx(b_term + c0, rel=1e-9)
 
+    @pytest.mark.parametrize("kind, theta", [
+        ("LMSR", [1.0, 1.0, 1.0 - 5e-6]),
+        ("QuadSCPM", [1.0 / 3.0 + 5e-7, 1.0 / 3.0 + 5e-7, 1.0 / 3.0 - 1e-6]),
+    ])
+    def test_numeric_with_nearly_uniform_prior(self, kind, theta):
+        # A prior within np.allclose of uniform still has its own B: the
+        # search must climb the ray of the smallest weight.
+        u = make_utility(kind, n_outcomes=3, theta=theta)
+        num = worst_case_loss(u, method="numeric").total
+        assert abs(num - worst_case_loss(u).total) <= 1e-12
+
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
             worst_case_loss(make_utility("LMSR"), method="exact")

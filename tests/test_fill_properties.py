@@ -200,18 +200,21 @@ def split_cases(draw):
 @given(split_cases())
 def test_split_order_fills_the_same(case):
     # Four orders with a quarter of the limit each end where the one order
-    # does: x_bar is accurate relative to itself, whatever the limit.
+    # does: x_bar is accurate relative to itself, whatever the limit.  The
+    # integral charge is additive, so their charges sum to the one's.
     u, q, a, towards, limit = case
     p_a = bundle_price(u, q, a)
     pi = max(0.0, p_a + towards * (float(a.max()) - p_a))
-    one = fill(market_at(u, q), Order("h", pi, limit, a)).x_bar
+    one = fill(market_at(u, q), Order("h", pi, limit, a))
     state = market_at(u, q)
-    split = 0.0
+    split = charged = 0.0
     for _ in range(4):
         f = fill(state, Order("h", pi, limit / 4.0, a))
         apply_fill(state, f)
         split += f.x_bar
-    assert abs(split - one) <= 1e-6 * max(1.0, one)
+        charged += f.charge
+    assert abs(split - one.x_bar) <= 1e-6 * max(1.0, one.x_bar)
+    assert abs(charged - one.charge) <= 1e-6 * max(1.0, one.x_bar) * float(a.max())
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -251,7 +254,6 @@ def streams(draw):
     return n, b, orders
 
 
-@pytest.mark.filterwarnings("ignore:QuadraticScore produced negative prices")
 @pytest.mark.parametrize("kind", [k for k in KINDS if k != "LogSCPM"])  # finite B + C(0)
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(streams())

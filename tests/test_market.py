@@ -270,6 +270,16 @@ class TestFill:
         assert "bracket" not in paths
         assert paths.count("closed") >= 100
 
+    @pytest.mark.parametrize("a2", [1e-6, 1e-10, 1e-13, 2.9e-35])
+    def test_minscpm_small_bundle_ends_at_zero(self, a2):
+        # From q = 0 any x > 0 makes state 1 the one argmax of q and prices
+        # the bundle at a2 > pi: the fill ends at 0, however small a2 is.
+        u = make_utility("MinSCPM", b=1.0, n_outcomes=2)
+        f = fill(new_market(MarketConfig(utility=u)),
+                 Order("t", 0.75 * a2, math.inf, np.array([0.0, a2])))
+        assert f.x_bar == 0.0
+        assert f.charge == 0.0
+
     def test_integral_charge_equals_cost_difference(self):
         from scpm import cost
 

@@ -76,6 +76,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="takes no theta"):
             cls(n_outcomes=2, theta=[0.5, 0.5])
 
+    @pytest.mark.parametrize("kind", ["LMSR", "LogSCPM", "QuadSCPM"])
+    def test_theta_is_a_read_only_copy(self, kind):
+        # The caller's array stays its own: writeable, and not the prior.
+        arr = np.array([0.25, 0.75])
+        u = make_utility(kind, n_outcomes=2, theta=arr)
+        assert arr.flags.writeable
+        assert u.theta is not arr
+        assert not u.theta.flags.writeable
+        np.testing.assert_array_equal(u.theta, arr)
+
     def test_theta_length_checked(self):
         with pytest.raises(ValueError, match="length 3"):
             make_utility("LMSR", n_outcomes=3, theta=[1.0, 2.0])
