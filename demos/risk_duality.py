@@ -7,8 +7,9 @@ penalized by how implausible each belief is:
 
     rho(Z) = -min_p { E_p[Z] + L(p) }
 
-This demo evaluates both sides on a grid and prints the penalty family
-that makes each mechanism tick.
+This demo evaluates both sides (the dual at the engine's own prices and
+on a refined simplex lattice) and prints the penalty family that makes
+each mechanism tick.
 
 Run:  python3 demos/risk_duality.py
 """

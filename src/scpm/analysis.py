@@ -8,6 +8,9 @@ Conventions pinned here:
   that is ever compared);
 * the risk dual is rho(Z) = -min_p { E_p[Z] + raw L(p) } over the simplex,
   using the raw (non-normalized) conjugate so additive constants line up;
+  its check takes the minimum over two sides: the engine's prices p(-Z),
+  where Fenchel-Young attains it exactly, and a coarse lattice refined
+  around its best point, which no belief may undercut;
 * numeric worst-case-loss search cannot prove unboundedness, so the
   analytic catalog answer is authoritative and the search is a cross-check.
 
@@ -44,6 +47,11 @@ FD_STEP = math.sqrt(np.finfo(float).eps)
 STEP_RCOND = 1e-6
 N_PROBES = 16
 TINY = np.finfo(float).tiny
+# The risk dual's lattice: its starting resolution, the factor each round
+# cuts the spacing by, and the steps a round's patch reaches each way.
+DUAL_START = 20
+DUAL_CUT = 4
+DUAL_REACH = 8
 
 
 @dataclass
@@ -382,26 +390,61 @@ def msr_equivalence_check(rule, b=1.0, n_outcomes=2, n_orders=100, seed=0):
 # -- risk measure -----------------------------------------------------------
 
 
-def risk_measure(u, Z):
-    """rho(Z) = min_t t - u(Z + te), evaluated as C(-Z)."""
+def _risk_solve(u, Z):
+    """The cost solve at -Z, which gives rho(Z) and the dual's witness p(-Z)."""
     if not u.monotone:
         raise ValueError(
             f"{u.kind} is not non-decreasing and has no risk-measure representation"
         )
-    Z = np.asarray(Z, dtype=float)
-    res = solve_t(u, -Z)
+    return solve_t(u, -np.asarray(Z, dtype=float))
+
+
+def risk_measure(u, Z):
+    """rho(Z) = min_t t - u(Z + te), evaluated as C(-Z)."""
+    res = _risk_solve(u, Z)
     return RiskEvaluation(rho=res.cost, t_star=res.t_star)
 
 
-def risk_dual_check(u, Z, grid_resolution=1000):
-    """Compare rho(Z) against -min_p { E_p[Z] + raw L(p) } on a simplex grid."""
-    ev = risk_measure(u, Z)
-    Z = np.asarray(Z, dtype=float)
-    P = simplex_grid(u.n, grid_resolution)
+def _lattice_min(u, Z, resolution):
+    """min of p'Z + raw L(p) over a res-DUAL_START lattice (N <= 3) refined
+    around its best point, DUAL_CUT times finer per round, on a patch of
+    DUAL_REACH steps each way, until the spacing is at most 1/resolution;
+    above N = 3, over simplex_grid's sample at that resolution."""
+    if u.n > 3:
+        P = simplex_grid(u.n, resolution)
+        return float(np.min(P @ Z + u.penalty_raw(P)))
+    steps = np.arange(-DUAL_REACH, DUAL_REACH + 1)
+    offsets = np.stack(np.meshgrid(*[steps] * (u.n - 1), indexing="ij"), -1).reshape(-1, u.n - 1)
+    res = DUAL_START
+    P = simplex_grid(u.n, res)
     vals = P @ Z + u.penalty_raw(P)
-    dual = -float(np.min(vals))
+    low = float(vals.min())
+    while res < resolution:
+        # integer lattice coordinates of all but the last component
+        K = np.rint(P[np.argmin(vals), :-1] * res) * DUAL_CUT + offsets
+        res *= DUAL_CUT
+        K = K[(K >= 0).all(axis=1) & (K.sum(axis=1) <= res)]
+        P = np.column_stack([K, res - K.sum(axis=1)]) / res
+        vals = P @ Z + u.penalty_raw(P)
+        low = min(low, float(vals.min()))
+    return low
+
+
+def risk_dual_check(u, Z, grid_resolution=1000):
+    """Compare rho(Z) against -min_p { E_p[Z] + raw L(p) }.
+
+    The minimum is taken over the engine's own prices p(-Z), where
+    Fenchel-Young makes p'Z + L(p) = -rho(Z) exactly, and over a simplex
+    lattice refined to a spacing of at most 1/grid_resolution, which no
+    point may undercut (weak duality).  A penalty too high at the witness
+    or too low anywhere near the minimum opens the gap.
+    """
+    res = _risk_solve(u, Z)
+    Z = np.asarray(Z, dtype=float)
+    witness = float(res.prices @ Z) + u.penalty_raw(res.prices)
+    dual = -min(witness, _lattice_min(u, Z, grid_resolution))
     return RiskEvaluation(
-        rho=ev.rho, t_star=ev.t_star, dual_value=dual, dual_gap=abs(ev.rho - dual)
+        rho=res.cost, t_star=res.t_star, dual_value=dual, dual_gap=abs(res.cost - dual)
     )
 
 

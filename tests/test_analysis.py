@@ -291,6 +291,81 @@ class TestRiskMeasure:
         assert ev.dual_gap <= 1e-5
 
 
+def shift_penalty(u, delta):
+    """Offset u's raw penalty by the constant delta on this instance only."""
+    penalty = u._penalty
+    u._penalty = lambda p: penalty(p) + delta
+    return u
+
+
+def recording_penalty(u):
+    """Record every array u's raw penalty prices; returns the record."""
+    penalty = u._penalty
+    seen = []
+
+    def recording(p):
+        seen.append(p)
+        return penalty(p)
+
+    u._penalty = recording
+    return seen
+
+
+class TestRiskDualCertificate:
+    @pytest.mark.parametrize("b", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", MONOTONE_KINDS)
+    def test_gap_closes_far_from_zero(self, kind, n, b):
+        # |Z| up to 10 b puts p(-Z) near a face of the simplex, where a
+        # uniform lattice of spacing 1/400 leaves gaps of 1e-5 to 1e-3.
+        u = make_utility(kind, b=b, n_outcomes=n)
+        rng = np.random.default_rng(16)
+        for scale in (0.1, 1.0, 10.0):
+            for _ in range(3):
+                Z = scale * b * rng.uniform(-1.0, 1.0, size=n)
+                ev = risk_dual_check(u, Z, 400 if n == 3 else 4000)
+                assert ev.dual_gap <= 1e-8, (Z, ev)
+                assert ev.rho == risk_measure(u, Z).rho
+
+    @pytest.mark.parametrize("delta", [1e-3, -1e-3])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", MONOTONE_KINDS)
+    def test_shifted_penalty_shows(self, kind, n, delta):
+        # Too high a penalty loses the witness, too low a one lets a
+        # lattice point undercut rho.  A constant, as MinSCPM's L is 0.
+        u = shift_penalty(make_utility(kind, n_outcomes=n), delta)
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            Z = rng.uniform(-2.0, 2.0, size=n)
+            assert risk_dual_check(u, Z, 400).dual_gap >= 5e-4
+
+    @pytest.mark.parametrize("kind", MONOTONE_KINDS)
+    def test_witness_closes_sampled_dual(self, kind):
+        # Above N = 3 the lattice is a Dirichlet sample; the witness is exact.
+        u = make_utility(kind, n_outcomes=5)
+        Z = np.random.default_rng(18).uniform(-3.0, 3.0, size=5)
+        assert risk_dual_check(u, Z, 20).dual_gap <= 1e-8
+
+    def test_non_monotone_rejected(self):
+        with pytest.raises(ValueError, match="risk-measure"):
+            risk_dual_check(make_utility("QuadraticScore", n_outcomes=3), np.zeros(3), 400)
+
+
+class TestDualWork:
+    # A coarse lattice refined around its best point prices a few hundred
+    # rows per round: a return to the full res-400 grid (80 601 rows) shows.
+    @pytest.mark.parametrize("res", [50, 400, 4000])
+    @pytest.mark.parametrize("kind", MONOTONE_KINDS)
+    def test_rows_priced_and_spacing_reached(self, kind, res):
+        u = make_utility(kind, n_outcomes=3)
+        seen = recording_penalty(u)
+        risk_dual_check(u, np.array([0.3, -0.2, 0.1]), res)
+        assert sum(len(np.atleast_2d(p)) for p in seen) <= 2000
+        spacing = min(np.diff(np.unique(P[:, :-1])).min()
+                      for P in seen if np.ndim(P) == 2)
+        assert spacing <= (1.0 + 1e-9) / res
+
+
 class TestPenaltyFamily:
     def test_labels_recovered(self):
         expected = {

@@ -358,6 +358,37 @@ def test_prices_on_simplex_at_large_n(case):
     assert np.all((0.0 <= p) & (p <= 1.0))
 
 
+@st.composite
+def uniform_shifts(draw):
+    # b over twelve decades, N up to 50, and q and c each of any length up
+    # to 1e12.  Both are then rounded to the float spacing u of twice their
+    # largest magnitude: every q_i + c is then a multiple of u below
+    # 2^53 u, so the shift is exact and any difference is the engine's.
+    n = draw(st.sampled_from([2, 3, 10, 50]))
+    b = 10.0 ** draw(st.floats(-6.0, 6.0))
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(np.array)
+    q = 10.0 ** draw(st.floats(-6.0, 12.0)) * draw(unit)
+    c = 10.0 ** draw(st.floats(-6.0, 12.0)) * draw(st.floats(-1.0, 1.0))
+    u = np.spacing(2.0 * max(np.abs(q).max(), abs(c)))
+    return b, np.rint(q / u) * u, float(np.rint(c / u) * u)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(uniform_shifts())
+def test_translation_invariance(kind, case):
+    # C(q + c e) = C(q) + c and p(q + c e) = p(q).  The solve shifts q to
+    # max 0, which an exact shift leaves bit for bit: the prices agree
+    # exactly, and C within the rounding of adding max(q) back, 4 ulps of
+    # the largest |C|, |c| or |q|.
+    b, q, c = case
+    u = make_utility(kind, b=b, n_outcomes=q.size)
+    at, shifted = solve_t(u, q), solve_t(u, q + c)
+    scale = max(abs(at.cost), abs(c), np.abs(q).max())
+    assert abs(shifted.cost - (at.cost + c)) <= 4.0 * np.spacing(scale), (kind, b, q, c)
+    np.testing.assert_array_equal(shifted.prices, at.prices)
+
+
 class TestCharge:
     def test_zero_fill_costs_nothing(self):
         u = make_utility("LMSR", n_outcomes=2)
