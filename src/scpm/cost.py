@@ -3,7 +3,7 @@
 The minimizing t solves e' grad(u)(te - q) = 1, and then C(q) = t -
 u(te - q) and the prices are grad(u)(te - q).  solve_t has one path: the
 utility's kernel (utilities.py) returns the level t, C and the prices
-together, with the solve's path name and root probes:
+together, with the solve's path name and iteration count:
 
 * "flat": a gradient that sums to 1 identically (LMSR, MinSCPM,
   QuadraticScore) makes the objective flat in t, and the kernel reads C
@@ -12,7 +12,7 @@ together, with the solve's path name and root probes:
   (ExponentialSCPM, QuadSCPM, LogSCPM), with C and the prices from one
   s = t - q.  The prices are grad(u) at that level, so the price-sum check
   below bounds the same |1 - e' grad(u)| a certificate would.  LogSCPM's
-  level is a bracketed root, and its probes are the iterations;
+  level is a Newton iteration, and its passes are the iterations;
 * "root", the base kernel without a level (none in the catalog): _root_t
   brackets g(t) = 1 - e' grad(u)(te - q) with expand_bracket and hands it
   to bracketed_root, or returns "flat" where g is 0 at both ends up to the
@@ -22,13 +22,12 @@ The kernel works at q - max(q), and solve_t adds max(q) back: C(q + ce) =
 C(q) + c and prices are unchanged, so the level and the price check then
 work at the scale of the spread of q, not of its size.
 
-expand_bracket and bracketed_root are the one 1-D search of the package.
-market.fill falls back on them, on the bundle price along the order, when
-a utility's closed-form fill is missing or fails its certificate; the
-bracket grows from 1 up to the limit.  LogSCPM's level tau_S(T), for its
-withdrawal and each side of a fill, narrows one bracket.  analysis uses
-bracketed_root on the price p_i where a non-monotone kind's worst-case
-loss peaks.
+expand_bracket and bracketed_root are the one 1-D search of the package,
+and it stops on the width of its bracket alone.  market.fill falls back on
+them, on the bundle price along the order, when a utility's closed-form
+fill is missing or fails its certificate; the bracket grows from 1 up to
+the limit.  analysis uses bracketed_root on the price p_i where a
+non-monotone kind's worst-case loss peaks.
 
 Tolerances are fixed so that traces and acceptance values are bit-stable.
 """
@@ -40,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-GRAD_TOL = 1e-10
 WIDTH_TOL = 1e-12
 MAX_ITER = 200
 MAX_EXPAND = 128
@@ -71,7 +69,7 @@ class CostSolveResult:
     path: str  # "flat", "closed" or "root", named by the kernel
 
 
-def bracketed_root(f, lo, hi, flo, fhi, tol, ftol=None):
+def bracketed_root(f, lo, hi, flo, fhi, tol):
     """Narrow a bracket of a nondecreasing f, f(lo) <= 0 < f(hi), to width tol.
 
     Anderson-Bjorck false position: when the same end of the bracket is
@@ -81,7 +79,7 @@ def bracketed_root(f, lo, hi, flo, fhi, tol, ftol=None):
     bracket on the next step, and three probes that together fail to halve
     the bracket are followed by a bisection step, as is an infinite end
     value, which gives no secant.  Returns the low end and the number of
-    probes, or the first probe x with |f(x)| <= ftol.
+    probes.
     """
     side = 0
     widths = [hi - lo]
@@ -93,8 +91,6 @@ def bracketed_root(f, lo, hi, flo, fhi, tol, ftol=None):
             x = lo - flo * width / (fhi - flo)
         x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
         fx = f(x)
-        if ftol is not None and abs(fx) <= ftol:
-            return x, len(widths)
         if fx <= 0.0:
             if side < 0:
                 fhi *= 1.0 - fx / flo if fx > 0.5 * flo else 0.5
@@ -162,7 +158,7 @@ def _root_t(u, q):
                           "above the domain floor)")
     lo, hi, glo, ghi = bracket
     tol = WIDTH_TOL * max(1.0, abs(lo), abs(hi))
-    t, iterations = bracketed_root(g, lo, hi, glo, ghi, tol, GRAD_TOL)
+    t, iterations = bracketed_root(g, lo, hi, glo, ghi, tol)
     return t, "root", iterations
 
 
@@ -171,6 +167,8 @@ def solve_t(u, q):
     q = np.asarray(q, dtype=float)
     if q.shape != (u.n,):
         raise ValueError(f"q must have shape ({u.n},), got {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError("q must be finite")
     qmax = float(q.max())
     t, c, p, path, iterations = u._kernel(q - qmax)
     p = np.asarray(p, dtype=float)

@@ -39,7 +39,7 @@ sum_{i in S} du/ds_i(tau - q_i) = T:
     ExponentialSCPM   the same with log theta = -log N
     MinSCPM           max_S q
     QuadSCPM          water-filling over S
-    LogSCPM           a bracketed root, closed form when |S| = 1
+    LogSCPM           Newton on 1 / sum_S theta_i / (tau - q_i), from below
 
 At S = all, T = 1 it is the withdrawal of every non-flat kind.
 QuadraticScore has no level; its bundle price is affine, and its own
@@ -47,9 +47,9 @@ solve_fill gives 2b (pi - p(q)'a) / (a'a - (e'a)^2/N), any bundle.
 
 _kernel(q) is the whole cost solve of cost.solve_t at q with max(q) = 0:
 the level t, C = t - u(t - q), the prices grad(u)(t - q), the path name
-and the root probes.  The flat kinds read t = 0 and both values from q in
+and the iterations.  The flat kinds read t = 0 and both values from q in
 one pass (LMSR: one exp and one sum).  ExponentialSCPM and QuadSCPM take
-t from solve_withdrawal, LogSCPM from its level search with its probe
+t from solve_withdrawal, LogSCPM from its Newton level with its pass
 count, and each computes C and the prices from one s = t - q.  The base
 kernel is the generic path: the withdrawal or cost._root_t, then value
 and grad.
@@ -62,13 +62,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import WIDTH_TOL, _root_t, bracketed_root
+from .cost import MAX_ITER, _root_t
 
 SIMPLEX_TOL = 1e-10
-
-# LogSCPM's level search stops at |T - sum_S du/ds_i| <= LEVEL_FTOL * T, far
-# below the price steps a fill's certificate must tell apart.
-LEVEL_FTOL = 1e-13
 
 
 class DomainError(ValueError):
@@ -313,6 +309,10 @@ class LMSR(Utility):
     def __init__(self, b=1.0, n_outcomes=2, theta=None):
         super().__init__(b, n_outcomes, theta)
         self._log_theta = np.log(self.theta)
+        # The penalty's prior theta/alpha, alpha = sum(theta)
+        alpha = self.theta.sum()
+        self._log_prior = np.log(self.theta / alpha)
+        self._log_alpha = math.log(alpha)
 
     def _value(self, s):
         z = -s / self.b + self._log_theta
@@ -336,9 +336,8 @@ class LMSR(Utility):
         return _lse_level(self.b, q[inside] / self.b + self._log_theta[inside], total)
 
     def _penalty(self, p):
-        # b * KL(p || theta/alpha) - b log alpha, alpha = sum(theta)
-        alpha = self.theta.sum()
-        return self.b * (_xlogx(p) - _dot(p, np.log(self.theta / alpha)) - math.log(alpha))
+        # b * KL(p || theta/alpha) - b log alpha
+        return self.b * (_xlogx(p) - _dot(p, self._log_prior) - self._log_alpha)
 
     def loss_bound_terms(self):
         # B attained as the price concentrates on the smallest-weight state.
@@ -387,6 +386,10 @@ class LogSCPM(Utility):
     kind = "LogSCPM"
     takes_theta = True
 
+    def __init__(self, b=1.0, n_outcomes=2, theta=None):
+        super().__init__(b, n_outcomes, theta)
+        self._penalty_shift = _xlogx(self.theta) - self.theta.sum()
+
     def _as_alloc(self, s):
         s = super()._as_alloc(s)
         if np.any(s <= 0):
@@ -403,42 +406,37 @@ class LogSCPM(Utility):
         return float(np.max(q))
 
     def _level(self, q, inside, total):
-        return self._level_search(q, inside, total)[0]
+        return self._newton_level(q, inside, total)[0]
 
-    def _level_search(self, q, inside, total):
-        # tau with sum_S theta_i / (tau - q_i) = total lies between the level
-        # of the largest q_j alone and the level of all of S's weight at q_j.
-        # Returns tau and the probes of its search.
+    def _newton_level(self, q, inside, total):
+        # F(tau) = 1 / sum_S theta_i / (tau - q_i) is concave and increasing
+        # above max_S q: Newton on F = 1 / total from the level of the largest
+        # q_j alone (kept above q_j in floats) stays below the root and rises
+        # to it until a step no longer moves tau.  Returns tau and the passes.
         q, theta = q[inside], self.theta[inside]
         j = int(np.argmax(q))
-        lo = q[j] + theta[j] / total
-        if q.size == 1:
-            return float(lo), 0
-        hi = q[j] + theta.sum() / total
-
-        def g(tau):
-            return total - float((theta / (tau - q)).sum())
-
-        glo, ghi = g(lo), g(hi)
-        if glo >= 0.0 or ghi <= 0.0:
-            return float(lo if glo >= 0.0 else hi), 0
-        # The root nears lo when one weight dominates: the width is relative
-        # to lo, not to hi, and a residual stop ends the search at rounding.
-        tau, probes = bracketed_root(g, lo, hi, glo, ghi, WIDTH_TOL * max(1.0, abs(lo)),
-                                     LEVEL_FTOL * total)
-        return float(tau), probes
+        tau = max(q[j] + theta[j] / total, math.nextafter(q[j], math.inf))
+        for passes in range(1, MAX_ITER + 1):
+            d = tau - q
+            r = theta / d
+            s1 = r.sum()
+            step = s1 * (s1 - total) / (total * (r / d).sum())
+            if not tau + step > tau:
+                break
+            tau += step
+        return float(tau), passes
 
     def _kernel(self, q):
-        # Not through solve_withdrawal, whose float leaves out the probes.
-        t, probes = self._level_search(q, slice(None), 1.0)
+        # Not through solve_withdrawal, whose float leaves out the passes.
+        t, passes = self._newton_level(q, slice(None), 1.0)
         s = self._as_alloc(t - q)
-        return t, t - float(np.sum(self.theta * np.log(s))), self.theta / s, "closed", probes
+        return t, t - float(np.sum(self.theta * np.log(s))), self.theta / s, "closed", passes
 
     def _penalty(self, p):
         # -sum theta log p + sum (theta log theta - theta); theta > 0 makes
         # it +inf where some p_i = 0
         with np.errstate(divide="ignore"):
-            return _xlogx(self.theta) - self.theta.sum() - _dot(np.log(p), self.theta)
+            return self._penalty_shift - _dot(np.log(p), self.theta)
 
     def loss_bound_terms(self):
         alpha = self.theta.sum()

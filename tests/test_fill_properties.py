@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scpm import (MarketConfig, Order, UnboundedFillError, apply_fill, cost, fill, make_utility,
-                  new_market, prices, settle)
+from scpm import (DomainError, MarketConfig, Order, SolverError, StaleFillError,
+                  UnboundedFillError, apply_fill, cost, fill, make_utility, new_market, prices,
+                  settle)
 from scpm.market import FILL_RTOL
 from scpm.utilities import KINDS
 
@@ -272,3 +273,50 @@ def test_settlement_within_loss_bound(kind, case):
             # the fill's growth cap (or, for MinSCPM, past its tie tolerance).
             continue
     assert all(settle(state, i).bound_ok for i in range(n))
+
+
+def decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def contract_cases(draw):
+    # b over sixteen decades, q up to 1e14, bundle entries from 1e-9 to 1e6,
+    # limits from 1e-12 to 1e15 or none, and pi anywhere in [0, 5], also
+    # within 1e-12 of 0 and of 1.  A prior spans twelve decades, so
+    # LogSCPM's level meets wide weights as well as wide totals.
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.sampled_from([2, 3, 10, 50]))
+    theta = None
+    if kind in ("LMSR", "LogSCPM", "QuadSCPM"):
+        theta = np.array(draw(st.lists(decades(-6.0, 6.0), min_size=n, max_size=n)))
+        if kind == "QuadSCPM":
+            theta /= theta.sum()
+    u = make_utility(kind, b=draw(decades(-8.0, 8.0)), n_outcomes=n, theta=theta)
+    q = draw(decades(-3.0, 14.0)) * np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                                           max_size=n)))
+    a = np.array(draw(st.lists(st.one_of(st.just(0.0), decades(-9.0, 6.0)), min_size=n,
+                               max_size=n).filter(any)))
+    pi = draw(st.one_of(st.floats(0.0, 5.0), st.floats(0.0, 1e-12),
+                        st.floats(-1e-12, 1e-12).map(lambda d: 1.0 + d)))
+    limit = draw(st.one_of(st.just(math.inf), decades(-12.0, 15.0)))
+    return u, q, a, pi, limit
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(contract_cases())
+# The in-set's level lies 2e-6 above q_j = -1e14, closer than its float
+# spacing, so Newton's start must be kept above q_j; the certificate's solve
+# at a level near 1e-6 needs it to relative, not absolute, accuracy.
+@example((make_utility("LogSCPM", n_outcomes=2, theta=[1e-6, 1.0]), np.array([0.0, 1e14]),
+          np.array([1.0, 0.0]), 0.5, math.inf))
+def test_fill_is_finite_or_a_typed_error(case):
+    # Every fill the engine accepts ends finite or raises one of its own
+    # errors, with RuntimeWarnings raised as errors (pyproject.toml).
+    u, q, a, pi, limit = case
+    try:
+        f = fill(market_at(u, q), Order("h", pi, limit, a))
+    except (SolverError, DomainError, UnboundedFillError, StaleFillError):
+        return
+    assert math.isfinite(f.x_bar) and math.isfinite(f.charge)
+    assert np.isfinite(f.prices_before).all() and np.isfinite(f.prices_after).all()

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from scpm import MarketConfig, Order, make_utility
+from scpm import MarketConfig, Order, make_utility, solve_t
 from scpm.utilities import KINDS
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -71,3 +71,13 @@ def test_tracer_binds_and_restores_engine_names():
     for u in [*utilities, u2]:
         assert not set(tracing.UTILITY_NAMES) & set(vars(u))
         assert all(callable(getattr(u, name)) for name in tracing.UTILITY_NAMES)
+
+
+def test_log_solves_count_as_bisection():
+    # LogSCPM's level is a Newton search, so the harness files its solves
+    # under bisection (2), also where one weight dominates and the first
+    # point is already the level.
+    tracing = load_tracing()
+    u = make_utility("LogSCPM", n_outcomes=3)
+    for q in ([0.3, 1.2, 0.8], [0.0, -1e300, -1e300]):
+        assert tracing.solve_path(solve_t(u, np.array(q))) == 2
