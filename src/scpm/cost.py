@@ -20,7 +20,12 @@ together, with the solve's path name and iteration count:
 
 The kernel works at q - max(q), and solve_t adds max(q) back: C(q + ce) =
 C(q) + c and prices are unchanged, so the level and the price check then
-work at the scale of the spread of q, not of its size.
+work at the scale of the spread of q, not of its size.  solve_t accepts a
+q only if it is finite and its spread max(q) - min(q) is too, so that the
+shift cannot overflow; both read off min(q) and max(q).  For a monotone
+kind it rejects a price below -1e-10 and clamps the ones in [-1e-10, 0) to
++0.0, and it runs the clamp only when some price is negative: a kernel
+hands it no -0.0.
 
 expand_bracket and bracketed_root are the one 1-D search of the package,
 and it stops on the width of its bracket alone.  market.fill falls back on
@@ -163,13 +168,20 @@ def _root_t(u, q):
 
 
 def solve_t(u, q):
-    """Minimize t - u(te - q); returns level, cost, prices and diagnostics."""
+    """Minimize t - u(te - q); returns level, cost, prices and diagnostics.
+
+    Raises ValueError unless q has shape (N,), is finite and has a finite
+    spread max(q) - min(q), and SolverError for prices off the simplex or,
+    from a monotone kind, a price below -1e-10.
+    """
     q = np.asarray(q, dtype=float)
     if q.shape != (u.n,):
         raise ValueError(f"q must have shape ({u.n},), got {q.shape}")
-    if not np.isfinite(q).all():
-        raise ValueError("q must be finite")
-    qmax = float(q.max())
+    # One pass each for min and max: a nan or an infinite entry, or a spread
+    # past the float range, leaves qmin - qmax at -inf or nan.
+    qmin, qmax = float(q.min()), float(q.max())
+    if not -math.inf < qmin - qmax:
+        raise ValueError("q must be finite, with a finite spread max(q) - min(q)")
     t, c, p, path, iterations = u._kernel(q - qmax)
     p = np.asarray(p, dtype=float)
     gap = abs(p.sum() - 1.0)
@@ -180,9 +192,11 @@ def solve_t(u, q):
         if gap > PRICE_SUM_OK * scale:
             p = p / p.sum()
     if u.monotone:
-        if p.min() < -1e-10:
-            raise SolverError("negative price from a non-decreasing utility")
-        p = np.maximum(p, 0.0)
+        pmin = p.min()
+        if pmin < 0.0:
+            if pmin < -1e-10:
+                raise SolverError("negative price from a non-decreasing utility")
+            p = np.maximum(p, 0.0)
     return CostSolveResult(float(t + qmax), float(c + qmax), p, path == "flat", iterations, path)
 
 

@@ -81,9 +81,11 @@ class MarketConfig:
             else np.asarray(self.initial_q, dtype=float)
         if q.shape != (self.n_outcomes,):
             raise ValueError(f"initial_q must have length {self.n_outcomes}")
-        if not np.all(np.isfinite(q)):
+        # A nan makes the minimum nan; an inf makes an extreme infinite.
+        lo, hi = q.min(), q.max()
+        if not -math.inf < lo <= hi < math.inf:
             raise ValueError("initial_q must be finite")
-        if np.any(q < 0):
+        if lo < 0:
             raise ValueError("initial_q must be nonnegative")
         q.setflags(write=False)
         object.__setattr__(self, "initial_q", q)
@@ -106,7 +108,8 @@ class Order:
         if not self.limit > 0:
             raise ValueError(f"limit quantity must be positive, got {self.limit}")
         a = np.asarray(self.bundle, dtype=float)
-        if a.ndim != 1 or not np.all(np.isfinite(a)) or np.any(a < 0) or not np.any(a > 0):
+        # One min and one max: a nan makes both nan, and no comparison holds for it.
+        if a.ndim != 1 or not a.size or not (a.min() >= 0.0 and 0.0 < a.max() < math.inf):
             raise ValueError("bundle must be finite, nonnegative and nonzero")
         a.setflags(write=False)
         object.__setattr__(self, "bundle", a)
@@ -254,7 +257,8 @@ def _price_bound_end(u, q, order, excess, width, p_a):
 
 def apply(state, fill_result):
     """Commit a fill: update shares, money collected, and the journal."""
-    if not np.array_equal(fill_result.q_before, state.q):
+    q_before = fill_result.q_before
+    if q_before.shape != state.q.shape or not (q_before == state.q).all():
         raise StaleFillError("fill was computed against different outstanding shares")
     state.q = state.q + fill_result.order.bundle * fill_result.x_bar
     state.collected += fill_result.charge
@@ -360,12 +364,12 @@ def trace_record(fill_result, collected_after):
             "trader_id": o.trader_id,
             "pi": o.pi,
             "limit": "inf" if math.isinf(o.limit) else o.limit,
-            "bundle": list(o.bundle),
+            "bundle": o.bundle.tolist(),
         },
         "x_bar": fill_result.x_bar,
         "charge": fill_result.charge,
-        "prices_before": list(fill_result.prices_before),
-        "prices_after": list(fill_result.prices_after),
+        "prices_before": fill_result.prices_before.tolist(),
+        "prices_after": fill_result.prices_after.tolist(),
         "collected_after": collected_after,
     }
     return json.dumps(rec, sort_keys=True)

@@ -88,7 +88,7 @@ def _logsumexp(z):
 
 def _xlogx(p):
     """sum_i p_i log p_i over the last axis, with 0 log 0 = 0."""
-    return np.sum(p * np.log(p, out=np.zeros_like(p), where=p > 0), axis=-1)
+    return (p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
 
 
 def _dot(p, w):
@@ -167,7 +167,8 @@ class Utility:
         if theta is None:
             theta = self._default_theta()
         else:
-            theta = np.array(theta, dtype=float)
+            # + 0.0 turns a -0.0 weight into +0.0, so no price is -0.0.
+            theta = np.array(theta, dtype=float) + 0.0
             if theta.shape != (self.n,):
                 raise ValueError(
                     f"theta must have length {self.n}, got shape {theta.shape}"
@@ -206,7 +207,7 @@ class Utility:
 
     def grad_sum(self, s):
         """Sum of the (sub)gradient components, the derivative of cost._root_t."""
-        return float(np.sum(self.grad(s)))
+        return float(self.grad(s).sum())
 
     def domain_floor(self, q):
         """t_min such that te - q is in the domain for all t > t_min."""
@@ -356,7 +357,7 @@ class QuadraticScore(Utility):
         sbar = s.mean(axis=-1)
         # s'(I - ee'/N)s about the mean: s's - N sbar^2 cancels at large, uniform s
         d = s - sbar[..., None]
-        return sbar - np.sum(d * d, axis=-1) / (4.0 * self.b)
+        return sbar - (d * d).sum(axis=-1) / (4.0 * self.b)
 
     def _grad(self, s):
         sbar = s.sum(axis=-1, keepdims=True) / self.n
@@ -366,7 +367,7 @@ class QuadraticScore(Utility):
         # Flat in t: value and grad at s = -q, read from q about its mean.
         qbar = q.mean()
         d = q - qbar
-        cost = qbar + np.sum(d * d) / (4.0 * self.b)
+        cost = qbar + (d * d).sum() / (4.0 * self.b)
         return 0.0, cost, 1.0 / self.n + d / (2.0 * self.b), "flat", 0
 
     def solve_fill(self, q, a, pi, p_a):
@@ -392,12 +393,12 @@ class LogSCPM(Utility):
 
     def _as_alloc(self, s):
         s = super()._as_alloc(s)
-        if np.any(s <= 0):
+        if (s <= 0).any():
             raise DomainError("LogSCPM requires s > 0 componentwise")
         return s
 
     def _value(self, s):
-        return np.sum(self.theta * np.log(s), axis=-1)
+        return (self.theta * np.log(s)).sum(axis=-1)
 
     def _grad(self, s):
         return self.theta / s
@@ -430,7 +431,7 @@ class LogSCPM(Utility):
         # Not through solve_withdrawal, whose float leaves out the passes.
         t, passes = self._newton_level(q, slice(None), 1.0)
         s = self._as_alloc(t - q)
-        return t, t - float(np.sum(self.theta * np.log(s))), self.theta / s, "closed", passes
+        return t, t - float((self.theta * np.log(s)).sum()), self.theta / s, "closed", passes
 
     def _penalty(self, p):
         # -sum theta log p + sum (theta log theta - theta); theta > 0 makes
@@ -487,7 +488,7 @@ class ExponentialSCPM(Utility):
     def _value(self, s):
         # overflow for very negative s harmlessly saturates to -inf
         with np.errstate(over="ignore"):
-            return self.b * (1.0 - np.mean(np.exp(-s / self.b), axis=-1))
+            return self.b * (1.0 - np.exp(-s / self.b).mean(axis=-1))
 
     def _grad(self, s):
         return np.exp(-s / self.b) / self.n
@@ -529,7 +530,7 @@ class QuadSCPM(Utility):
 
     def _value(self, s):
         v = np.minimum(s, 2.0 * self.b * self.theta)
-        return np.sum(self.theta * v, axis=-1) - np.sum(v * v, axis=-1) / (4.0 * self.b)
+        return (self.theta * v).sum(axis=-1) - (v * v).sum(axis=-1) / (4.0 * self.b)
 
     def _grad(self, s):
         return np.maximum(0.0, self.theta - s / (2.0 * self.b))
@@ -538,7 +539,7 @@ class QuadSCPM(Utility):
         t = self.solve_withdrawal(q)
         s = t - q
         v = np.minimum(s, 2.0 * self.b * self.theta)
-        value = np.sum(self.theta * v) - np.sum(v * v) / (4.0 * self.b)
+        value = (self.theta * v).sum() - (v * v).sum() / (4.0 * self.b)
         return t, t - float(value), np.maximum(0.0, self.theta - s / (2.0 * self.b)), "closed", 0
 
     def _level(self, q, inside, total):
@@ -546,8 +547,10 @@ class QuadSCPM(Utility):
         # is sum_S max(0, c_i - t) = 2b total with c_i = q_i + 2b theta_i.
         # With c sorted descending, t_k is the level if the k largest are
         # active; the active set is every c_i above the level.
-        c = np.sort(q[inside] + 2.0 * self.b * self.theta[inside])[::-1]
-        t = (np.cumsum(c) - 2.0 * self.b * total) / np.arange(1, c.size + 1)
+        c = q[inside] + 2.0 * self.b * self.theta[inside]
+        c.sort()
+        c = c[::-1]
+        t = (c.cumsum() - 2.0 * self.b * total) / np.arange(1, c.size + 1)
         return float(t[np.count_nonzero(c > t) - 1])
 
     def _penalty(self, p):
