@@ -23,6 +23,19 @@ def no_level(u):
     return generic(b=u.b, n_outcomes=u.n, theta=u.theta)
 
 
+class FixedPrices(Utility):
+    """A monotone utility whose kernel hands solve_t the same prices at every q."""
+
+    kind = "FixedPrices"
+
+    def __init__(self, p):
+        self.p = np.array(p, dtype=float)
+        super().__init__(n_outcomes=self.p.size)
+
+    def _kernel(self, q):
+        return 0.0, 0.0, self.p.copy(), "flat", 0
+
+
 class TestSolveT:
     def test_shape_mismatch_rejected(self):
         u = make_utility("LMSR", n_outcomes=3)
@@ -39,6 +52,32 @@ class TestSolveT:
             for solve in (solve_t, cost, prices):
                 with pytest.raises(ValueError, match="finite"):
                     solve(u, q)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_overflowing_spread_rejected(self, kind):
+        # Finite, but q - max(q) overflows: the kernel would see -inf.
+        u = make_utility(kind, n_outcomes=2)
+        q = np.array([1.7e308, -1.7e308])
+        for solve in (solve_t, cost, prices):
+            with pytest.raises(ValueError, match="finite"):
+                solve(u, q)
+
+    def test_tiny_negative_price_clamped_to_plus_zero(self):
+        p = solve_t(FixedPrices([0.5 + 1e-12, 0.5, -1e-12]), np.zeros(3)).prices
+        assert p.tolist() == [0.5 + 1e-12, 0.5, 0.0]
+        assert not np.signbit(p).any()
+
+    def test_negative_price_from_monotone_kernel_rejected(self):
+        with pytest.raises(SolverError, match="negative price"):
+            solve_t(FixedPrices([0.5 + 1e-6, 0.5, -1e-6]), np.zeros(3))
+
+    def test_minus_zero_prior_gives_no_minus_zero_price(self):
+        # solve_t clamps only when a price is negative, so no kernel may
+        # hand it -0.0; QuadSCPM's price at a -0.0 weight on its level was.
+        u = make_utility("QuadSCPM", n_outcomes=2, theta=[1.0, -0.0])
+        p = solve_t(u, np.zeros(2)).prices
+        assert p.tolist() == [1.0, 0.0]
+        assert not np.signbit(p).any()
 
     def test_flat_objective_flagged(self):
         for kind in ("LMSR", "MinSCPM", "QuadraticScore"):
@@ -347,9 +386,12 @@ class TestCostProperties:
     def test_quadratic_prices_can_leave_unit_box(self):
         u = make_utility("QuadraticScore", b=1.0, n_outcomes=2)
         assert not u.monotone
-        p = prices(u, np.array([10.0, 0.0]))
+        q = np.array([10.0, 0.0])
+        p = prices(u, q)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert p.min() < 0.0
+        # Not monotone: solve_t neither rejects nor clamps the kernel's prices.
+        assert p.tobytes() == u._kernel(q - q.max())[2].tobytes()
 
 
 @st.composite

@@ -49,6 +49,19 @@ class TestConfigAndOrder:
         with pytest.raises(ValueError, match="length 3"):
             MarketConfig(utility=u, initial_q=[0.0, 0.0])
 
+    @pytest.mark.parametrize("q0", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.0],
+                                    [-1.0, math.inf], [-1.0, math.nan]])
+    def test_nonfinite_initial_q_reported_before_sign(self, q0):
+        with pytest.raises(ValueError, match="^initial_q must be finite$"):
+            MarketConfig(utility=make_utility("LMSR"), initial_q=q0)
+
+    @pytest.mark.parametrize("bundle", [[math.nan, 1.0], [1.0, math.inf], [-math.inf, 1.0], [],
+                                        [[1.0, 0.0]]],
+                             ids=["nan", "inf", "-inf", "empty", "2-D"])
+    def test_order_rejects_bad_bundle_with_one_message(self, bundle):
+        with pytest.raises(ValueError, match="^bundle must be finite, nonnegative and nonzero$"):
+            Order("t", 0.5, 1.0, np.array(bundle, dtype=float))
+
     def test_order_validation(self):
         with pytest.raises(ValueError, match="limit price"):
             Order("t", -0.1, 1.0, np.array([1.0, 0.0]))
@@ -309,6 +322,20 @@ class TestFill:
         apply_fill(state, f)
         with pytest.raises(StaleFillError):
             apply_fill(state, f)
+
+    @pytest.mark.parametrize("edited", [[0.0, 1e-300, 0.0], [math.nan, 0.0, 0.0], [0.0, 0.0],
+                                        [0.0], [0.0] * 4],
+                             ids=["value", "nan", "shorter", "one", "longer"])
+    def test_stale_fill_after_q_edit(self, edited):
+        # A length-1 q would broadcast against the fill's q_before.
+        state = lmsr_market(n=3)
+        f = fill(state, Order("t", 0.7, 1.0, np.array([1.0, 0.0, 0.0])))
+        state.q = np.array(edited)
+        with pytest.raises(StaleFillError):
+            apply_fill(state, f)
+        state.q = np.zeros(3)
+        apply_fill(state, f)
+        assert state.journal == [f]
 
     @pytest.mark.parametrize(
         "kind", ["LMSR", "LogSCPM", "MinSCPM", "ExponentialSCPM", "QuadSCPM"]

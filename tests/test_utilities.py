@@ -20,7 +20,7 @@ from scpm import (
     utility_from_dict,
 )
 import scpm
-from scpm.utilities import CATALOG, KINDS
+from scpm.utilities import CATALOG, KINDS, _xlogx
 
 from linear_utility import LinearUtility
 
@@ -340,6 +340,17 @@ class TestPenalty:
                 finite = np.isfinite(want)
                 got, want = got[finite], want[finite]
                 assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_xlogx_matches_masked_log(self, n):
+        # The masked-log form it replaced, bit for bit, as a batch and per row.
+        rng = np.random.default_rng(n)
+        p = rng.dirichlet(np.ones(n), size=200)
+        p[::4, 0] = 0.0
+        p[1::5] = np.eye(n)[rng.integers(n, size=40)]
+        want = np.sum(p * np.log(p, out=np.zeros_like(p), where=p > 0), axis=-1)
+        assert _xlogx(p).tobytes() == want.tobytes()
+        assert np.array([_xlogx(row) for row in p]).tobytes() == want.tobytes()
 
     def test_simplex_validation(self):
         u = make_utility("LMSR", n_outcomes=2)

@@ -6,7 +6,8 @@
 
 Each revision is exported with ``git archive`` into its own directory, and
 every run is ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` from that export, so both sides run their own committed files.
+--trace 0`` from that export, so both sides run their own committed files;
+T is BENCHMARK.json's ``run_seconds``.
 A pair is one seed run on both sides, the parent first on even pairs (the
 first pair is pair 0).  For each workload the file keeps every run's
 end-to-end metrics, the output digests and the two sides' quartiles, pairs
@@ -44,7 +45,6 @@ def parse_args(argv):
                    help="a workload and its seeds, one pair per seed: 80501-80510 or 80501")
     p.add_argument("--claim", metavar="WORKLOAD:METRIC",
                    help="the one end-to-end metric whose gain is claimed")
-    p.add_argument("--seconds", type=int, default=25)
     p.add_argument("--notes", default=None)
     args = p.parse_args(argv)
     args.runs = [(w, seed_range(s)) for w, _, s in (r.partition(":") for r in args.runs)]
@@ -124,6 +124,7 @@ def bound_verdicts(section, bounds):
 def main(argv=None):
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     out_path = ROOT / f"BENCH_{args.label}.json"
@@ -132,7 +133,7 @@ def main(argv=None):
         commits = {side: export(rev, trees[side])
                    for side, rev in (("parent", args.parent), ("change", args.change))}
         report = {"label": args.label, "claim": None, "result": None,
-                  "command": COMMAND.format(seconds=args.seconds), "machine": None,
+                  "command": COMMAND.format(seconds=seconds), "machine": None,
                   "parent_commit": commits["parent"], "change_commit": commits["change"],
                   "source_sha256": {},
                   "design": "alternating parent/change pairs, parent first on even pairs; "
@@ -140,9 +141,9 @@ def main(argv=None):
         if args.notes:
             report["notes"] = args.notes
         if args.claim:
-            report["claim"] = (f"{args.claim[0]} {args.claim[1]} improves, winning at least 9 of "
-                               f"10 pairs, with the median better by more than the parent's "
-                               f"interquartile spread")
+            report["claim"] = (f"{args.claim[0]} {args.claim[1]} improves, winning at least nine "
+                               f"tenths of the pairs, with the median better by more than the "
+                               f"parent's interquartile spread")
         for workload, seeds in args.runs:
             section = {"seeds": seeds, "all_correct": True, "failed_ops": {"parent": 0, "change": 0},
                        "digests_equal_in_every_pair": True, "first_side": {}, "summary": None,
@@ -153,7 +154,7 @@ def main(argv=None):
                 section["first_side"][str(seed)] = order[0]
                 digests = {}
                 for side in order:
-                    info, result = run_one(trees[side], workload, seed, args.seconds)
+                    info, result = run_one(trees[side], workload, seed, seconds)
                     env = info["env"]
                     report["machine"] = {k: env[k] for k in ("nproc", "cpu", "python", "numpy",
                                                              "scipy")}
