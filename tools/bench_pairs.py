@@ -76,7 +76,7 @@ def run_one(tree, workload, seed, seconds):
 
 
 def quartiles(values):
-    if len(values) < 2:
+    if len(values) < 2:  # statistics.quantiles needs two points
         values = values * 2
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
