@@ -47,6 +47,9 @@ _cost = importlib.import_module(".cost", __package__)
 
 CHARGING_MODES = ("integral", "final")
 
+# What json.dumps(rec, sort_keys=True) builds on every call; encode keeps no state.
+_TRACE_ENCODER = json.JSONEncoder(sort_keys=True)
+
 # Relative tolerance of the fill quantity.
 FILL_RTOL = 1e-9
 
@@ -150,9 +153,19 @@ def new_market(config):
 
 
 def quote(state, bundle):
-    """Instantaneous price of a bundle: p(q)'a."""
+    """Instantaneous price of a bundle: p(q)'a.
+
+    Raises ValueError for a bundle not of length N, and for one whose price
+    is not finite, as a nan or infinite entry makes it.
+    """
+    u = state.config.utility
     a = np.asarray(bundle, dtype=float)
-    return float(compute_prices(state.config.utility, state.q) @ a)
+    if a.shape != (u.n,):
+        raise ValueError(f"bundle must have length {u.n}")
+    price = float(compute_prices(u, state.q) @ a)
+    if not math.isfinite(price):
+        raise ValueError("bundle must be finite")
+    return price
 
 
 def fill(state, order):
@@ -372,7 +385,7 @@ def trace_record(fill_result, collected_after):
         "prices_after": fill_result.prices_after.tolist(),
         "collected_after": collected_after,
     }
-    return json.dumps(rec, sort_keys=True)
+    return _TRACE_ENCODER.encode(rec)
 
 
 def run_orders(state, orders, trace=None):

@@ -364,8 +364,9 @@ class QuadraticScore(Utility):
         return 1.0 / self.n + (sbar - s) / (2.0 * self.b)
 
     def _kernel(self, q):
-        # Flat in t: value and grad at s = -q, read from q about its mean.
-        qbar = q.mean()
+        # Flat in t: value and grad at s = -q, read from q about its mean
+        # (q.sum() / N is q.mean(), byte for byte).
+        qbar = q.sum() / self.n
         d = q - qbar
         cost = qbar + (d * d).sum() / (4.0 * self.b)
         return 0.0, cost, 1.0 / self.n + d / (2.0 * self.b), "flat", 0
@@ -414,18 +415,24 @@ class LogSCPM(Utility):
         # above max_S q: Newton on F = 1 / total from the level of the largest
         # q_j alone (kept above q_j in floats) stays below the root and rises
         # to it until a step no longer moves tau.  Returns tau and the passes.
+        # tau and its step run in Python floats: the IEEE operations numpy
+        # scalars make, and np.add.reduce is r.sum() without its wrapper.  A
+        # den of 0 (an underflowing sum, or tau at inf) divides as numpy does,
+        # to inf or nan, where a float division would raise.
         q, theta = q[inside], self.theta[inside]
-        j = int(np.argmax(q))
-        tau = max(q[j] + theta[j] / total, math.nextafter(q[j], math.inf))
+        j = q.argmax()
+        qj = float(q[j])
+        tau = max(qj + float(theta[j]) / total, math.nextafter(qj, math.inf))
         for passes in range(1, MAX_ITER + 1):
             d = tau - q
             r = theta / d
-            s1 = r.sum()
-            step = s1 * (s1 - total) / (total * (r / d).sum())
+            s1 = float(np.add.reduce(r))
+            num, den = s1 * (s1 - total), total * float(np.add.reduce(r / d))
+            step = num / den if den else float(np.divide(num, den))
             if not tau + step > tau:
                 break
             tau += step
-        return float(tau), passes
+        return tau, passes
 
     def _kernel(self, q):
         # Not through solve_withdrawal, whose float leaves out the passes.
@@ -494,9 +501,10 @@ class ExponentialSCPM(Utility):
         return np.exp(-s / self.b) / self.n
 
     def _kernel(self, q):
+        # (q - t) is -(t - q) and w.sum() / N is w.mean(), byte for byte.
         t = self.solve_withdrawal(q)
-        w = np.exp(-(t - q) / self.b)
-        return t, t - float(self.b * (1.0 - w.mean())), w / self.n, "closed", 0
+        w = np.exp((q - t) / self.b)
+        return t, t - float(self.b * (1.0 - w.sum() / self.n)), w / self.n, "closed", 0
 
     def _level(self, q, inside, total):
         # LMSR's level, log theta = -log N taken out of the sum.
@@ -521,6 +529,14 @@ class QuadSCPM(Utility):
     kind = "QuadSCPM"
     takes_theta = True
 
+    def __init__(self, b=1.0, n_outcomes=2, theta=None):
+        super().__init__(b, n_outcomes, theta)
+        # Built once, read-only: the clamp 2b theta and the active-set sizes 1..N.
+        self._clamp = 2.0 * self.b * self.theta
+        self._sizes = np.arange(1, self.n + 1)
+        self._clamp.setflags(write=False)
+        self._sizes.setflags(write=False)
+
     def _default_theta(self):
         return np.full(self.n, 1.0 / self.n)
 
@@ -529,7 +545,7 @@ class QuadSCPM(Utility):
             raise ValueError(f"QuadSCPM theta must sum to 1, got sum {theta.sum()}")
 
     def _value(self, s):
-        v = np.minimum(s, 2.0 * self.b * self.theta)
+        v = np.minimum(s, self._clamp)
         return (self.theta * v).sum(axis=-1) - (v * v).sum(axis=-1) / (4.0 * self.b)
 
     def _grad(self, s):
@@ -538,7 +554,7 @@ class QuadSCPM(Utility):
     def _kernel(self, q):
         t = self.solve_withdrawal(q)
         s = t - q
-        v = np.minimum(s, 2.0 * self.b * self.theta)
+        v = np.minimum(s, self._clamp)
         value = (self.theta * v).sum() - (v * v).sum() / (4.0 * self.b)
         return t, t - float(value), np.maximum(0.0, self.theta - s / (2.0 * self.b)), "closed", 0
 
@@ -547,10 +563,10 @@ class QuadSCPM(Utility):
         # is sum_S max(0, c_i - t) = 2b total with c_i = q_i + 2b theta_i.
         # With c sorted descending, t_k is the level if the k largest are
         # active; the active set is every c_i above the level.
-        c = q[inside] + 2.0 * self.b * self.theta[inside]
+        c = q[inside] + self._clamp[inside]
         c.sort()
         c = c[::-1]
-        t = (c.cumsum() - 2.0 * self.b * total) / np.arange(1, c.size + 1)
+        t = (c.cumsum() - 2.0 * self.b * total) / self._sizes[:c.size]
         return float(t[np.count_nonzero(c > t) - 1])
 
     def _penalty(self, p):

@@ -308,6 +308,48 @@ class TestKernels:
             assert residual(tau) <= 8.0 * eps * total
 
 
+    def test_log_newton_in_python_floats_matches_numpy_scalars(self):
+        # _newton_level runs tau and its step in Python floats.  The loop it
+        # replaced, on numpy scalars, is kept here as the reference: the same
+        # IEEE operations in the same order give the same tau and passes.
+        def numpy_scalar_level(u, q, inside, total):
+            q, theta = q[inside], u.theta[inside]
+            j = int(np.argmax(q))
+            tau = max(q[j] + theta[j] / total, math.nextafter(q[j], math.inf))
+            for passes in range(1, MAX_ITER + 1):
+                d = tau - q
+                r = theta / d
+                s1 = r.sum()
+                step = s1 * (s1 - total) / (total * (r / d).sum())
+                if not tau + step > tau:
+                    break
+                tau += step
+            return float(tau), passes
+
+        rng = np.random.default_rng(80002)
+        for _ in range(3000):
+            n = int(rng.choice([2, 3, 10, 100, 1024]))
+            u = make_utility("LogSCPM", n_outcomes=n, theta=10.0 ** rng.uniform(-6.0, 6.0, n))
+            q = -10.0 ** rng.uniform(-3.0, 12.0) * rng.uniform(0.0, 1.0, n)
+            total = 10.0 ** rng.uniform(-12.0, 0.0)
+            inside = rng.uniform(size=n) < 0.5 if rng.uniform() < 0.5 else np.ones(n, bool)
+            inside[rng.integers(n)] = True
+            q -= q[inside].max()
+            tau, passes = u._newton_level(q, inside, total)
+            assert type(tau) is float
+            assert (tau, passes) == numpy_scalar_level(u, q, inside, total)
+        # Where a numpy scalar overflows or divides by zero, the Python floats
+        # reach the same inf: a start past the float range, and a sum of
+        # theta/d^2 that underflows to 0 below the root (one step to inf).
+        corners = [([1e300, 1.0], [0.0, -1.0], [True, False], 1e-16, (math.inf, 1)),
+                   ([1.0, 1.0], [0.0, -1.0], [True, True], 1e-110, (math.inf, 2))]
+        for theta, q, inside, total, expected in corners:
+            u = make_utility("LogSCPM", n_outcomes=2, theta=theta)
+            args = (np.array(q), np.array(inside), total)
+            with np.errstate(all="ignore"):
+                assert u._newton_level(*args) == numpy_scalar_level(u, *args) == expected
+
+
 @st.composite
 def chords(draw):
     # A chord q - d, q, q + d: b over twelve decades, N up to 50, and q and

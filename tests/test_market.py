@@ -19,7 +19,7 @@ from scpm import (
     run_orders,
     settle,
 )
-from scpm.market import parse_bundle, parse_limit, read_orders_csv, trace_record
+from scpm.market import FillResult, parse_bundle, parse_limit, read_orders_csv, trace_record
 
 
 def lmsr_market(b=1.0, n=2, mode="integral", q0=None):
@@ -77,6 +77,18 @@ class TestFill:
     def test_quote_at_origin_is_uniform(self):
         state = lmsr_market(n=4)
         assert quote(state, np.array([1.0, 0, 0, 0])) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("bundle", [[[1.0], [0.0], [0.0]], [1.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                                        1.0, []], ids=["3x1", "short", "long", "scalar", "empty"])
+    def test_quote_rejects_bundle_of_wrong_shape(self, bundle):
+        # The message fill gives for the same bundle.
+        with pytest.raises(ValueError, match="^bundle must have length 3$"):
+            quote(lmsr_market(n=3), np.array(bundle))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_quote_rejects_nonfinite_bundle(self, bad):
+        with pytest.raises(ValueError, match="^bundle must be finite$"):
+            quote(lmsr_market(n=3), np.array([0.0, bad, 1.0]))
 
     def test_fill_is_pure(self):
         state = lmsr_market()
@@ -437,6 +449,20 @@ class TestStreamFormats:
         f = fill(state, order)
         line = trace_record(f, 0.0)
         assert json.loads(line)["order"]["limit"] == "inf"
+
+    def test_trace_record_bytes_pinned(self):
+        # The exact line: keys sorted, ", " and ": " separators, non-ASCII
+        # escaped, floats by repr, an infinite limit as "inf".
+        order = Order('q"b\\\u00e9', 0.25, math.inf, np.array([1.0, 0.0, 0.5]))
+        f = FillResult(x_bar=0.1, charge=1 / 3, prices_before=np.array([0.5, 0.25, 0.25]),
+                       prices_after=np.array([2 / 3, 1e-17, 1 / 3]), order=order,
+                       q_before=np.zeros(3), solves=3, path="closed")
+        assert trace_record(f, 1e21) == (
+            '{"charge": 0.3333333333333333, "collected_after": 1e+21, "order": {"bundle": '
+            '[1.0, 0.0, 0.5], "limit": "inf", "pi": 0.25, "trader_id": "q\\"b\\\\\\u00e9"}, '
+            '"prices_after": [0.6666666666666666, 1e-17, 0.3333333333333333], '
+            '"prices_before": [0.5, 0.25, 0.25], "x_bar": 0.1}'
+        )
 
     def test_run_orders_collects_trace(self):
         state = lmsr_market()
