@@ -307,7 +307,6 @@ class TestKernels:
             assert residual(tau) <= min(map(residual, neighbours)) + 4.0 * eps * total
             assert residual(tau) <= 8.0 * eps * total
 
-
     def test_log_newton_in_python_floats_matches_numpy_scalars(self):
         # _newton_level runs tau and its step in Python floats.  The loop it
         # replaced, on numpy scalars, is kept here as the reference: the same

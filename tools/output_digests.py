@@ -162,8 +162,6 @@ def _fill_case(state, order):
 def fill_digest(kind):
     h, rng = hashlib.sha256(), np.random.default_rng(1902)
     for u in _markets(kind, rng):
-        if u.n == 1024 and u.theta is not None and rng.uniform() < 0.5:
-            continue  # half the priors at N = 1024 keep the run short
         q0 = u.b * rng.uniform(0.0, 3.0, u.n)
         state = market.new_market(market.MarketConfig(utility=u, initial_q=q0))
         for order in _orders(u.n, rng):
