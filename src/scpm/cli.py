@@ -65,8 +65,9 @@ def cmd_quote(args):
     if args.orders:
         _replay(state, args.orders)
     bundle = _parse_vector(args.bundle, config.n_outcomes, "bundle")
+    price = market_mod.quote(state, bundle)
     p = compute_prices(config.utility, state.q)
-    print(_fmt(float(p @ bundle)))
+    print(_fmt(price))
     print("prices: " + " ".join(_fmt(x) for x in p))
     return 0
 

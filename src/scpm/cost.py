@@ -178,13 +178,14 @@ def solve_t(u, q):
     if q.shape != (u.n,):
         raise ValueError(f"q must have shape ({u.n},), got {q.shape}")
     # One pass each for min and max: a nan or an infinite entry, or a spread
-    # past the float range, leaves qmin - qmax at -inf or nan.
-    qmin, qmax = float(q.min()), float(q.max())
+    # past the float range, leaves qmin - qmax at -inf or nan.  The bare
+    # ufunc reductions are what q.min(), q.max() and p.sum() call.
+    qmin, qmax = float(np.minimum.reduce(q)), float(np.maximum.reduce(q))
     if not -math.inf < qmin - qmax:
         raise ValueError("q must be finite, with a finite spread max(q) - min(q)")
     t, c, p, path, iterations = u._kernel(q - qmax)
     p = np.asarray(p, dtype=float)
-    gap = abs(p.sum() - 1.0)
+    gap = abs(float(np.add.reduce(p)) - 1.0)
     if gap > PRICE_SUM_OK:
         scale = max(1.0, float(np.abs(p).sum()))
         if gap > PRICE_SUM_FIX * scale:
@@ -192,7 +193,7 @@ def solve_t(u, q):
         if gap > PRICE_SUM_OK * scale:
             p = p / p.sum()
     if u.monotone:
-        pmin = p.min()
+        pmin = float(np.minimum.reduce(p))
         if pmin < 0.0:
             if pmin < -1e-10:
                 raise SolverError("negative price from a non-decreasing utility")

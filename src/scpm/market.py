@@ -17,13 +17,18 @@ cost.expand_bracket grows a bracket from [0, min(1, limit)], up to the
 limit or to 2**60, and cost.bracketed_root narrows it to the same width at
 hi, so x_bar is accurate relative to itself.  An x_bar that leaves some
 bought state's q_i unchanged is not sold: the fill ends at 0, "rejected".
-Every point is solved once: the prices before and after and the charge are
-read from those solves.  Two charging modes exist:
+Every point is solved and priced once: the prices before and after and the
+charge are read from those solves.  Two charging modes exist:
 
 * "integral" -- the truthful scheme, charge = C(q + a x) - C(q), equal to
   the integral of instantaneous bundle prices over the fill;
 * "final" -- charge x * p(x)'a at the final price (not truthful; kept so
   the difference is demonstrable).
+
+A state owns one read-only share vector, state.q: assign a new vector to
+change it.  The point at 0 of a fill is state.q itself, and the fill's
+q_before is that vector; apply replaces it only when x_bar > 0.  A q that
+the caller assigned writable is read through a read-only snapshot.
 
 Order streams are CSV (trader_id,pi,limit,bundle with the bundle as
 semicolon-separated reals, limit accepts "inf"); traces are JSON lines.
@@ -90,6 +95,8 @@ class MarketConfig:
             raise ValueError("initial_q must be finite")
         if lo < 0:
             raise ValueError("initial_q must be nonnegative")
+        # The config's own vector, with -0.0 stored as +0.0 as a sum stores it.
+        q = q + 0.0
         q.setflags(write=False)
         object.__setattr__(self, "initial_q", q)
 
@@ -110,9 +117,11 @@ class Order:
             raise ValueError(f"limit price must be >= 0, got {self.pi}")
         if not self.limit > 0:
             raise ValueError(f"limit quantity must be positive, got {self.limit}")
-        a = np.asarray(self.bundle, dtype=float)
+        # The order's own copy: the caller may reuse its array for the next order.
+        a = np.array(self.bundle, dtype=float)
         # One min and one max: a nan makes both nan, and no comparison holds for it.
-        if a.ndim != 1 or not a.size or not (a.min() >= 0.0 and 0.0 < a.max() < math.inf):
+        if a.ndim != 1 or not a.size or not (float(np.minimum.reduce(a)) >= 0.0
+                                             and 0.0 < float(np.maximum.reduce(a)) < math.inf):
             raise ValueError("bundle must be finite, nonnegative and nonzero")
         a.setflags(write=False)
         object.__setattr__(self, "bundle", a)
@@ -149,7 +158,7 @@ class MarketState:
 
 
 def new_market(config):
-    return MarketState(config=config, q=config.initial_q.copy())
+    return MarketState(config=config, q=config.initial_q)
 
 
 def quote(state, bundle):
@@ -172,55 +181,63 @@ def fill(state, order):
     """Largest x in [0, limit] with p(q + a x)'a <= pi, plus the charge.
 
     Does not mutate the state.  A rejected order (x=0, charge 0) is a
-    normal result.
+    normal result.  q_before is the state's own read-only q, or a read-only
+    snapshot of a q that the caller assigned writable.
     """
     u = state.config.utility
     q = state.q
     a = order.bundle
     if a.shape != (u.n,):
         raise ValueError(f"bundle must have length {u.n}")
+    if q.flags.writeable:
+        # A snapshot the caller cannot edit; + 0.0 stores -0.0 as +0.0, as apply's sum would.
+        q = q + 0.0
+        q.setflags(write=False)
 
-    solved, points = {}, {}
+    # One record per point: the point, its solve and its bundle price.
+    # Looked up at call time, so a wrapped cost.solve_t sees every solve.
+    before = _cost.solve_t(u, q)
+    p_a = float(before.prices @ a)
+    points = {0.0: (q, before, p_a)}
 
     def excess(x):
-        # Looked up at call time, so a wrapped cost.solve_t sees every solve.
-        if x not in solved:
-            points[x] = q + a * x
-            solved[x] = _cost.solve_t(u, points[x])
-        return float(solved[x].prices @ a) - order.pi
+        if x not in points:
+            point = q + a * x
+            solved = _cost.solve_t(u, point)
+            points[x] = (point, solved, float(solved.prices @ a))
+        return points[x][2] - order.pi
 
     def width(x):
         # No bracket is narrower than one float spacing of the point excess(x)
         # solved: points of the order that close are one market state.
-        return max(FILL_RTOL * max(1.0, x), math.ulp(float(points[x].max())))
+        return max(FILL_RTOL * max(1.0, x), math.ulp(float(np.maximum.reduce(points[x][0]))))
 
     x_bar, path = 0.0, "rejected"
-    if excess(0.0) < 0.0:
+    if p_a - order.pi < 0.0:
         if math.isfinite(order.limit) and excess(order.limit) <= 0.0:
             x_bar, path = order.limit, "limit"
         else:
-            # p(q)'a itself: excess(0) + pi loses a price far below pi.
-            p_a = float(solved[0.0].prices @ a)
+            # p_a itself: excess(0) + pi loses a price far below pi.
             x_bar, path = _price_bound_end(u, q, order, excess, width, p_a)
         # Units that some bought state's q_i + a_i x_bar cannot record are not sold.
-        if x_bar > 0.0 and np.count_nonzero(points[x_bar] != q) < np.count_nonzero(a):
+        if x_bar > 0.0 and np.count_nonzero(points[x_bar][0] != q) < np.count_nonzero(a):
             x_bar, path = 0.0, "rejected"
 
-    before, after = solved[0.0], solved[x_bar]
+    _, after, after_p_a = points[x_bar]
     if x_bar == 0.0:
         paid = 0.0
     elif state.config.charging_mode == "integral":
         paid = after.cost - before.cost
     else:
-        paid = x_bar * float(after.prices @ a)
+        paid = x_bar * after_p_a
     return FillResult(
         x_bar=float(x_bar),
         charge=float(paid),
         prices_before=before.prices,
         prices_after=after.prices,
         order=order,
-        q_before=q.copy(),
-        solves=len(solved),
+        q_before=q,
+        solves=len(points),
         path=path,
     )
 
@@ -269,11 +286,18 @@ def _price_bound_end(u, q, order, excess, width, p_a):
 
 
 def apply(state, fill_result):
-    """Commit a fill: update shares, money collected, and the journal."""
-    q_before = fill_result.q_before
-    if q_before.shape != state.q.shape or not (q_before == state.q).all():
+    """Commit a fill: update shares, money collected, and the journal.
+
+    state.q becomes a new read-only vector only when the fill sold shares;
+    otherwise it is the fill's q_before, the state's own vector.
+    """
+    q = fill_result.q_before
+    if q is not state.q and (q.shape != state.q.shape or not (q == state.q).all()):
         raise StaleFillError("fill was computed against different outstanding shares")
-    state.q = state.q + fill_result.order.bundle * fill_result.x_bar
+    if fill_result.x_bar > 0.0:
+        q = q + fill_result.order.bundle * fill_result.x_bar
+        q.setflags(write=False)
+    state.q = q
     state.collected += fill_result.charge
     state.journal.append(fill_result)
     return state

@@ -48,6 +48,18 @@ class TestQuote:
         assert main(["quote", "--config", config_path, "--bundle", "1;0;0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bundle, message", [
+        ("nan;0", "bundle must be finite"),
+        ("0;inf", "bundle must be finite"),
+        ("1;-inf", "bundle must be finite"),
+        ("1", "bundle must have 2 components, got 1"),
+    ], ids=["nan", "inf", "-inf", "short"])
+    def test_bad_bundle_is_a_usage_error(self, config_path, bundle, message, capsys):
+        assert main(["quote", "--config", config_path, "--bundle", bundle]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestTrade:
     def test_trade_outputs_fill(self, config_path, capsys):

@@ -72,6 +72,75 @@ class TestConfigAndOrder:
         with pytest.raises(ValueError, match="bundle"):
             Order("t", 0.5, 1.0, np.array([1.0, -1.0]))
 
+    def test_initial_q_is_a_read_only_copy(self):
+        # The caller's array stays its own, and -0.0 is stored as +0.0.
+        arr = np.array([-0.0, 1.0])
+        cfg = MarketConfig(utility=make_utility("LMSR"), initial_q=arr)
+        assert arr.flags.writeable
+        assert cfg.initial_q is not arr
+        assert not cfg.initial_q.flags.writeable
+        assert cfg.initial_q.tobytes() == np.array([0.0, 1.0]).tobytes()
+
+    def test_order_keeps_its_own_bundle(self):
+        # The caller may reuse its array for the next order.
+        arr = np.array([1.0, 0.0])
+        first = Order("t", 0.5, 1.0, arr)
+        assert first.bundle is not arr
+        assert not first.bundle.flags.writeable
+        arr[:] = [0.0, 1.0]
+        second = Order("t", 0.5, 1.0, arr)
+        np.testing.assert_array_equal(first.bundle, [1.0, 0.0])
+        np.testing.assert_array_equal(second.bundle, [0.0, 1.0])
+
+
+class TestShareVector:
+    """A market state owns one read-only q; a fill reads it, and only a fill
+    that sells shares makes apply replace it."""
+
+    @pytest.mark.parametrize("pi", [0.7, 0.3], ids=["sold", "rejected"])
+    def test_fill_reads_the_state_q(self, pi):
+        state = lmsr_market(n=3)
+        f = fill(state, Order("t", pi, 1.0, np.array([1.0, 0.0, 0.0])))
+        assert f.q_before is state.q
+        assert not f.q_before.flags.writeable
+
+    def test_state_q_is_read_only(self):
+        state = lmsr_market(n=3)
+        with pytest.raises(ValueError, match="read-only"):
+            state.q[0] = 1.0
+        apply_fill(state, fill(state, Order("t", 0.7, 1.0, np.array([1.0, 0.0, 0.0]))))
+        assert state.q[0] > 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            state.q[0] = 0.0
+
+    def test_apply_without_sale_keeps_q(self):
+        state = lmsr_market(n=3)
+        q = state.q
+        f = fill(state, Order("t", 0.3, 1.0, np.array([1.0, 0.0, 0.0])))
+        assert f.x_bar == 0.0
+        apply_fill(state, f)
+        assert state.q is q
+        assert state.journal == [f]
+
+    def test_fill_snapshots_an_assigned_writable_q(self):
+        state = lmsr_market(n=3)
+        state.q = np.array([-0.0, 1.0, 0.0])
+        f = fill(state, Order("t", 0.7, 1.0, np.array([1.0, 0.0, 0.0])))
+        assert f.q_before is not state.q
+        assert not f.q_before.flags.writeable
+        assert f.q_before.tobytes() == np.array([0.0, 1.0, 0.0]).tobytes()
+        apply_fill(state, f)
+        assert not state.q.flags.writeable
+
+    @pytest.mark.parametrize("pi", [0.7, 0.3], ids=["sold", "rejected"])
+    def test_stale_fill_after_in_place_edit_of_assigned_q(self, pi):
+        state = lmsr_market(n=3)
+        state.q = np.zeros(3)
+        f = fill(state, Order("t", pi, 1.0, np.array([1.0, 0.0, 0.0])))
+        state.q[1] = 1e-300
+        with pytest.raises(StaleFillError):
+            apply_fill(state, f)
+
 
 class TestFill:
     def test_quote_at_origin_is_uniform(self):

@@ -11,10 +11,12 @@ T is BENCHMARK.json's ``run_seconds``.
 A pair is one seed run on both sides, the parent first on even pairs (the
 first pair is pair 0).  For each workload the file keeps every run's
 end-to-end metrics, the output digests and the two sides' quartiles, pairs
-won and median ratio per metric.  A claim on WORKLOAD:METRIC is met when
-the change wins at least nine tenths of the pairs, ties counting for
-neither, and its median is better than the parent's by more than the
-parent's interquartile spread.  Every other workload and metric is
+won and median ratio per metric.  Beside ``setup_s`` it keeps each run's
+unadjusted set-up time from the info line, with its quartiles, since the
+speed factor that adjusts set-ups moves with the process's state.  A claim
+on WORKLOAD:METRIC is met when the change wins at least nine tenths of the
+pairs, ties counting for neither, and its median is better than the
+parent's by more than the parent's interquartile spread.  Every other workload and metric is
 compared against the bound that BENCHMARK.json fixes for it.  The file is
 rewritten after every pair, so a cut run keeps the pairs it finished.
 """
@@ -164,9 +166,13 @@ def main(argv=None):
                     digests[side] = info["digest"]
                     row = {"seed": seed, "digest": info["digest"]}
                     row.update({k: v["value"] for k, v in result["metrics"].items()})
+                    row["unadjusted_setup_s"] = info["unadjusted"]["setup_s"]
                     section["runs"][side].append(row)
                 section["digests_equal_in_every_pair"] &= digests["parent"] == digests["change"]
                 section["summary"] = summarize(section["runs"], metrics)
+                section["unadjusted_setup_s"] = {
+                    side: quartiles([r["unadjusted_setup_s"] for r in rows])
+                    for side, rows in section["runs"].items()}
                 section["bounds"] = bound_verdicts(section, bounds)
                 if args.claim and args.claim[0] == workload:
                     report["result"] = claim_verdict(section, args.claim[1])

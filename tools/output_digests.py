@@ -15,6 +15,10 @@ of another revision digests that revision:
   with zero weights too), at q of up to 1e9 and at ties;
 * ``grid/fill/<kind>``: fills over the same markets, 0/1 and other
   bundles, finite and infinite limits, each with its ``trace_record`` line;
+* ``grid/apply/<kind>``: fill-and-apply streams over the same markets, from
+  a random initial_q, from one holding -0.0, and on a q that the caller
+  assigned as a writable array holding -0.0, hashing ``state.q`` and
+  ``collected`` after every ``apply`` and the ``settle`` reports at the end;
 * ``grid/value_grad/<kind>`` and ``grid/penalty_raw/<kind>``: batch and
   single-row calls at N in {2, 3, 10}, simplex rows with zeros and vertices.
 
@@ -24,6 +28,7 @@ emitted.  Equal lines from two trees mean byte-identical outputs.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -169,6 +174,42 @@ def fill_digest(kind):
     return h.digest()
 
 
+def _apply_markets(u, rng):
+    """(state, assigned): a market from a random q, one whose initial_q holds
+    -0.0, and one whose q the caller assigns writable, holding -0.0."""
+    q0 = u.b * rng.uniform(0.0, 3.0, u.n)
+    signed = q0.copy()
+    signed[::2] = -0.0
+    for initial_q in (q0, signed):
+        yield market.new_market(market.MarketConfig(utility=u, initial_q=initial_q)), False
+    state = market.new_market(market.MarketConfig(utility=u))
+    state.q = signed
+    yield state, True
+
+
+def _apply_case(state, order):
+    market.apply(state, market.fill(state, order))
+    return state.q, state.collected
+
+
+def _settle_case(state):
+    return [dataclasses.astuple(market.settle(state, i)) for i in range(state.config.n_outcomes)]
+
+
+def apply_digest(kind):
+    h, rng = hashlib.sha256(), np.random.default_rng(1904)
+    for u in _markets(kind, rng):
+        for state, assigned in _apply_markets(u, rng):
+            for i, order in enumerate(_orders(u.n, rng)):
+                if assigned and i % 3 == 0:
+                    q = np.array(state.q)
+                    q[q == 0.0] = -0.0
+                    state.q = q
+                _case(h, _apply_case, state, order)
+            _case(h, _settle_case, state)
+    return h.digest()
+
+
 def _rows(n, rng):
     p = rng.dirichlet(np.ones(n), size=20)
     p[:5, 0] = 0.0
@@ -199,6 +240,7 @@ def digests():
     for kind in KINDS:
         yield f"grid/solve_t/{kind}", solve_digest(kind)
         yield f"grid/fill/{kind}", fill_digest(kind)
+        yield f"grid/apply/{kind}", apply_digest(kind)
         value_grad, penalty = catalog_digests(kind)
         yield f"grid/value_grad/{kind}", value_grad
         yield f"grid/penalty_raw/{kind}", penalty
