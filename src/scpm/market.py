@@ -3,13 +3,21 @@
 fill() is pure: it computes the accepted quantity and charge without
 touching the state; apply() commits a fill.  The quantity is the largest
 x in [0, limit] with f(x) = p(q + a x)'a - pi <= 0.  After the solve at 0
-a finite limit is probed; a fill that ends there takes those two solves.
-A fill whose root lies inside its reach asks the utility's solve_fill hook
-for a closed-form candidate x_hat.  With tol = FILL_RTOL * max(1, x_hat),
-or one float spacing of q + a x_hat where that is wider, the candidate is
-accepted only on a certificate from cost solves: f(x_bar) <= 0 <
-f(x_bar + tol), with x_bar = x_hat, or x_hat - tol when f(x_hat) > 0.
-That is the bracket the search would give.  Where x_hat < tol and
+a fill with a finite limit reads, from p(q) and the kind's _curvature,
+where the tangent of its bundle price at 0 reaches pi.  Where that lies at
+or past the limit, or the arithmetic gives no answer, the limit is probed
+first, and a fill that ends there takes those two solves.  Where it lies
+before the limit, or the kind has no _curvature, the hook and its
+certificate (below) go first; a certified end whose upper point lies at
+or below the limit ends the fill with no probe, since f is nondecreasing,
+and any other end probes the limit next.  Both orders end the fill at the
+same x_bar with the same charge and prices; only FillResult.solves
+differs.  A fill whose root lies inside its reach asks the utility's
+solve_fill hook for a closed-form candidate x_hat.  With tol = FILL_RTOL *
+max(1, x_hat), or one float spacing of q + a x_hat where that is wider,
+the candidate is accepted only on a certificate from cost solves: f(x_bar)
+<= 0 < f(x_bar + tol), with x_bar = x_hat, or x_hat - tol when f(x_hat) >
+0.  That is the bracket the search would give.  Where x_hat < tol and
 f(x_hat) > 0, the solve at 0 closes [0, x_hat]: the fill ends at 0,
 "rejected".  Otherwise (no form for the
 bundle, a candidate out of reach, a failed certificate) the search runs:
@@ -37,10 +45,12 @@ semicolon-separated reals, limit accepts "inf"); traces are JSON lines.
 from __future__ import annotations
 
 import csv
+import functools
 import importlib
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -54,6 +64,11 @@ CHARGING_MODES = ("integral", "final")
 
 # What json.dumps(rec, sort_keys=True) builds on every call; encode keeps no state.
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True)
+
+# A trace record as _TRACE_ENCODER writes it, its keys in sorted order.
+_TRACE_LINE = ('{"charge": %s, "collected_after": %s, "order": {"bundle": [%s], "limit": %s, '
+               '"pi": %s, "trader_id": %s}, "prices_after": [%s], "prices_before": [%s], '
+               '"x_bar": %s}')
 
 # Relative tolerance of the fill quantity.
 FILL_RTOL = 1e-9
@@ -196,15 +211,16 @@ def fill(state, order):
 
     # One record per point: the point, its solve and its bundle price.
     # Looked up at call time, so a wrapped cost.solve_t sees every solve.
+    # ndarray.dot: the bits of @ for two vectors, without the ufunc's overhead.
     before = _cost.solve_t(u, q)
-    p_a = float(before.prices @ a)
+    p_a = float(before.prices.dot(a))
     points = {0.0: (q, before, p_a)}
 
     def excess(x):
         if x not in points:
             point = q + a * x
             solved = _cost.solve_t(u, point)
-            points[x] = (point, solved, float(solved.prices @ a))
+            points[x] = (point, solved, float(solved.prices.dot(a)))
         return points[x][2] - order.pi
 
     def width(x):
@@ -214,11 +230,14 @@ def fill(state, order):
 
     x_bar, path = 0.0, "rejected"
     if p_a - order.pi < 0.0:
-        if math.isfinite(order.limit) and excess(order.limit) <= 0.0:
+        # p_a itself: excess(0) + pi loses a price far below pi.
+        finite = math.isfinite(order.limit)
+        x_est = _first_order_end(u, before.prices, a, order.pi - p_a) if finite else None
+        hook_first = x_est is not None and x_est < order.limit
+        if finite and not hook_first and excess(order.limit) <= 0.0:
             x_bar, path = order.limit, "limit"
         else:
-            # p_a itself: excess(0) + pi loses a price far below pi.
-            x_bar, path = _price_bound_end(u, q, order, excess, width, p_a)
+            x_bar, path = _price_bound_end(u, q, order, excess, width, p_a, hook_first)
         # Units that some bought state's q_i + a_i x_bar cannot record are not sold.
         if x_bar > 0.0 and np.count_nonzero(points[x_bar][0] != q) < np.count_nonzero(a):
             x_bar, path = 0.0, "rejected"
@@ -242,10 +261,14 @@ def fill(state, order):
     )
 
 
-def _price_bound_end(u, q, order, excess, width, p_a):
-    """The root of excess in (0, limit), excess(0) = p_a - pi < 0 < excess(limit):
-    the hook's candidate if the engine certifies it, else the search's, to
-    the width(x) of a bracket ending at x."""
+def _price_bound_end(u, q, order, excess, width, p_a, hook_first):
+    """The end of a fill with excess(0) = p_a - pi < 0 < excess(limit): the
+    root of excess in (0, limit), the hook's candidate if the engine
+    certifies it, else the search's, to the width(x) of a bracket ending at
+    x.  With hook_first the limit is not yet probed: a certificate whose
+    upper point lies at or below it ends the fill unprobed, since excess is
+    nondecreasing and the probe would have failed; any other end probes it
+    next, and ends at the limit where excess(limit) <= 0."""
     a, limit = order.bundle, order.limit
     if math.isinf(limit):
         # Prices of a monotone utility concentrate on max-weight states
@@ -259,21 +282,14 @@ def _price_bound_end(u, q, order, excess, width, p_a):
         # Doubling from 1 passes a finite limit within its binary exponent.
         reach, steps = limit, math.frexp(limit)[1]
 
+    end = None
     x_hat = u.solve_fill(q, a, order.pi, p_a)
     if x_hat is not None and 0.0 <= x_hat <= reach:
-        # Accepted only as the bracket the search would give: f(x_bar) <= 0
-        # < f(x_bar + tol), with x_bar = x_hat or one tol below it.
-        below = excess(x_hat) <= 0.0
-        tol = width(x_hat)
-        if below:
-            if excess(x_hat + tol) > 0.0:
-                return x_hat, "closed"
-        elif x_hat < tol:
-            # f(0) < 0 < f(x_hat): the end lies within one step of 0, closer
-            # than the fill resolves, so the order buys nothing.
-            return 0.0, "rejected"
-        elif excess(x_hat - tol) <= 0.0:
-            return x_hat - tol, "closed"
+        end = _certified_end(x_hat, excess, width)
+    if hook_first and (end is None or end[2] > limit) and excess(limit) <= 0.0:
+        return limit, "limit"
+    if end is not None:
+        return end[:2]
 
     hi = min(1.0, limit)
     bracket = _cost.expand_bracket(excess, 0.0, hi, excess(0.0), excess(hi), ceiling=limit,
@@ -283,6 +299,55 @@ def _price_bound_end(u, q, order, excess, width, p_a):
     lo, hi, f_lo, f_hi = bracket
     x_bar, _ = _cost.bracketed_root(excess, lo, hi, f_lo, f_hi, width(hi))
     return x_bar, "bracket"
+
+
+def _first_order_end(u, p, a, gap):
+    """Where the tangent at x = 0 of the bundle price reaches pi = p_a + gap:
+    gap / (h_a - h_a^2 / sum(h)), with h = u._curvature(p) and h_a = h'a,
+    the slope of a 0/1 bundle's price.  0 for a kind without a curvature,
+    whose hook then goes first; None where the arithmetic gives no end: a
+    sum(h) of 0, or a slope that is 0 (as an underflowed p_a makes it), of
+    the wrong sign or not finite.  The sums are combined in Python floats,
+    which overflow without a warning, and every divisor is checked first."""
+    curvature = u._curvature
+    if curvature is None:
+        return 0.0
+    h = curvature(p)
+    h_a, total = float(h.dot(a)), float(h.dot(_ones(h.size)))
+    if not total > 0.0:
+        return None
+    # h_a (sum(h) - h_a) / sum(h), which neither squares nor cancels h_a.
+    slope = h_a * ((total - h_a) / total)
+    if not 0.0 < slope < math.inf:
+        return None
+    return gap / slope
+
+
+@functools.lru_cache(maxsize=None)
+def _ones(n):
+    """A read-only vector of n ones: h.dot(_ones(n)) sums h faster than a reduce."""
+    ones = np.ones(n)
+    ones.setflags(write=False)
+    return ones
+
+
+def _certified_end(x_hat, excess, width):
+    """(x_bar, path, upper) where cost solves certify the hook's x_hat as
+    the bracket the search would give, f(x_bar) <= 0 < f(x_bar + tol) with
+    x_bar = x_hat or one tol below it, upper being the solved point with
+    f > 0; None where they do not."""
+    below = excess(x_hat) <= 0.0
+    tol = width(x_hat)
+    if below:
+        if excess(x_hat + tol) > 0.0:
+            return x_hat, "closed", x_hat + tol
+    elif x_hat < tol:
+        # f(0) < 0 < f(x_hat): the end lies within one step of 0, closer
+        # than the fill resolves, so the order buys nothing.
+        return 0.0, "rejected", x_hat
+    elif excess(x_hat - tol) <= 0.0:
+        return x_hat - tol, "closed", x_hat
+    return None
 
 
 def apply(state, fill_result):
@@ -393,20 +458,54 @@ def read_orders_csv(path, n):
     return orders
 
 
+def _json_number(x):
+    """x as json.dumps writes it where that is its repr: an exact float or
+    int, finite.  None for anything else."""
+    if type(x) is float or type(x) is int:
+        text = repr(x)
+        # A finite repr has no "n": json writes inf and nan its own way.
+        if "n" not in text:
+            return text
+    return None
+
+
+def _json_floats(values):
+    """', '-joined reprs of a list of floats, or None where json.dumps would
+    write some entry otherwise: an int or bool raises TypeError here."""
+    try:
+        text = ", ".join(map(float.__repr__, values))
+    except TypeError:
+        return None
+    return None if "n" in text else text
+
+
 def trace_record(fill_result, collected_after):
-    """One JSONL trace line per fill; float repr keeps replays byte-identical."""
+    """One JSONL trace line per fill: the bytes of json.dumps(rec,
+    sort_keys=True), floats by repr, so replays stay byte-identical.  The
+    line is formatted directly when every number is a finite float or int
+    and the trader id a string; anything else goes through the encoder."""
     o = fill_result.order
+    limit = "inf" if math.isinf(o.limit) else o.limit
+    bundle = o.bundle.tolist()
+    before, after = fill_result.prices_before.tolist(), fill_result.prices_after.tolist()
+    fields = (_json_number(fill_result.charge), _json_number(collected_after),
+              _json_floats(bundle), '"inf"' if limit == "inf" else _json_number(limit),
+              _json_number(o.pi),
+              encode_basestring_ascii(o.trader_id) if type(o.trader_id) is str else None,
+              _json_floats(after), _json_floats(before), _json_number(fill_result.x_bar))
+    if None not in fields:
+        return _TRACE_LINE % fields
     rec = {
         "order": {
             "trader_id": o.trader_id,
             "pi": o.pi,
-            "limit": "inf" if math.isinf(o.limit) else o.limit,
-            "bundle": o.bundle.tolist(),
+            "limit": limit,
+            "bundle": bundle,
         },
         "x_bar": fill_result.x_bar,
         "charge": fill_result.charge,
-        "prices_before": fill_result.prices_before.tolist(),
-        "prices_after": fill_result.prices_after.tolist(),
+        "prices_before": before,
+        "prices_after": after,
         "collected_after": collected_after,
     }
     return _TRACE_ENCODER.encode(rec)

@@ -45,6 +45,19 @@ At S = all, T = 1 it is the withdrawal of every non-flat kind.
 QuadraticScore has no level; its bundle price is affine, and its own
 solve_fill gives 2b (pi - p(q)'a) / (a'a - (e'a)^2/N), any bundle.
 
+_curvature(p) gives, from the prices p = p(q), the h >= 0 with
+dp/dq = diag(h) - hh'/sum(h).  For a separable u, h_i = -u_i''(s_i), and
+the level's response dt/dq = h/sum(h) makes the rank-one term:
+
+    LMSR, ExponentialSCPM   p / b
+    QuadSCPM                [p > 0] / 2b
+    QuadraticScore          e / 2b, exact: its price is affine
+    LogSCPM                 p^2 / theta
+
+market.fill reads from it the slope h_a - h_a^2/sum(h) of a 0/1 bundle's
+price, h_a = h'a, to guess whether the fill ends before its limit.  MinSCPM,
+whose price is a step, has none.
+
 _kernel(q) is the whole cost solve of cost.solve_t at q with max(q) = 0:
 the level t, C = t - u(t - q), the prices grad(u)(t - q), the path name
 and the iterations.  The flat kinds read t = 0 and both values from q in
@@ -237,6 +250,7 @@ class Utility:
         raise NotImplementedError
 
     _level = None  # (q, inside, total) -> tau_S(T), see the module docstring
+    _curvature = None  # prices -> h, see the module docstring
 
     def solve_withdrawal(self, q):
         """Minimizer of t - u(te - q): the level tau_all(1), or None without a level."""
@@ -332,6 +346,9 @@ class LMSR(Utility):
         total = w.sum()
         return 0.0, self.b * (m + np.log(total)), w / total, "flat", 0
 
+    def _curvature(self, p):
+        return p / self.b
+
     def _level(self, q, inside, total):
         # Its prices fix no level: take ExponentialSCPM's, with weights theta.
         return _lse_level(self.b, q[inside] / self.b + self._log_theta[inside], total)
@@ -371,6 +388,9 @@ class QuadraticScore(Utility):
         cost = qbar + (d * d).sum() / (4.0 * self.b)
         return 0.0, cost, 1.0 / self.n + d / (2.0 * self.b), "flat", 0
 
+    def _curvature(self, p):
+        return np.full(self.n, 0.5 / self.b)
+
     def solve_fill(self, q, a, pi, p_a):
         # The bundle price is affine: p_a + x (a'a - (e'a)^2 / N) / 2b.
         slope = float(a @ a) - float(a.sum()) ** 2 / self.n
@@ -406,6 +426,10 @@ class LogSCPM(Utility):
 
     def domain_floor(self, q):
         return float(np.max(q))
+
+    def _curvature(self, p):
+        # -u_i'' = theta_i / s_i^2 with p_i = theta_i / s_i.
+        return p * p / self.theta
 
     def _level(self, q, inside, total):
         return self._newton_level(q, inside, total)[0]
@@ -506,6 +530,9 @@ class ExponentialSCPM(Utility):
         w = np.exp((q - t) / self.b)
         return t, t - float(self.b * (1.0 - w.sum() / self.n)), w / self.n, "closed", 0
 
+    def _curvature(self, p):
+        return p / self.b
+
     def _level(self, q, inside, total):
         # LMSR's level, log theta = -log N taken out of the sum.
         return _lse_level(self.b, q[inside] / self.b, self.n * total)
@@ -557,6 +584,10 @@ class QuadSCPM(Utility):
         v = np.minimum(s, self._clamp)
         value = (self.theta * v).sum() - (v * v).sum() / (4.0 * self.b)
         return t, t - float(value), np.maximum(0.0, self.theta - s / (2.0 * self.b)), "closed", 0
+
+    def _curvature(self, p):
+        # The clamp v_i = min(s_i, 2b theta_i) holds p_i at 0 above it.
+        return (p > 0.0) / (2.0 * self.b)
 
     def _level(self, q, inside, total):
         # Water-filling on S: sum_S max(0, theta_i - (t - q_i) / 2b) = total

@@ -20,6 +20,7 @@ from scpm import (
     settle,
 )
 from scpm.market import FillResult, parse_bundle, parse_limit, read_orders_csv, trace_record
+from scpm.utilities import KINDS
 
 
 def lmsr_market(b=1.0, n=2, mode="integral", q0=None):
@@ -347,8 +348,9 @@ class TestFill:
 
     def test_minscpm_fills_step_in_few_solves(self):
         # MinSCPM's bundle price is a step; its closed form sits on the
-        # step.  A fill that ends at 0 takes the solves at 0, at the limit
-        # and one past 0; a price-bound one the two of the certificate.
+        # step, and with no curvature its hook goes before the limit.  A
+        # fill that ends at 0 takes the solves at 0 and one past 0; one
+        # that ends past 0, those at its end and one step past it.
         u = make_utility("MinSCPM", b=1.0, n_outcomes=3)
         rng = np.random.default_rng(23)
         state = new_market(MarketConfig(utility=u, initial_q=rng.uniform(0.0, 2.0, 3)))
@@ -359,10 +361,115 @@ class TestFill:
             order = Order("t", float(rng.uniform(0.05, 0.95)), float(rng.exponential(20.0)), a)
             f = fill(state, order)
             apply_fill(state, f)
-            assert f.solves <= (3 if f.x_bar == 0.0 else 4)
+            assert f.solves <= (2 if f.x_bar == 0.0 else 3)
             paths.append(f.path)
         assert "bracket" not in paths
         assert paths.count("closed") >= 100
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_price_bound_fill_skips_the_limit(self, kind):
+        # The tangent of the bundle price reaches pi before the limit, so
+        # the hook and its certificate go first, and the limit is never
+        # solved: the solves at 0, at x_hat and one step from it.
+        u = make_utility(kind, b=1.0, n_outcomes=3)
+        state = new_market(MarketConfig(utility=u, initial_q=[0.0, 1.0, 0.5]))
+        f = fill(state, Order("t", 0.75, 50.0, np.array([1.0, 0.0, 0.0])))
+        assert (f.path, f.solves) == ("closed", 3)
+        assert 0.0 < f.x_bar < 50.0
+
+    def test_minscpm_fill_on_its_step_takes_two_solves(self):
+        # At a tie of the bundle's state with the top state x_hat = 0 prices
+        # the bundle at 1/2 <= pi, and one step past 0 at 1: the fill ends
+        # at 0 on the solves at 0 and one step past it, with no limit probe.
+        u = make_utility("MinSCPM", b=1.0, n_outcomes=3)
+        state = new_market(MarketConfig(utility=u, initial_q=[1.0, 1.0, 0.0]))
+        f = fill(state, Order("t", 0.75, 50.0, np.array([1.0, 0.0, 0.0])))
+        assert (f.x_bar, f.path, f.solves) == (0.0, "closed", 2)
+
+    @pytest.mark.parametrize("h", [[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [math.inf, 1.0, 1.0],
+                                   [math.nan, 1.0, 1.0], [1e300, 1e300, 1e300],
+                                   [5e-324, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    def test_first_order_end_without_an_answer(self, monkeypatch, h):
+        # A sum(h) of 0, or a slope of 0, below 0 or not finite gives no
+        # end and raises nothing, under the suite's error::RuntimeWarning.
+        from scpm.market import _first_order_end
+
+        u = make_utility("LMSR", n_outcomes=3)
+        monkeypatch.setattr(type(u), "_curvature", lambda self, p: np.array(h))
+        a = np.array([1.0, 0.0, 0.0])
+        x_est = _first_order_end(u, np.full(3, 1 / 3), a, 0.25)
+        assert (x_est is None) == (0.0 in h[:2] or not math.isfinite(h[0]))
+        assert x_est is None or 0.0 < x_est < math.inf
+
+    @pytest.mark.parametrize("kind, q0", [("LMSR", [0.0, 1.0]), ("ExponentialSCPM", [0.0, 1.0]),
+                                          ("QuadSCPM", [0.0, 1.0])])
+    def test_underflowed_bundle_price_probes_the_limit_first(self, kind, q0):
+        # p_a underflows to 0 (LMSR, ExponentialSCPM at b = 1e-3), or the
+        # clamp holds it at 0 (QuadSCPM): h_a = 0, no end, and the limit is
+        # solved before the hook, as before the screen.
+        from scpm.cost import prices
+        from scpm.market import _first_order_end
+
+        u = make_utility(kind, b=1e-3, n_outcomes=2)
+        state = new_market(MarketConfig(utility=u, initial_q=q0))
+        a = np.array([1.0, 0.0])
+        assert quote(state, a) == 0.0
+        assert _first_order_end(u, prices(u, state.q), a, 0.5) is None
+        f = fill(state, Order("t", 0.5, 5.0, a))
+        assert (f.path, f.solves) == ("closed", 4)
+        assert f.x_bar == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("x_est", [None, 0.0, math.inf, math.nan])
+    def test_screen_picks_only_the_order(self, monkeypatch, x_est):
+        # Limit first (None, inf, nan) or hook first (0.0), every fill ends
+        # with the bits of the screened one; only the solve count moves.
+        # The limits include x_hat itself and points within one width above
+        # it, where a fill whose limit prices the bundle at or below pi ends
+        # at "limit".
+        from scpm import market
+
+        cases = []
+        rng = np.random.default_rng(2101)
+        for kind in KINDS:
+            for n in (2, 3, 4):
+                u = make_utility(kind, b=float(rng.choice([0.05, 1.0, 20.0])), n_outcomes=n)
+                for _ in range(12):
+                    q0 = u.b * rng.uniform(0.0, 3.0, n)
+                    a = np.zeros(n)
+                    a[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 1.0
+                    pi = float(rng.uniform(0.05, 0.95))
+                    x_ref = fill(new_market(MarketConfig(utility=u, initial_q=q0)),
+                                 Order("t", pi, math.inf, a)).x_bar
+                    w = market.FILL_RTOL * max(1.0, x_ref)
+                    limits = [float(rng.exponential(3.0 * u.b)), 2.0 * x_ref + u.b]
+                    if x_ref > 0.0:
+                        limits += [0.5 * x_ref, x_ref, math.nextafter(x_ref, math.inf),
+                                   x_ref + 0.25 * w, x_ref + 0.5 * w, x_ref + w, x_ref + 2.0 * w]
+                    cases += [(u, q0, Order("t\"\u00e9", pi, limit, a)) for limit in limits]
+
+        def run():
+            out = []
+            for u, q0, order in cases:
+                state = new_market(MarketConfig(utility=u, initial_q=q0))
+                f = fill(state, order)
+                apply_fill(state, f)
+                out.append((f.x_bar, f.charge, f.prices_before.tobytes(),
+                            f.prices_after.tobytes(), f.path, trace_record(f, state.collected)))
+            return out
+
+        screened = run()
+        monkeypatch.setattr(market, "_first_order_end", lambda u, p, a, gap: x_est)
+        assert run() == screened
+        # The limit ends a fill exactly where it prices the bundle at or below pi.
+        at_limit = 0
+        for (u, q0, order), (x_bar, *_, path, _) in zip(cases, screened):
+            q_limit = np.asarray(q0) + order.bundle * order.limit
+            below = quote(new_market(MarketConfig(utility=u, initial_q=q_limit)),
+                          order.bundle) <= order.pi
+            if quote(new_market(MarketConfig(utility=u, initial_q=q0)), order.bundle) < order.pi:
+                assert (path == "limit") == below
+                at_limit += below and order.limit > 0.5 * x_bar
+        assert at_limit >= 20
 
     @pytest.mark.parametrize("a2", [1e-6, 1e-10, 1e-13, 2.9e-35])
     def test_minscpm_small_bundle_ends_at_zero(self, a2):
@@ -532,6 +639,29 @@ class TestStreamFormats:
             '"prices_after": [0.6666666666666666, 1e-17, 0.3333333333333333], '
             '"prices_before": [0.5, 0.25, 0.25], "x_bar": 0.1}'
         )
+
+    @pytest.mark.parametrize("trader_id, pi, limit, charge, collected, before", [
+        ('q"b\\\u00e9\u2603', 0.25, 2.5, 1 / 3, 1e21, [0.5, 0.25, 0.25]),
+        ("t", 1, 2.5, 0.1, 2.0, [0.5, 0.25, 0.25]),
+        ("t", 0.25, 3, 0.1, 2, [0.5, 0.25, 0.25]),
+        ("t", np.float64(0.25), math.inf, np.float64(0.1), 0.5, [0.5, 0.25, 0.25]),
+        ("t", 0.25, math.inf, math.nan, math.inf, [0.5, 0.25, 0.25]),
+        ("t", 0.25, 2.5, -math.inf, 0.0, [0.5, math.nan, 0.25]),
+        ("t", 0.25, 2.5, True, -0.0, np.array([1, 0, 0])),
+        (7, 0.25, 2.5, 0.1, 0.0, np.array([True, False, False])),
+    ])
+    def test_trace_record_is_json_dumps(self, trader_id, pi, limit, charge, collected, before):
+        # Formatted directly or through the encoder, the line is json.dumps'.
+        order = Order(trader_id, pi, limit, np.array([1.0, 0.0, 2.5]))
+        f = FillResult(x_bar=0.1, charge=charge, prices_before=np.array(before),
+                       prices_after=np.array([2 / 3, 1e-17, 1 / 3]), order=order,
+                       q_before=np.zeros(3), solves=3, path="closed")
+        rec = {"order": {"trader_id": trader_id, "pi": pi,
+                         "limit": "inf" if math.isinf(limit) else limit,
+                         "bundle": order.bundle.tolist()},
+               "x_bar": 0.1, "charge": charge, "prices_before": f.prices_before.tolist(),
+               "prices_after": f.prices_after.tolist(), "collected_after": collected}
+        assert trace_record(f, collected) == json.dumps(rec, sort_keys=True)
 
     def test_run_orders_collects_trace(self):
         state = lmsr_market()

@@ -1,10 +1,14 @@
 """sha256 digests of the package's outputs, to show that a change keeps every bit.
 
     python3 tools/output_digests.py > digests.txt
+    python3 tools/output_digests.py --against 32e4994
 
 Prints one ``<sha256>  <name>`` line per output, from the ``src/`` of the
 tree the script sits in, so a copy of it placed in a ``git archive`` export
-of another revision digests that revision:
+of another revision digests that revision.  ``--against REV`` does that:
+it runs a copy of the script in an export of REV and prints the names of
+the lines that differ from this tree's, or that only one side has, and
+exits 1 if there are any.  The lines are:
 
 * ``simulate/<kind>/seed11/{trace,stdout}``: ``scpm simulate`` at N = 3,
   b = 1, on criterion 11's stream (seed 11, 40 orders, limits up to 2), and
@@ -14,7 +18,9 @@ of another revision digests that revision:
   b in {1e-3, 1, 1e3}, the default prior and a random one (for QuadSCPM one
   with zero weights too), at q of up to 1e9 and at ties;
 * ``grid/fill/<kind>``: fills over the same markets, 0/1 and other
-  bundles, finite and infinite limits, each with its ``trace_record`` line;
+  bundles, finite and infinite limits, each with its ``trace_record`` line,
+  and ``grid/fill-solves/<kind>``: the ``FillResult.solves`` of the same
+  fills, which a change to the order of a fill's solves moves alone;
 * ``grid/apply/<kind>``: fill-and-apply streams over the same markets, from
   a random initial_q, from one holding -0.0, and on a q that the caller
   assigned as a writable array holding -0.0, hashing ``state.q`` and
@@ -27,12 +33,15 @@ bytes), or the type and message of the error it raised, and the warnings it
 emitted.  Equal lines from two trees mean byte-identical outputs.
 """
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
 import io
 import json
 import math
+import shutil
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -157,21 +166,25 @@ def _orders(n, rng):
                 yield market.Order("t\"\\é", pi, limit, bundle)
 
 
-def _fill_case(state, order):
+def _fill_case(state, order, solves):
     f = market.fill(state, order)
     market.apply(state, f)
-    return (f.x_bar, f.charge, f.prices_before, f.prices_after, f.solves, f.path,
+    solves.append(f.solves)
+    return (f.x_bar, f.charge, f.prices_before, f.prices_after, f.path,
             market.trace_record(f, state.collected))
 
 
-def fill_digest(kind):
-    h, rng = hashlib.sha256(), np.random.default_rng(1902)
+def fill_digests(kind):
+    """Digests of the fills, and of their solve counts (none for a fill that raised)."""
+    h, hs, rng = hashlib.sha256(), hashlib.sha256(), np.random.default_rng(1902)
     for u in _markets(kind, rng):
         q0 = u.b * rng.uniform(0.0, 3.0, u.n)
         state = market.new_market(market.MarketConfig(utility=u, initial_q=q0))
         for order in _orders(u.n, rng):
-            _case(h, _fill_case, state, order)
-    return h.digest()
+            solves = []
+            _case(h, _fill_case, state, order, solves)
+            hs.update(f"{solves}\n".encode())
+    return h.digest(), hs.digest()
 
 
 def _apply_markets(u, rng):
@@ -239,17 +252,52 @@ def digests():
         yield f"table1/n{n}", hashlib.sha256(_cli(["table1", "--n", str(n)])).digest()
     for kind in KINDS:
         yield f"grid/solve_t/{kind}", solve_digest(kind)
-        yield f"grid/fill/{kind}", fill_digest(kind)
+        fills, solves = fill_digests(kind)
+        yield f"grid/fill/{kind}", fills
+        yield f"grid/fill-solves/{kind}", solves
         yield f"grid/apply/{kind}", apply_digest(kind)
         value_grad, penalty = catalog_digests(kind)
         yield f"grid/value_grad/{kind}", value_grad
         yield f"grid/penalty_raw/{kind}", penalty
 
 
-def main():
-    for name, digest in digests():
-        print(f"{digest.hex()}  {name}", flush=True)
-    return 0
+def _lines(text):
+    """{name: digest} of the printed lines."""
+    return {name: digest for digest, name in (line.split("  ", 1) for line in text.splitlines())}
+
+
+def differing(rev):
+    """Names of the lines whose digests differ between this tree and rev's,
+    or that only one of them prints."""
+    with tempfile.TemporaryDirectory(prefix="output-digests-") as tree:
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+        script = Path(tree) / "tools" / Path(__file__).name
+        script.parent.mkdir(exist_ok=True)
+        shutil.copyfile(__file__, script)
+        # The export digests itself while this tree does.
+        proc = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE, text=True)
+        mine = {name: digest.hex() for name, digest in digests()}
+        out, _ = proc.communicate()
+        if proc.returncode:
+            raise RuntimeError(f"{script} exited {proc.returncode}")
+    theirs = _lines(out)
+    return [name for name in {**theirs, **mine} if mine.get(name) != theirs.get(name)]
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--against", metavar="REV",
+                   help="print the names of the lines that differ from git revision REV's")
+    args = p.parse_args(argv)
+    if args.against is None:
+        for name, digest in digests():
+            print(f"{digest.hex()}  {name}", flush=True)
+        return 0
+    names = differing(args.against)
+    print("\n".join(names) if names else f"no line differs from {args.against}")
+    return 1 if names else 0
 
 
 if __name__ == "__main__":
