@@ -262,13 +262,14 @@ def fill(state, order):
 
 
 def _price_bound_end(u, q, order, excess, width, p_a, hook_first):
-    """The end of a fill with excess(0) = p_a - pi < 0 < excess(limit): the
-    root of excess in (0, limit), the hook's candidate if the engine
-    certifies it, else the search's, to the width(x) of a bracket ending at
-    x.  With hook_first the limit is not yet probed: a certificate whose
-    upper point lies at or below it ends the fill unprobed, since excess is
-    nondecreasing and the probe would have failed; any other end probes it
-    next, and ends at the limit where excess(limit) <= 0."""
+    """The end of a fill with excess(0) = p_a - pi < 0 and a limit that is
+    infinite or probed, excess(limit) > 0: the root of excess in (0, limit),
+    the hook's candidate if the engine certifies it, else the search's, to
+    the width(x) of a bracket ending at x.  With hook_first the limit is not
+    yet probed: a certificate whose upper point lies at or below it ends the
+    fill unprobed, since excess is nondecreasing and the probe would have
+    failed; any other end probes it next, and ends at the limit where
+    excess(limit) <= 0."""
     a, limit = order.bundle, order.limit
     if math.isinf(limit):
         # Prices of a monotone utility concentrate on max-weight states
@@ -325,7 +326,8 @@ def _first_order_end(u, p, a, gap):
 
 @functools.lru_cache(maxsize=None)
 def _ones(n):
-    """A read-only vector of n ones: h.dot(_ones(n)) sums h faster than a reduce."""
+    """A read-only vector of n ones, shared by every call: h.dot(_ones(n))
+    sums h faster than a reduce."""
     ones = np.ones(n)
     ones.setflags(write=False)
     return ones

@@ -1,7 +1,7 @@
 """sha256 digests of the package's outputs, to show that a change keeps every bit.
 
     python3 tools/output_digests.py > digests.txt
-    python3 tools/output_digests.py --against 32e4994
+    python3 tools/output_digests.py --against HEAD~1
 
 Prints one ``<sha256>  <name>`` line per output, from the ``src/`` of the
 tree the script sits in, so a copy of it placed in a ``git archive`` export
