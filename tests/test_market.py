@@ -378,7 +378,7 @@ class TestFill:
         assert 0.0 < f.x_bar < 50.0
 
     def test_minscpm_fill_on_its_step_takes_two_solves(self):
-        # At a tie of the bundle's state with the top state x_hat = 0 prices
+        # At a tie of the bundle's state with the top state, x_hat = 0 prices
         # the bundle at 1/2 <= pi, and one step past 0 at 1: the fill ends
         # at 0 on the solves at 0 and one step past it, with no limit probe.
         u = make_utility("MinSCPM", b=1.0, n_outcomes=3)

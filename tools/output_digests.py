@@ -277,9 +277,10 @@ def differing(rev):
         script.parent.mkdir(exist_ok=True)
         shutil.copyfile(__file__, script)
         # The export digests itself while this tree does.
-        proc = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE, text=True)
-        mine = {name: digest.hex() for name, digest in digests()}
-        out, _ = proc.communicate()
+        with subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE,
+                              text=True) as proc:
+            mine = {name: digest.hex() for name, digest in digests()}
+            out, _ = proc.communicate()
         if proc.returncode:
             raise RuntimeError(f"{script} exited {proc.returncode}")
     theirs = _lines(out)
