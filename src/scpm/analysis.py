@@ -18,11 +18,15 @@ The worst-case loss climbs the engine's own market: the loss when outcome
 i happens after x of its shares were sold is concave in x, so its search
 is a climb along x with one cost solve per decade.  The properness and
 penalty checks read the conjugate point, the maximizer of the concave
-u(s) - r's, where grad(u)(s) = r.  Each study finds all of its points in
-one damped Newton solve over an (M, N) block of beliefs: every step is
-one batched grad call at the live rows' trial points and their
-forward-difference neighbours, then a least-squares step per row, since
-the Jacobian is singular along e for the kinds whose gradient sums to 1.
+u(s) - r's, where grad(u)(s) = r.  Every catalog kind inverts its gradient
+in closed form (Utility._conjugate), so a study reads all of its points
+from one call with no grad call; the studies themselves check those
+points, properness through grad and the penalty fit against every catalog
+family.  A kind without the hook finds them in one damped Newton solve
+over an (M, N) block of beliefs: every step is one batched grad call at
+the live rows' trial points and their forward-difference neighbours, then
+a least-squares step per row, since the Jacobian is singular along e for
+the kinds whose gradient sums to 1.
 """
 
 from __future__ import annotations
@@ -186,8 +190,9 @@ def worst_case_loss(u, method="analytic", seed=0):
 
 
 def _solve_conjugate_points(u, R):
-    """Maximize u(s) - r's for every row r of R at once by a damped Newton
-    solve of grad(u)(s) = r from s = 1 (a domain s > 0) or s = 0.
+    """Maximize u(s) - r's for every row r of R at once: the kind's closed
+    form u._conjugate(R) where it has one, else a damped Newton solve of
+    grad(u)(s) = r from s = 1 (a domain s > 0) or s = 0.
 
     Each step makes one grad call, at the trial point of every live row
     and at its N forward-difference neighbours, so an accepted trial
@@ -203,6 +208,8 @@ def _solve_conjugate_points(u, R):
     Returns the (M, N) points found, non-stationary where u is improper.
     """
     R = np.asarray(R, dtype=float)
+    if u._conjugate is not None:
+        return u._conjugate(R)
     positive = math.isfinite(u.domain_floor(np.zeros(u.n)))
     S = np.full(R.shape, 1.0 if positive else 0.0)
     rows = np.flatnonzero(u.properness_residual(S, R) > 0.0)

@@ -19,7 +19,7 @@ the candidate is accepted only on a certificate from cost solves: f(x_bar)
 <= 0 < f(x_bar + tol), with x_bar = x_hat, or x_hat - tol when f(x_hat) >
 0.  That is the bracket the search would give.  Where x_hat < tol and
 f(x_hat) > 0, the solve at 0 closes [0, x_hat]: the fill ends at 0,
-"rejected".  Otherwise (no form for the
+"rejected", as does any certified end at 0.  Otherwise (no form for the
 bundle, a candidate out of reach, a failed certificate) the search runs:
 cost.expand_bracket grows a bracket from [0, min(1, limit)], up to the
 limit or to 2**60, and cost.bracketed_root narrows it to the same width at
@@ -337,19 +337,24 @@ def _certified_end(x_hat, excess, width):
     """(x_bar, path, upper) where cost solves certify the hook's x_hat as
     the bracket the search would give, f(x_bar) <= 0 < f(x_bar + tol) with
     x_bar = x_hat or one tol below it, upper being the solved point with
-    f > 0; None where they do not."""
+    f > 0, and path "closed", or "rejected" where x_bar is 0; None where
+    they do not."""
     below = excess(x_hat) <= 0.0
     tol = width(x_hat)
     if below:
-        if excess(x_hat + tol) > 0.0:
-            return x_hat, "closed", x_hat + tol
+        if not excess(x_hat + tol) > 0.0:
+            return None
+        x_bar, upper = x_hat, x_hat + tol
     elif x_hat < tol:
         # f(0) < 0 < f(x_hat): the end lies within one step of 0, closer
         # than the fill resolves, so the order buys nothing.
-        return 0.0, "rejected", x_hat
+        x_bar, upper = 0.0, x_hat
     elif excess(x_hat - tol) <= 0.0:
-        return x_hat - tol, "closed", x_hat
-    return None
+        x_bar, upper = x_hat - tol, x_hat
+    else:
+        return None
+    # An end at 0 sells nothing, whichever branch certified it.
+    return x_bar, "closed" if x_bar > 0.0 else "rejected", upper
 
 
 def apply(state, fill_result):

@@ -17,11 +17,11 @@ concave-conjugate penalty L(p) = sup_s u(s) - p's in closed form, and
 its analytic worst-case-loss terms (B, C(0)).
 
 A kind writes only its formulas: _value(s) and _grad(s) on float arrays
-(..., N) and loss_bound_terms() always; _level, _penalty, _kernel and
-_residual (for a set-valued subdifferential) where it has them, and
-_default_theta and _check_theta if it takes a prior.  MinSCPM's
-subdifferential is the simplex over the argmin of s, so its prices are
-uniform over the exact argmax of q: no tolerance decides a tie.
+(..., N) and loss_bound_terms() always; _level, _curvature, _conjugate,
+_penalty, _kernel and _residual (for a set-valued subdifferential) where
+it has them, and _default_theta and _check_theta if it takes a prior.
+MinSCPM's subdifferential is the simplex over the argmin of s, so its
+prices are uniform over the exact argmax of q: no tolerance decides a tie.
 The base class owns the plumbing: value, grad, penalty_raw,
 conjugate_penalty and properness_residual coerce their input (_as_alloc:
 length N, and s > 0 for LogSCPM) and return a float for one row and the
@@ -57,6 +57,20 @@ the level's response dt/dq = h/sum(h) makes the rank-one term:
 market.fill reads from it the slope h_a - h_a^2/sum(h) of a 0/1 bundle's
 price, h_a = h'a, to guess whether the fill ends before its limit.  MinSCPM,
 whose price is a step, has none.
+
+_conjugate(R) gives, for interior beliefs R (M, N) on the simplex, a
+maximizer S of u(s) - r's per row, where grad(u)(S) = R: the inverse
+gradient, in closed form with no iteration.
+
+    LMSR              b (log(theta/sum(theta)) - log r)
+    ExponentialSCPM   -b log(N r)
+    LogSCPM           theta / r
+    QuadSCPM          2b (theta - r)
+    QuadraticScore    2b (e/N - r)
+    MinSCPM           0: every diagonal point is a maximizer
+
+analysis reads the properness and penalty studies' points from it, and
+checks them there through grad; a kind without it gets the damped Newton.
 
 _kernel(q) is the whole cost solve of cost.solve_t at q with max(q) = 0:
 the level t, C = t - u(t - q), the prices grad(u)(t - q), the path name
@@ -251,6 +265,7 @@ class Utility:
 
     _level = None  # (q, inside, total) -> tau_S(T), see the module docstring
     _curvature = None  # prices -> h, see the module docstring
+    _conjugate = None  # beliefs R -> S with grad(u)(S) = R, see the module docstring
 
     def solve_withdrawal(self, q):
         """Minimizer of t - u(te - q): the level tau_all(1), or None without a level."""
@@ -349,6 +364,10 @@ class LMSR(Utility):
     def _curvature(self, p):
         return p / self.b
 
+    def _conjugate(self, R):
+        # theta_i exp(-s_i/b) = alpha r_i; at r = theta/alpha this is +0.0, not -0.0.
+        return self.b * (self._log_prior - np.log(R))
+
     def _level(self, q, inside, total):
         # Its prices fix no level: take ExponentialSCPM's, with weights theta.
         return _lse_level(self.b, q[inside] / self.b + self._log_theta[inside], total)
@@ -391,6 +410,10 @@ class QuadraticScore(Utility):
     def _curvature(self, p):
         return np.full(self.n, 0.5 / self.b)
 
+    def _conjugate(self, R):
+        # Mean 0 when r sums to 1, so grad = 1/N - s/2b = r.
+        return 2.0 * self.b * (1.0 / self.n - R)
+
     def solve_fill(self, q, a, pi, p_a):
         # The bundle price is affine: p_a + x (a'a - (e'a)^2 / N) / 2b.
         slope = float(a @ a) - float(a.sum()) ** 2 / self.n
@@ -430,6 +453,9 @@ class LogSCPM(Utility):
     def _curvature(self, p):
         # -u_i'' = theta_i / s_i^2 with p_i = theta_i / s_i.
         return p * p / self.theta
+
+    def _conjugate(self, R):
+        return self.theta / R
 
     def _level(self, q, inside, total):
         return self._newton_level(q, inside, total)[0]
@@ -497,6 +523,10 @@ class MinSCPM(Utility):
         # Prices sit on the largest q of S, whatever the total.
         return float(q[inside].max())
 
+    def _conjugate(self, R):
+        # Every diagonal point is a maximizer: its subdifferential is the simplex.
+        return np.zeros(R.shape)
+
     def _penalty(self, p):
         return np.zeros(p.shape[:-1])
 
@@ -532,6 +562,9 @@ class ExponentialSCPM(Utility):
 
     def _curvature(self, p):
         return p / self.b
+
+    def _conjugate(self, R):
+        return -self.b * np.log(self.n * R)
 
     def _level(self, q, inside, total):
         # LMSR's level, log theta = -log N taken out of the sum.
@@ -588,6 +621,10 @@ class QuadSCPM(Utility):
     def _curvature(self, p):
         # The clamp v_i = min(s_i, 2b theta_i) holds p_i at 0 above it.
         return (p > 0.0) / (2.0 * self.b)
+
+    def _conjugate(self, R):
+        # Below the clamp for r > 0: theta - s/2b = r.
+        return 2.0 * self.b * (self.theta - R)
 
     def _level(self, q, inside, total):
         # Water-filling on S: sum_S max(0, theta_i - (t - q_i) / 2b) = total

@@ -145,9 +145,17 @@ def beliefs(rng, m, n):
     return 0.9 * rng.dirichlet(np.ones(n), size=m) + 0.1 / n
 
 
+def without_hook(u):
+    """u with its closed-form conjugate switched off, so the Newton runs."""
+    u._conjugate = None
+    return u
+
+
 class TestConjugatePoint:
-    # One batched Newton solve for all beliefs: a grad call per step, at
-    # every live row and its forward-difference neighbours.
+    # Each catalog kind inverts its gradient in closed form with no grad
+    # call.  Without the hook, one batched Newton solve for all beliefs: a
+    # grad call per step, at every live row and its forward-difference
+    # neighbours.
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("kind", [k for k in sorted(KINDS) if k != "MinSCPM"])
     def test_stationary_within_grad_budget(self, kind, n):
@@ -157,35 +165,63 @@ class TestConjugatePoint:
             thetas.append(theta / theta.sum() if kind == "QuadSCPM" else theta)
         for theta in thetas:
             for b in (1e-3, 1.0, 1e3):
-                u = make_utility(kind, b=b, n_outcomes=n, theta=theta)
-                grad, calls = counting_grad(u)
-                R = beliefs(np.random.default_rng(11), 20, n)
-                S = _solve_conjugate_points(u, R)
-                assert np.max(np.abs(grad(S) - R)) <= 1e-12, (theta, b)
-                assert len(calls) <= 30, (theta, b)
+                for hook, budget in ((False, 30), (True, 0)):
+                    u = make_utility(kind, b=b, n_outcomes=n, theta=theta)
+                    if not hook:
+                        without_hook(u)
+                    grad, calls = counting_grad(u)
+                    R = beliefs(np.random.default_rng(11), 20, n)
+                    S = _solve_conjugate_points(u, R)
+                    assert np.max(np.abs(grad(S) - R)) <= 1e-12, (theta, b, hook)
+                    assert len(calls) <= budget, (theta, b, hook)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 1024])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_hook_matches_newton(self, kind, n):
+        # The closed form and the Newton reach the same gradient: 20 beliefs
+        # per case, one at N = 1024, where a Newton step solves 1024 x 1024.
+        theta = None
+        if CATALOG[kind].takes_theta:
+            theta = np.arange(1.0, n + 1.0)
+            theta /= theta.sum()
+        R = beliefs(np.random.default_rng(13), 1 if n > 5 else 20, n)
+        for b in (1e-3, 1.0, 1e3):
+            u = make_utility(kind, b=b, n_outcomes=n, theta=theta)
+            S = _solve_conjugate_points(u, R)
+            newton = _solve_conjugate_points(without_hook(u), R)
+            assert np.max(np.abs(u.grad(S) - u.grad(newton))) <= 1e-12, b
 
     @pytest.mark.parametrize("kind, theta", [("LMSR", None), ("LMSR", [1.0, 2.0, 4.0]),
                                              ("MinSCPM", None)])
     def test_stationary_start_returned_after_one_grad_call(self, kind, theta):
         # r in the (sub)differential at the start s = 0: LMSR at r = theta/sum(theta),
-        # MinSCPM at any r, since every diagonal point is a maximizer
-        u = make_utility(kind, n_outcomes=3, theta=theta)
-        _, calls = counting_grad(u)
-        if kind == "MinSCPM":
-            R = beliefs(np.random.default_rng(3), 20, 3)
-        else:
-            R = np.tile(u.theta / u.theta.sum(), (5, 1))
-        np.testing.assert_array_equal(_solve_conjugate_points(u, R), np.zeros_like(R))
-        assert len(calls) <= 1
+        # MinSCPM at any r, since every diagonal point is a maximizer.  The
+        # closed form gives the same +0.0 points with no grad call.
+        for hook in (False, True):
+            u = make_utility(kind, n_outcomes=3, theta=theta)
+            if not hook:
+                without_hook(u)
+            _, calls = counting_grad(u)
+            if kind == "MinSCPM":
+                R = beliefs(np.random.default_rng(3), 20, 3)
+            else:
+                R = np.tile(u.theta / u.theta.sum(), (5, 1))
+            S = _solve_conjugate_points(u, R)
+            np.testing.assert_array_equal(S, np.zeros_like(R))
+            assert not np.signbit(S).any()
+            assert len(calls) <= (0 if hook else 1)
 
     def test_stationary_rows_unmoved_among_live_rows(self):
-        u = make_utility("LMSR", n_outcomes=3, theta=[1.0, 2.0, 4.0])
-        R = beliefs(np.random.default_rng(5), 6, 3)
-        R[::2] = u.theta / u.theta.sum()
-        S = _solve_conjugate_points(u, R)
-        np.testing.assert_array_equal(S[::2], 0.0)
-        assert np.all(np.any(S[1::2] != 0.0, axis=-1))
-        assert np.max(np.abs(u.grad(S) - R)) <= 1e-12
+        for hook in (False, True):
+            u = make_utility("LMSR", n_outcomes=3, theta=[1.0, 2.0, 4.0])
+            if not hook:
+                without_hook(u)
+            R = beliefs(np.random.default_rng(5), 6, 3)
+            R[::2] = u.theta / u.theta.sum()
+            S = _solve_conjugate_points(u, R)
+            np.testing.assert_array_equal(S[::2], 0.0)
+            assert np.all(np.any(S[1::2] != 0.0, axis=-1))
+            assert np.max(np.abs(u.grad(S) - R)) <= 1e-12
 
     def test_linear_rows_end_unmoved(self):
         # A constant gradient: the Jacobian is 0, so the step is 0 and each
@@ -215,19 +251,22 @@ class TestConjugatePoint:
 
 
 class TestStudyGradCalls:
-    # Each study makes one batched Newton solve: the counts repeat exactly,
-    # so a return to per-point sweeps (hundreds of calls per point) shows.
+    # Each catalog kind reads its conjugate points in closed form, so the
+    # counts are exact: check_properness makes the residual's grad call
+    # (none for MinSCPM, whose residual reads the argmin set) and the jump
+    # probe's, and identify_penalty_family none.  A return to the Newton
+    # (tens of calls per study) or to per-point sweeps shows.
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("kind", KINDS)
     def test_at_most_50_grad_calls_per_study(self, kind, n):
         u = make_utility(kind, n_outcomes=n)
         _, calls = counting_grad(u)
         check_properness(u, n_samples=50)
-        assert len(calls) <= 50
+        assert len(calls) == (1 if kind == "MinSCPM" else 2)
         if u.monotone:
             calls.clear()
             identify_penalty_family(u)
-            assert len(calls) <= 50
+            assert len(calls) == 0
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_table1_labels(self, n):

@@ -349,8 +349,9 @@ class TestFill:
     def test_minscpm_fills_step_in_few_solves(self):
         # MinSCPM's bundle price is a step; its closed form sits on the
         # step, and with no curvature its hook goes before the limit.  A
-        # fill that ends at 0 takes the solves at 0 and one past 0; one
-        # that ends past 0, those at its end and one step past it.
+        # fill that ends at 0 takes the solves at 0 and one past 0, and is
+        # "rejected" whether or not the hook certified it; one that ends
+        # past 0, those at its end and one step past it.
         u = make_utility("MinSCPM", b=1.0, n_outcomes=3)
         rng = np.random.default_rng(23)
         state = new_market(MarketConfig(utility=u, initial_q=rng.uniform(0.0, 2.0, 3)))
@@ -362,9 +363,12 @@ class TestFill:
             f = fill(state, order)
             apply_fill(state, f)
             assert f.solves <= (2 if f.x_bar == 0.0 else 3)
-            paths.append(f.path)
+            assert (f.path == "rejected") == (f.x_bar == 0.0)
+            # a certified end: past 0, or at 0 one step short of a solved f > 0
+            certified = f.path == "closed" or (f.path == "rejected" and f.solves == 2)
+            paths.append("certified" if certified else f.path)
         assert "bracket" not in paths
-        assert paths.count("closed") >= 100
+        assert paths.count("certified") >= 100
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_price_bound_fill_skips_the_limit(self, kind):
@@ -381,10 +385,11 @@ class TestFill:
         # At a tie of the bundle's state with the top state, x_hat = 0 prices
         # the bundle at 1/2 <= pi, and one step past 0 at 1: the fill ends
         # at 0 on the solves at 0 and one step past it, with no limit probe.
+        # It sells nothing, so it is "rejected", as every other end at 0.
         u = make_utility("MinSCPM", b=1.0, n_outcomes=3)
         state = new_market(MarketConfig(utility=u, initial_q=[1.0, 1.0, 0.0]))
         f = fill(state, Order("t", 0.75, 50.0, np.array([1.0, 0.0, 0.0])))
-        assert (f.x_bar, f.path, f.solves) == (0.0, "closed", 2)
+        assert (f.x_bar, f.path, f.solves) == (0.0, "rejected", 2)
 
     @pytest.mark.parametrize("h", [[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [math.inf, 1.0, 1.0],
                                    [math.nan, 1.0, 1.0], [1e300, 1e300, 1e300],

@@ -26,7 +26,12 @@ exits 1 if there are any.  The lines are:
   assigned as a writable array holding -0.0, hashing ``state.q`` and
   ``collected`` after every ``apply`` and the ``settle`` reports at the end;
 * ``grid/value_grad/<kind>`` and ``grid/penalty_raw/<kind>``: batch and
-  single-row calls at N in {2, 3, 10}, simplex rows with zeros and vertices.
+  single-row calls at N in {2, 3, 10}, simplex rows with zeros and vertices;
+* ``grid/analysis/<kind>``: the reports of ``worst_case_loss(u, "numeric")``,
+  ``check_properness``, ``identify_penalty_family`` and ``risk_dual_check``
+  (at the frozen benchmark's dual resolutions) and the conjugate points of
+  seeded beliefs, at N in {2, 3, 5}, b in {1e-3, 1, 1e3}, the default prior
+  and a random one (for QuadSCPM one with zero weights too).
 
 Each case records its result's bytes (floats by repr, arrays by their raw
 bytes), or the type and message of the error it raised, and the warnings it
@@ -52,7 +57,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from scpm import cli, market  # noqa: E402
+from scpm import analysis, cli, market  # noqa: E402
 from scpm.cost import solve_t  # noqa: E402
 from scpm.utilities import KINDS, make_utility  # noqa: E402
 
@@ -244,6 +249,28 @@ def catalog_digests(kind):
     return hv.digest(), hp.digest()
 
 
+def _report(x):
+    """A study's report as a tuple: a dataclass by its fields."""
+    return dataclasses.astuple(x) if dataclasses.is_dataclass(x) else x
+
+
+def analysis_digest(kind):
+    h, rng = hashlib.sha256(), np.random.default_rng(1905)
+    for n, dual_resolution in ((2, 4000), (3, 400), (5, 100)):
+        for b in BS:
+            for theta in _priors(kind, n, rng):
+                u = make_utility(kind, b=b, n_outcomes=n, theta=theta)
+                Z = b * rng.uniform(-3.0, 3.0, n)
+                R = 0.9 * rng.dirichlet(np.ones(n), size=20) + 0.1 / n
+                for study, *args in ((analysis.worst_case_loss, "numeric"),
+                                     (analysis.check_properness, 50),
+                                     (analysis.identify_penalty_family,),
+                                     (analysis.risk_dual_check, Z, dual_resolution),
+                                     (analysis._solve_conjugate_points, R)):
+                    _case(h, lambda: _report(study(u, *args)))
+    return h.digest()
+
+
 def digests():
     with tempfile.TemporaryDirectory(prefix="output-digests-") as work:
         yield from ((name, hashlib.sha256(data).digest())
@@ -259,6 +286,7 @@ def digests():
         value_grad, penalty = catalog_digests(kind)
         yield f"grid/value_grad/{kind}", value_grad
         yield f"grid/penalty_raw/{kind}", penalty
+        yield f"grid/analysis/{kind}", analysis_digest(kind)
 
 
 def _lines(text):
