@@ -123,6 +123,15 @@ class TestProperness:
         assert rep.strictly_proper
         assert rep.max_gradient_residual <= 1e-6
 
+    def test_lmsr_spread_prior_small_b_strictly_proper(self):
+        # A prior spread 100-fold at b = 1e-3: the damped Newton stalls on
+        # a few rows (residual 0.59) and called LMSR improper; the closed
+        # form reaches every row.
+        u = make_utility("LMSR", b=1e-3, n_outcomes=3, theta=[0.1, 1.0, 10.0])
+        rep = check_properness(u, n_samples=50)
+        assert rep.strictly_proper
+        assert rep.max_gradient_residual <= 1e-12
+
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             check_properness(make_utility("LMSR"), n_samples=0)
