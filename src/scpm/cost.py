@@ -22,10 +22,13 @@ The kernel works at q - max(q), and solve_t adds max(q) back: C(q + ce) =
 C(q) + c and prices are unchanged, so the level and the price check then
 work at the scale of the spread of q, not of its size.  solve_t accepts a
 q only if it is finite and its spread max(q) - min(q) is too, so that the
-shift cannot overflow; both read off min(q) and max(q).  For a monotone
-kind it rejects a price below -1e-10 and clamps the ones in [-1e-10, 0) to
-+0.0, and it runs the clamp only when some price is negative: a kernel
-hands it no -0.0.
+shift cannot overflow; both read off the entries of q at argmin and
+argmax, min(q) and max(q) without a ufunc reduction (of -0.0 and +0.0
+tied, the first; C, the prices and t come out the same).
+The price-sum check reads p'e, and a renormalisation divides by p.sum().
+For a monotone kind it rejects a price below -1e-10 and clamps the ones in
+[-1e-10, 0) to +0.0, and it runs the clamp only when some price is
+negative, read off the entry at argmin(p): a kernel hands it no -0.0.
 
 expand_bracket and bracketed_root are the one 1-D search of the package,
 and it stops on the width of its bracket alone.  market.fill falls back on
@@ -39,6 +42,7 @@ Tolerances are fixed so that traces and acceptance values are bit-stable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -167,6 +171,15 @@ def _root_t(u, q):
     return t, "root", iterations
 
 
+@functools.lru_cache(maxsize=None)
+def _ones(n):
+    """A read-only vector of n ones, shared by every call: p.dot(_ones(n))
+    sums p faster than a reduce."""
+    ones = np.ones(n)
+    ones.setflags(write=False)
+    return ones
+
+
 def solve_t(u, q):
     """Minimize t - u(te - q); returns level, cost, prices and diagnostics.
 
@@ -177,15 +190,16 @@ def solve_t(u, q):
     q = np.asarray(q, dtype=float)
     if q.shape != (u.n,):
         raise ValueError(f"q must have shape ({u.n},), got {q.shape}")
-    # One pass each for min and max: a nan or an infinite entry, or a spread
-    # past the float range, leaves qmin - qmax at -inf or nan.  The bare
-    # ufunc reductions are what q.min(), q.max() and p.sum() call.
-    qmin, qmax = float(np.minimum.reduce(q)), float(np.maximum.reduce(q))
+    # The extremes by index, not by a ufunc reduction: argmin and argmax
+    # stop at the first nan, so a nan or an infinite entry, or a spread past
+    # the float range, leaves qmin - qmax at -inf or nan.  The price sum is
+    # only checked, so p'e serves; a renormalisation divides by p.sum().
+    qmin, qmax = q.item(q.argmin()), q.item(q.argmax())
     if not -math.inf < qmin - qmax:
         raise ValueError("q must be finite, with a finite spread max(q) - min(q)")
     t, c, p, path, iterations = u._kernel(q - qmax)
     p = np.asarray(p, dtype=float)
-    gap = abs(float(np.add.reduce(p)) - 1.0)
+    gap = abs(p.dot(_ones(p.size)) - 1.0)
     if gap > PRICE_SUM_OK:
         scale = max(1.0, float(np.abs(p).sum()))
         if gap > PRICE_SUM_FIX * scale:
@@ -193,7 +207,7 @@ def solve_t(u, q):
         if gap > PRICE_SUM_OK * scale:
             p = p / p.sum()
     if u.monotone:
-        pmin = float(np.minimum.reduce(p))
+        pmin = p.item(p.argmin())
         if pmin < 0.0:
             if pmin < -1e-10:
                 raise SolverError("negative price from a non-decreasing utility")

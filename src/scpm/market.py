@@ -45,7 +45,6 @@ semicolon-separated reals, limit accepts "inf"); traces are JSON lines.
 from __future__ import annotations
 
 import csv
-import functools
 import importlib
 import json
 import math
@@ -56,6 +55,7 @@ import numpy as np
 
 # perfbench/tracing.py wraps both names where this module binds them.
 from .cost import charge as compute_charge, prices as compute_prices
+from .cost import _ones
 
 # The package re-exports the function cost under the submodule's name.
 _cost = importlib.import_module(".cost", __package__)
@@ -104,8 +104,8 @@ class MarketConfig:
             else np.asarray(self.initial_q, dtype=float)
         if q.shape != (self.n_outcomes,):
             raise ValueError(f"initial_q must have length {self.n_outcomes}")
-        # A nan makes the minimum nan; an inf makes an extreme infinite.
-        lo, hi = q.min(), q.max()
+        # Extremes by index: argmin stops at a nan, and an inf makes an extreme infinite.
+        lo, hi = q[q.argmin()], q[q.argmax()]
         if not -math.inf < lo <= hi < math.inf:
             raise ValueError("initial_q must be finite")
         if lo < 0:
@@ -134,9 +134,10 @@ class Order:
             raise ValueError(f"limit quantity must be positive, got {self.limit}")
         # The order's own copy: the caller may reuse its array for the next order.
         a = np.array(self.bundle, dtype=float)
-        # One min and one max: a nan makes both nan, and no comparison holds for it.
-        if a.ndim != 1 or not a.size or not (float(np.minimum.reduce(a)) >= 0.0
-                                             and 0.0 < float(np.maximum.reduce(a)) < math.inf):
+        # The extremes by index, not by a ufunc reduction: argmin and argmax
+        # stop at a nan, and no comparison holds for it.
+        if a.ndim != 1 or not a.size or not (a[a.argmin()] >= 0.0
+                                             and 0.0 < a[a.argmax()] < math.inf):
             raise ValueError("bundle must be finite, nonnegative and nonzero")
         a.setflags(write=False)
         object.__setattr__(self, "bundle", a)
@@ -179,16 +180,21 @@ def new_market(config):
 def quote(state, bundle):
     """Instantaneous price of a bundle: p(q)'a.
 
-    Raises ValueError for a bundle not of length N, and for one whose price
-    is not finite, as a nan or infinite entry makes it.
+    Raises ValueError for a bundle not of length N or with a nan or
+    infinite entry, before it is priced, and for a price that is not finite.
     """
     u = state.config.utility
     a = np.asarray(bundle, dtype=float)
     if a.shape != (u.n,):
         raise ValueError(f"bundle must have length {u.n}")
-    price = float(compute_prices(u, state.q) @ a)
-    if not math.isfinite(price):
+    # Checked before the product, where an infinite entry on a zero price
+    # would make a nan; the extremes by index, as Order reads them.
+    if not -math.inf < a[a.argmin()] <= a[a.argmax()] < math.inf:
         raise ValueError("bundle must be finite")
+    # ndarray.dot: the bits of @ for two vectors, without the ufunc's overhead.
+    price = float(compute_prices(u, state.q).dot(a))
+    if not math.isfinite(price):
+        raise ValueError("bundle price must be finite")
     return price
 
 
@@ -226,7 +232,8 @@ def fill(state, order):
     def width(x):
         # No bracket is narrower than one float spacing of the point excess(x)
         # solved: points of the order that close are one market state.
-        return max(FILL_RTOL * max(1.0, x), math.ulp(float(np.maximum.reduce(points[x][0]))))
+        point = points[x][0]
+        return max(FILL_RTOL * max(1.0, x), math.ulp(point.item(point.argmax())))
 
     x_bar, path = 0.0, "rejected"
     if p_a - order.pi < 0.0:
@@ -274,7 +281,7 @@ def _price_bound_end(u, q, order, excess, width, p_a, hook_first):
     if math.isinf(limit):
         # Prices of a monotone utility concentrate on max-weight states
         # as x grows, so the achievable bundle price is bounded by max(a).
-        if u.monotone and order.pi >= float(a.max()):
+        if u.monotone and order.pi >= a.item(a.argmax()):
             raise UnboundedFillError(
                 f"limit price {order.pi} can never be reached; order would fill without bound"
             )
@@ -322,15 +329,6 @@ def _first_order_end(u, p, a, gap):
     if not 0.0 < slope < math.inf:
         return None
     return gap / slope
-
-
-@functools.lru_cache(maxsize=None)
-def _ones(n):
-    """A read-only vector of n ones, shared by every call: h.dot(_ones(n))
-    sums h faster than a reduce."""
-    ones = np.ones(n)
-    ones.setflags(write=False)
-    return ones
 
 
 def _certified_end(x_hat, excess, width):

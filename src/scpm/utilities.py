@@ -134,8 +134,10 @@ def _in_set(a):
 
 
 def _lse_level(b, z, total):
-    # tau with sum_S exp(z_i - tau/b) = total, where z_i = q_i/b + log theta_i.
-    return float(b * (_logsumexp(z) - math.log(total)))
+    # tau with sum_S exp(z_i - tau/b) = total, where z_i = q_i/b + log theta_i:
+    # _logsumexp of one row, its maximum read by index.
+    m = z[z.argmax()]
+    return float(b * (m + np.log(np.add.reduce(np.exp(z - m))) - math.log(total)))
 
 
 def _check_simplex(p, n):
@@ -302,7 +304,7 @@ class Utility:
         inside = _in_set(a)
         if self._level is None or inside is None or not 0.0 < pi < 1.0:
             return None
-        q = q - q.max()
+        q = q - q[q.argmax()]
         return max(0.0, self._level(q, ~inside, 1.0 - pi) - self._level(q, inside, pi))
 
     def properness_residual(self, s, r):
@@ -356,9 +358,9 @@ class LMSR(Utility):
     def _kernel(self, q):
         # Flat in t: t = max(q) = 0, C = b LSE(q/b + log theta), one exp.
         z = q / self.b + self._log_theta
-        m = z.max()
+        m = z[z.argmax()]
         w = np.exp(z - m)
-        total = w.sum()
+        total = np.add.reduce(w)
         return 0.0, self.b * (m + np.log(total)), w / total, "flat", 0
 
     def _curvature(self, p):
@@ -401,10 +403,10 @@ class QuadraticScore(Utility):
 
     def _kernel(self, q):
         # Flat in t: value and grad at s = -q, read from q about its mean
-        # (q.sum() / N is q.mean(), byte for byte).
-        qbar = q.sum() / self.n
+        # (the sum over N is q.mean(), byte for byte).
+        qbar = np.add.reduce(q) / self.n
         d = q - qbar
-        cost = qbar + (d * d).sum() / (4.0 * self.b)
+        cost = qbar + np.add.reduce(d * d) / (4.0 * self.b)
         return 0.0, cost, 1.0 / self.n + d / (2.0 * self.b), "flat", 0
 
     def _curvature(self, p):
@@ -416,7 +418,7 @@ class QuadraticScore(Utility):
 
     def solve_fill(self, q, a, pi, p_a):
         # The bundle price is affine: p_a + x (a'a - (e'a)^2 / N) / 2b.
-        slope = float(a @ a) - float(a.sum()) ** 2 / self.n
+        slope = float(a.dot(a)) - float(np.add.reduce(a)) ** 2 / self.n
         if not slope > 0.0:
             return None
         return 2.0 * self.b * (pi - p_a) / slope
@@ -488,7 +490,8 @@ class LogSCPM(Utility):
         # Not through solve_withdrawal, whose float leaves out the passes.
         t, passes = self._newton_level(q, slice(None), 1.0)
         s = self._as_alloc(t - q)
-        return t, t - float((self.theta * np.log(s)).sum()), self.theta / s, "closed", passes
+        return (t, t - float(np.add.reduce(self.theta * np.log(s))), self.theta / s,
+                "closed", passes)
 
     def _penalty(self, p):
         # -sum theta log p + sum (theta log theta - theta); theta > 0 makes
@@ -521,7 +524,8 @@ class MinSCPM(Utility):
 
     def _level(self, q, inside, total):
         # Prices sit on the largest q of S, whatever the total.
-        return float(q[inside].max())
+        q = q[inside]
+        return q.item(q.argmax())
 
     def _conjugate(self, R):
         # Every diagonal point is a maximizer: its subdifferential is the simplex.
@@ -555,10 +559,10 @@ class ExponentialSCPM(Utility):
         return np.exp(-s / self.b) / self.n
 
     def _kernel(self, q):
-        # (q - t) is -(t - q) and w.sum() / N is w.mean(), byte for byte.
+        # (q - t) is -(t - q) and the sum over N is w.mean(), byte for byte.
         t = self.solve_withdrawal(q)
         w = np.exp((q - t) / self.b)
-        return t, t - float(self.b * (1.0 - w.sum() / self.n)), w / self.n, "closed", 0
+        return t, t - float(self.b * (1.0 - np.add.reduce(w) / self.n)), w / self.n, "closed", 0
 
     def _curvature(self, p):
         return p / self.b
@@ -615,7 +619,7 @@ class QuadSCPM(Utility):
         t = self.solve_withdrawal(q)
         s = t - q
         v = np.minimum(s, self._clamp)
-        value = (self.theta * v).sum() - (v * v).sum() / (4.0 * self.b)
+        value = np.add.reduce(self.theta * v) - np.add.reduce(v * v) / (4.0 * self.b)
         return t, t - float(value), np.maximum(0.0, self.theta - s / (2.0 * self.b)), "closed", 0
 
     def _curvature(self, p):

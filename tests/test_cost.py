@@ -1,14 +1,25 @@
 """Tests for the scalar cost solve, prices, and charges."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scpm import charge, cost, make_utility, prices, solve_t
+from scpm import (
+    MarketConfig,
+    Order,
+    charge,
+    cost,
+    make_utility,
+    new_market,
+    prices,
+    quote,
+    solve_t,
+)
 from scpm.cost import MAX_ITER, PRICE_SUM_OK, SolverError, bracketed_root, expand_bracket
-from scpm.utilities import KINDS, ExponentialSCPM, Utility
+from scpm.utilities import KINDS, ExponentialSCPM, Utility, _logsumexp, _lse_level
 
 from linear_utility import LinearUtility
 
@@ -347,6 +358,66 @@ class TestKernels:
             args = (np.array(q), np.array(inside), total)
             with np.errstate(all="ignore"):
                 assert u._newton_level(*args) == numpy_scalar_level(u, *args) == expected
+
+
+def reduce_calls(fn, *args):
+    """fn(*args) and the number of ufunc reduce calls it made, as a profile
+    hook sees them: q.max() and q.sum() call one each, np.add.reduce one,
+    and q.argmax() and p.dot(w) none."""
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "reduce":
+            calls.append(arg)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        out = fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return out, len(calls)
+
+
+class TestReduceCalls:
+    # The order path reads extremes by argmin/argmax, not by a ufunc
+    # reduction, and makes only the sums that set output bits.  The counts
+    # are exact, so a reduction back on the path shows.
+    def test_hook_counts_reductions(self):
+        q = np.array([1.0, 3.0, 2.0])
+        assert reduce_calls(lambda: (q.max(), q.sum(), np.add.reduce(q)))[1] == 3
+        assert reduce_calls(lambda: (q[q.argmax()], q.dot(q)))[1] == 0
+
+    def test_solve_t_checks_and_order_make_none(self):
+        u = FixedPrices([0.5, 0.25, 0.25])
+        assert reduce_calls(solve_t, u, np.array([3.0, -1.0, 2.0]))[1] == 0
+        assert reduce_calls(solve_t, FixedPrices([0.5, 0.5, -1e-12]), np.zeros(3))[1] == 0
+        config, n = reduce_calls(MarketConfig, u, "integral", [1.0, 0.0, 2.0])
+        assert n == 0
+        assert reduce_calls(Order, "t", 0.5, 1.0, np.array([1.0, 0.0, 1.0]))[1] == 0
+        assert reduce_calls(quote, new_market(config), np.array([1.0, 0.0, 1.0])) == (0.75, 0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kernel_reductions_at_n3(self, kind):
+        # The sums of C and the prices: LMSR one, ExponentialSCPM its level's
+        # and its kernel's, QuadraticScore and QuadSCPM two, MinSCPM none,
+        # and LogSCPM two per Newton pass, its kernel's sum and _as_alloc's
+        # s > 0 check.
+        u = make_utility(kind, n_outcomes=3)
+        res, n = reduce_calls(solve_t, u, np.array([0.3, 1.2, 0.8]))
+        expected = {"LMSR": 1, "ExponentialSCPM": 2, "QuadraticScore": 2, "QuadSCPM": 2,
+                    "MinSCPM": 0, "LogSCPM": 2 * res.iterations + 2}
+        assert n == expected[kind]
+
+    def test_lse_level_is_logsumexp_of_one_row(self):
+        # The reference: _logsumexp, which takes its maximum by a reduction.
+        rng = np.random.default_rng(81740)
+        for _ in range(200):
+            n = int(rng.choice([2, 3, 10, 1024]))
+            b = 10.0 ** rng.uniform(-3.0, 3.0)
+            z = rng.uniform(-1e3, 1e3, n) * 10.0 ** rng.uniform(-6.0, 0.0)
+            total = 10.0 ** rng.uniform(-12.0, 0.0)
+            assert _lse_level(b, z, total) == float(b * (_logsumexp(z) - math.log(total)))
 
 
 @st.composite

@@ -157,8 +157,16 @@ class TestFill:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_quote_rejects_nonfinite_bundle(self, bad):
-        with pytest.raises(ValueError, match="^bundle must be finite$"):
-            quote(lmsr_market(n=3), np.array([0.0, bad, 1.0]))
+        # Every kind, at q = 0 and, for every kind but LogSCPM, on a state
+        # priced 0 exactly, where inf * 0 makes a nan that numpy warns about.
+        for kind in KINDS:
+            u = make_utility(kind, n_outcomes=2)
+            far = new_market(MarketConfig(utility=u, initial_q=[2.0 if kind == "QuadraticScore"
+                                                                else 1e3, 0.0]))
+            assert (quote(far, np.array([0.0, 1.0])) == 0.0) == (kind != "LogSCPM")
+            for state in (new_market(MarketConfig(utility=u)), far):
+                with pytest.raises(ValueError, match="^bundle must be finite$"):
+                    quote(state, np.array([1.0, bad]))
 
     def test_fill_is_pure(self):
         state = lmsr_market()

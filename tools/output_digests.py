@@ -25,6 +25,9 @@ exits 1 if there are any.  The lines are:
   a random initial_q, from one holding -0.0, and on a q that the caller
   assigned as a writable array holding -0.0, hashing ``state.q`` and
   ``collected`` after every ``apply`` and the ``settle`` reports at the end;
+* ``grid/quote/<kind>``: ``market.quote`` over the same markets at the
+  solve grid's q, on 0/1, fractional and negative bundles and on ones with
+  a nan, an inf or a -inf entry where q is smallest;
 * ``grid/value_grad/<kind>`` and ``grid/penalty_raw/<kind>``: batch and
   single-row calls at N in {2, 3, 10}, simplex rows with zeros and vertices;
 * ``grid/analysis/<kind>``: the reports of ``worst_case_loss(u, "numeric")``,
@@ -228,6 +231,32 @@ def apply_digest(kind):
     return h.digest()
 
 
+def _bundles(q, rng):
+    """0/1, fractional and negative bundles, and one with a nan, an inf or a
+    -inf entry on the state of smallest q, where a price may be 0."""
+    n = q.size
+    subset = (rng.uniform(size=n) < 0.5).astype(float)
+    subset[rng.integers(n)] = 1.0
+    bundles = [np.eye(n)[rng.integers(n)], subset, rng.uniform(0.0, 1.0, n),
+               rng.uniform(-1.0, 1.0, n)]
+    for bad in (math.nan, math.inf, -math.inf):
+        a = rng.uniform(0.0, 1.0, n)
+        a[q.argmin()] = bad
+        bundles.append(a)
+    return bundles
+
+
+def quote_digest(kind):
+    h, rng = hashlib.sha256(), np.random.default_rng(1906)
+    for u in _markets(kind, rng):
+        state = market.new_market(market.MarketConfig(utility=u))
+        for q in _qs(u, rng):
+            state.q = q
+            for a in _bundles(q, rng):
+                _case(h, market.quote, state, a)
+    return h.digest()
+
+
 def _rows(n, rng):
     p = rng.dirichlet(np.ones(n), size=20)
     p[:5, 0] = 0.0
@@ -283,6 +312,7 @@ def digests():
         yield f"grid/fill/{kind}", fills
         yield f"grid/fill-solves/{kind}", solves
         yield f"grid/apply/{kind}", apply_digest(kind)
+        yield f"grid/quote/{kind}", quote_digest(kind)
         value_grad, penalty = catalog_digests(kind)
         yield f"grid/value_grad/{kind}", value_grad
         yield f"grid/penalty_raw/{kind}", penalty
