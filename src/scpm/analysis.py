@@ -18,15 +18,11 @@ The worst-case loss climbs the engine's own market: the loss when outcome
 i happens after x of its shares were sold is concave in x, so its search
 is a climb along x with one cost solve per decade.  The properness and
 penalty checks read the conjugate point, the maximizer of the concave
-u(s) - r's, where grad(u)(s) = r.  Every catalog kind inverts its gradient
-in closed form (Utility._conjugate), so a study reads all of its points
-from one call with no grad call; the studies themselves check those
-points, properness through grad and the penalty fit against every catalog
-family.  A kind without the hook finds them in one damped Newton solve
-over an (M, N) block of beliefs: every step is one batched grad call at
-the live rows' trial points and their forward-difference neighbours, then
-a least-squares step per row, since the Jacobian is singular along e for
-the kinds whose gradient sums to 1.
+u(s) - r's, where grad(u)(s) = r.  They read all of a study's points from
+one call to the kind's inverse gradient, Utility._conjugate, with no grad
+call; a kind without it raises NotImplementedError there.  The studies
+themselves check those points, properness through grad and the penalty
+fit against every catalog family.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import MAX_ITER, bracketed_root, cost as compute_cost, solve_t
+from .cost import bracketed_root, cost as compute_cost, solve_t
 from . import market as market_mod
 from . import utilities as util_mod
 from .oracle import simplex_grid
@@ -44,13 +40,8 @@ from .oracle import simplex_grid
 UNBOUNDED_THRESHOLD = 1e6
 RAY_START = 100.0
 RAY_MAX = 1e8
-# The conjugate-point Newton: its forward-difference step, relative to
-# max(|s|, b), and the regularization of its least-squares step, relative
-# to each column of the Jacobian; the directions probed for a gradient jump.
-FD_STEP = math.sqrt(np.finfo(float).eps)
-STEP_RCOND = 1e-6
+# The directions probed for a gradient jump.
 N_PROBES = 16
-TINY = np.finfo(float).tiny
 # The risk dual's lattice: its starting resolution, the factor each round
 # cuts the spacing by, and the steps a round's patch reaches each way.
 DUAL_START = 20
@@ -189,84 +180,6 @@ def worst_case_loss(u, method="analytic", seed=0):
 # -- properness -------------------------------------------------------------
 
 
-def _solve_conjugate_points(u, R):
-    """Maximize u(s) - r's for every row r of R at once: the kind's closed
-    form u._conjugate(R) where it has one, else a damped Newton solve of
-    grad(u)(s) = r from s = 1 (a domain s > 0) or s = 0.
-
-    Each step makes one grad call, at the trial point of every live row
-    and at its N forward-difference neighbours, so an accepted trial
-    brings its own Jacobian.  The step is the least-squares solution of
-    J d = r - grad(u)(s), regularized at STEP_RCOND times each column of J:
-    J is singular along e for the kinds whose gradient sums to 1, and a
-    forward-difference J is singular there only up to its rounding.  A
-    trial that does not lower the row's max residual |grad(u) - r| halves
-    the step, as does one that leaves s > 0.  A row stops when its
-    residual is 0 or once it has tried a point within the difference step
-    of s: past that the residual stops falling.  A row that
-    properness_residual finds stationary at the start takes no step.
-    Returns the (M, N) points found, non-stationary where u is improper.
-    """
-    R = np.asarray(R, dtype=float)
-    if u._conjugate is not None:
-        return u._conjugate(R)
-    positive = math.isfinite(u.domain_floor(np.zeros(u.n)))
-    S = np.full(R.shape, 1.0 if positive else 0.0)
-    rows = np.flatnonzero(u.properness_residual(S, R) > 0.0)
-    if rows.size == 0:
-        return S
-    s, r = S[rows], R[rows]
-    trial, step = s, np.zeros_like(s)
-    f, alpha = np.full(rows.size, np.inf), np.ones(rows.size)
-    # the trial point and its N forward-difference neighbours
-    E = np.vstack([np.zeros(u.n), np.eye(u.n)])
-    for _ in range(MAX_ITER):
-        h = FD_STEP * np.maximum(np.abs(trial), u.b)
-        G = u.grad(trial[:, None] + h[:, None] * E)
-        ft = np.abs(G[:, 0] - r).max(axis=-1)
-        better = ft < f
-        done = ft == 0.0
-        if better.all():
-            s, f, alpha[:] = trial, ft, 1.0
-            step = _newton_step(G, h, r)
-        else:
-            # A trial within the difference step of s that does not lower
-            # the residual has met the rounding of grad.
-            done |= ~better & (np.abs(trial - s) <= h).all(axis=-1)
-            alpha = np.where(better, 1.0, 0.5 * alpha)
-            if better.any():
-                s[better], f[better] = trial[better], ft[better]
-                step[better] = _newton_step(G[better], h[better], r[better])
-        trial = s + alpha[:, None] * step
-        if positive:
-            out = (trial <= 0.0).any(axis=-1)
-            while out.any():
-                alpha[out] *= 0.5
-                trial[out] = s[out] + alpha[out, None] * step[out]
-                out = (trial <= 0.0).any(axis=-1)
-        if done.any():
-            S[rows[done]] = s[done]
-            keep = ~done
-            if not keep.any():
-                return S
-            rows, s, r, trial, step, f, alpha = (
-                rows[keep], s[keep], r[keep], trial[keep], step[keep], f[keep], alpha[keep])
-    S[rows] = s
-    return S
-
-
-def _newton_step(G, h, r):
-    """Per row, the step d minimizing |J d - res|^2 + STEP_RCOND^2 sum_j
-    |J e_j|^2 d_j^2, res = r - grad(u)(s), from G = grad(u) at s and at its
-    forward-difference neighbours s + h_j e_j; 0 where J is 0."""
-    Jt = (G[:, 1:] - G[:, :1]) / h[:, :, None]  # Jt[k, j, i] = d grad_i / d s_j
-    A = Jt @ Jt.transpose(0, 2, 1)
-    diagonal = A.reshape(len(A), -1)[:, ::A.shape[-1] + 1]  # a view
-    diagonal *= 1.0 + STEP_RCOND ** 2
-    diagonal += TINY
-    return np.linalg.solve(A, Jt @ (r - G[:, 0])[:, :, None])[..., 0]
-
-
 def _gradient_jump(u, S, D, eps=1e-6):
     """Probe gradient continuity around every row of S along the directions
     D, (M, n_probes, N); a jump signals a non-singleton subdifferential /
@@ -286,7 +199,7 @@ def check_properness(u, n_samples=200, seed=0):
     rng = np.random.default_rng(seed)
     R = 0.9 * rng.dirichlet(np.ones(u.n), size=n_samples) + 0.1 / u.n  # off the boundary
     D = rng.standard_normal((n_samples, N_PROBES, u.n))
-    S = _solve_conjugate_points(u, R)
+    S = u._conjugate(R)
     worst = float(np.max(u.properness_residual(S, R)))
     multiplicity = _gradient_jump(u, S, D)
     proper = worst <= 1e-6
@@ -473,7 +386,7 @@ def identify_penalty_family(u, resolution=12):
         raise ValueError(f"{u.kind} has no penalty function")
     grid = simplex_grid(u.n, resolution)
     grid = grid[np.all(grid > 1e-9, axis=1)]
-    S = _solve_conjugate_points(u, grid)
+    S = u._conjugate(grid)
     numeric = u.value(S) - np.sum(grid * S, axis=-1)
     numeric -= numeric.min()
     fits = []

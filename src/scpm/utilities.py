@@ -17,9 +17,10 @@ concave-conjugate penalty L(p) = sup_s u(s) - p's in closed form, and
 its analytic worst-case-loss terms (B, C(0)).
 
 A kind writes only its formulas: _value(s) and _grad(s) on float arrays
-(..., N) and loss_bound_terms() always; _level, _curvature, _conjugate,
-_penalty, _kernel and _residual (for a set-valued subdifferential) where
-it has them, and _default_theta and _check_theta if it takes a prior.
+(..., N) and loss_bound_terms() always, and _conjugate for the properness
+and penalty studies; _level, _curvature, _penalty, _kernel and _residual
+(for a set-valued subdifferential) where it has them, and _default_theta
+and _check_theta if it takes a prior.
 MinSCPM's subdifferential is the simplex over the argmin of s, so its
 prices are uniform over the exact argmax of q: no tolerance decides a tie.
 The base class owns the plumbing: value, grad, penalty_raw,
@@ -69,8 +70,9 @@ gradient, in closed form with no iteration.
     QuadraticScore    2b (e/N - r)
     MinSCPM           0: every diagonal point is a maximizer
 
-analysis reads the properness and penalty studies' points from it, and
-checks them there through grad; a kind without it gets the damped Newton.
+analysis reads the properness and penalty studies' points from it alone
+and checks them through grad; the base raises NotImplementedError, naming
+the kind.
 
 _kernel(q) is the whole cost solve of cost.solve_t at q with max(q) = 0:
 the level t, C = t - u(t - q), the prices grad(u)(t - q), the path name
@@ -265,9 +267,12 @@ class Utility:
         """Analytic (B, C(0)): worst-case loss is B + C(0)."""
         raise NotImplementedError
 
+    def _conjugate(self, R):
+        """Beliefs R -> S with grad(u)(S) = R, see the module docstring."""
+        raise NotImplementedError(f"{self.kind} has no conjugate point (_conjugate)")
+
     _level = None  # (q, inside, total) -> tau_S(T), see the module docstring
     _curvature = None  # prices -> h, see the module docstring
-    _conjugate = None  # beliefs R -> S with grad(u)(S) = R, see the module docstring
 
     def solve_withdrawal(self, q):
         """Minimizer of t - u(te - q): the level tau_all(1), or None without a level."""
@@ -439,8 +444,12 @@ class LogSCPM(Utility):
 
     def _as_alloc(self, s):
         s = super()._as_alloc(s)
-        if (s <= 0).any():
-            raise DomainError("LogSCPM requires s > 0 componentwise")
+        # The smallest entry by index, not by a reduction.  argmin stops at
+        # a nan, which passes, so only then are the other entries read.
+        if s.size:
+            low = s.item(s.argmin())
+            if low <= 0 or (low != low and (s <= 0).any()):
+                raise DomainError("LogSCPM requires s > 0 componentwise")
         return s
 
     def _value(self, s):

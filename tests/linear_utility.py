@@ -18,3 +18,9 @@ class LinearUtility(Utility):
 
     def grad(self, s):
         return np.broadcast_to(self.c, self._as_alloc(s).shape).copy()
+
+    def _conjugate(self, R):
+        """The origin for every belief.  u(s) - r's = (c - r)'s has no
+        maximizer unless r = c, and at any point the residual |c - r| of
+        grad(u) = c shows that, so the point itself is arbitrary."""
+        return np.zeros_like(R)

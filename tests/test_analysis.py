@@ -17,8 +17,8 @@ from scpm import (
     table1,
     worst_case_loss,
 )
-from scpm.analysis import PENALTY_LABELS, _solve_conjugate_points
-from scpm.utilities import CATALOG, KINDS
+from scpm.analysis import PENALTY_LABELS
+from scpm.utilities import CATALOG, KINDS, LMSR, Utility
 
 from linear_utility import LinearUtility
 
@@ -124,9 +124,9 @@ class TestProperness:
         assert rep.max_gradient_residual <= 1e-6
 
     def test_lmsr_spread_prior_small_b_strictly_proper(self):
-        # A prior spread 100-fold at b = 1e-3: the damped Newton stalls on
-        # a few rows (residual 0.59) and called LMSR improper; the closed
-        # form reaches every row.
+        # A prior spread 100-fold at b = 1e-3, where a damped Newton search
+        # for the conjugate points stalls on a few rows (residual 0.59) and
+        # calls LMSR improper; the closed form reaches every row.
         u = make_utility("LMSR", b=1e-3, n_outcomes=3, theta=[0.1, 1.0, 10.0])
         rep = check_properness(u, n_samples=50)
         assert rep.strictly_proper
@@ -154,18 +154,17 @@ def beliefs(rng, m, n):
     return 0.9 * rng.dirichlet(np.ones(n), size=m) + 0.1 / n
 
 
-def without_hook(u):
-    """u with its closed-form conjugate switched off, so the Newton runs."""
-    u._conjugate = None
-    return u
+class NoConjugate(LMSR):
+    """LMSR with the base class's conjugate point: no hook."""
+
+    kind = "NoConjugate"
+    _conjugate = Utility._conjugate
 
 
 class TestConjugatePoint:
     # Each catalog kind inverts its gradient in closed form with no grad
-    # call.  Without the hook, one batched Newton solve for all beliefs: a
-    # grad call per step, at every live row and its forward-difference
-    # neighbours.
-    @pytest.mark.parametrize("n", [2, 3, 5])
+    # call, and the studies read their points from nothing else.
+    @pytest.mark.parametrize("n", [2, 3, 5, 1024])
     @pytest.mark.parametrize("kind", [k for k in sorted(KINDS) if k != "MinSCPM"])
     def test_stationary_within_grad_budget(self, kind, n):
         thetas = [None]
@@ -174,75 +173,59 @@ class TestConjugatePoint:
             thetas.append(theta / theta.sum() if kind == "QuadSCPM" else theta)
         for theta in thetas:
             for b in (1e-3, 1.0, 1e3):
-                for hook, budget in ((False, 30), (True, 0)):
-                    u = make_utility(kind, b=b, n_outcomes=n, theta=theta)
-                    if not hook:
-                        without_hook(u)
-                    grad, calls = counting_grad(u)
-                    R = beliefs(np.random.default_rng(11), 20, n)
-                    S = _solve_conjugate_points(u, R)
-                    assert np.max(np.abs(grad(S) - R)) <= 1e-12, (theta, b, hook)
-                    assert len(calls) <= budget, (theta, b, hook)
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 1024])
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_hook_matches_newton(self, kind, n):
-        # The closed form and the Newton reach the same gradient: 20 beliefs
-        # per case, one at N = 1024, where a Newton step solves 1024 x 1024.
-        theta = None
-        if CATALOG[kind].takes_theta:
-            theta = np.arange(1.0, n + 1.0)
-            theta /= theta.sum()
-        R = beliefs(np.random.default_rng(13), 1 if n > 5 else 20, n)
-        for b in (1e-3, 1.0, 1e3):
-            u = make_utility(kind, b=b, n_outcomes=n, theta=theta)
-            S = _solve_conjugate_points(u, R)
-            newton = _solve_conjugate_points(without_hook(u), R)
-            assert np.max(np.abs(u.grad(S) - u.grad(newton))) <= 1e-12, b
+                u = make_utility(kind, b=b, n_outcomes=n, theta=theta)
+                grad, calls = counting_grad(u)
+                R = beliefs(np.random.default_rng(11), 20, n)
+                S = u._conjugate(R)
+                assert np.max(np.abs(grad(S) - R)) <= 1e-12, (theta, b)
+                assert len(calls) == 0, (theta, b)
 
     @pytest.mark.parametrize("kind, theta", [("LMSR", None), ("LMSR", [1.0, 2.0, 4.0]),
                                              ("MinSCPM", None)])
     def test_stationary_start_returned_after_one_grad_call(self, kind, theta):
-        # r in the (sub)differential at the start s = 0: LMSR at r = theta/sum(theta),
+        # r in the (sub)differential at s = 0: LMSR at r = theta/sum(theta),
         # MinSCPM at any r, since every diagonal point is a maximizer.  The
-        # closed form gives the same +0.0 points with no grad call.
-        for hook in (False, True):
-            u = make_utility(kind, n_outcomes=3, theta=theta)
-            if not hook:
-                without_hook(u)
-            _, calls = counting_grad(u)
-            if kind == "MinSCPM":
-                R = beliefs(np.random.default_rng(3), 20, 3)
-            else:
-                R = np.tile(u.theta / u.theta.sum(), (5, 1))
-            S = _solve_conjugate_points(u, R)
-            np.testing.assert_array_equal(S, np.zeros_like(R))
-            assert not np.signbit(S).any()
-            assert len(calls) <= (0 if hook else 1)
+        # closed form gives +0.0 points there with no grad call.
+        u = make_utility(kind, n_outcomes=3, theta=theta)
+        _, calls = counting_grad(u)
+        if kind == "MinSCPM":
+            R = beliefs(np.random.default_rng(3), 20, 3)
+        else:
+            R = np.tile(u.theta / u.theta.sum(), (5, 1))
+        S = u._conjugate(R)
+        np.testing.assert_array_equal(S, np.zeros_like(R))
+        assert not np.signbit(S).any()
+        assert len(calls) == 0
 
     def test_stationary_rows_unmoved_among_live_rows(self):
-        for hook in (False, True):
-            u = make_utility("LMSR", n_outcomes=3, theta=[1.0, 2.0, 4.0])
-            if not hook:
-                without_hook(u)
-            R = beliefs(np.random.default_rng(5), 6, 3)
-            R[::2] = u.theta / u.theta.sum()
-            S = _solve_conjugate_points(u, R)
-            np.testing.assert_array_equal(S[::2], 0.0)
-            assert np.all(np.any(S[1::2] != 0.0, axis=-1))
-            assert np.max(np.abs(u.grad(S) - R)) <= 1e-12
+        # Rows at the prior's mean stay at +0.0 beside rows that move.
+        u = make_utility("LMSR", n_outcomes=3, theta=[1.0, 2.0, 4.0])
+        R = beliefs(np.random.default_rng(5), 6, 3)
+        R[::2] = u.theta / u.theta.sum()
+        S = u._conjugate(R)
+        np.testing.assert_array_equal(S[::2], 0.0)
+        assert np.all(np.any(S[1::2] != 0.0, axis=-1))
+        assert np.max(np.abs(u.grad(S) - R)) <= 1e-12
 
     def test_linear_rows_end_unmoved(self):
-        # A constant gradient: the Jacobian is 0, so the step is 0 and each
-        # row ends at the start, as far from r as it began.
+        # A constant gradient has no conjugate point: LinearUtility returns
+        # the origin, and each row is as far from r as its residual |c - r|.
         u = LinearUtility([0.6, 0.4])
         _, calls = counting_grad(u)
         p0 = np.linspace(0.05, 0.45, 9)
         R = np.column_stack([p0, 1.0 - p0])
-        S = _solve_conjugate_points(u, R)
-        assert len(calls) <= 3
+        S = u._conjugate(R)
+        assert len(calls) == 0
         np.testing.assert_array_equal(S, 0.0)
         assert np.min(u.properness_residual(S, R)) >= 0.1
+
+    def test_kind_without_hook_is_named(self):
+        # The studies take their points from _conjugate alone: a kind
+        # without it gets a typed error naming it, not a search.
+        u = NoConjugate(n_outcomes=3)
+        for study in (check_properness, identify_penalty_family):
+            with pytest.raises(NotImplementedError, match="NoConjugate"):
+                study(u)
 
     @pytest.mark.parametrize("kind", [*KINDS, "Linear"])
     def test_batched_residual_matches_rows(self, kind):
@@ -263,7 +246,7 @@ class TestStudyGradCalls:
     # Each catalog kind reads its conjugate points in closed form, so the
     # counts are exact: check_properness makes the residual's grad call
     # (none for MinSCPM, whose residual reads the argmin set) and the jump
-    # probe's, and identify_penalty_family none.  A return to the Newton
+    # probe's, and identify_penalty_family none.  A return to a search
     # (tens of calls per study) or to per-point sweeps shows.
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("kind", KINDS)

@@ -401,12 +401,12 @@ class TestReduceCalls:
     def test_kernel_reductions_at_n3(self, kind):
         # The sums of C and the prices: LMSR one, ExponentialSCPM its level's
         # and its kernel's, QuadraticScore and QuadSCPM two, MinSCPM none,
-        # and LogSCPM two per Newton pass, its kernel's sum and _as_alloc's
-        # s > 0 check.
+        # and LogSCPM two per Newton pass and its kernel's sum: _as_alloc
+        # reads s > 0 at argmin.
         u = make_utility(kind, n_outcomes=3)
         res, n = reduce_calls(solve_t, u, np.array([0.3, 1.2, 0.8]))
         expected = {"LMSR": 1, "ExponentialSCPM": 2, "QuadraticScore": 2, "QuadSCPM": 2,
-                    "MinSCPM": 0, "LogSCPM": 2 * res.iterations + 2}
+                    "MinSCPM": 0, "LogSCPM": 2 * res.iterations + 1}
         assert n == expected[kind]
 
     def test_lse_level_is_logsumexp_of_one_row(self):

@@ -230,6 +230,15 @@ class TestValuesAndGradients:
         for method in (u.value, u.grad, lambda s: u.properness_residual(s, [0.5, 0.5])):
             with pytest.raises(DomainError):
                 method(batch)
+        # -0.0 is on the boundary, as +0.0 is
+        with pytest.raises(DomainError):
+            u.grad(np.array([1.0, -0.0]))
+        # a nan is not out of the domain, but an entry beside it may be
+        np.testing.assert_array_equal(u.grad(np.array([np.nan, 2.0])), [np.nan, 0.5])
+        with pytest.raises(DomainError):
+            u.grad(np.array([np.nan, -1.0]))
+        # an empty batch has no entry out of the domain
+        assert u.grad(np.empty((0, 2))).shape == (0, 2)
 
 
 class TestPenalty:

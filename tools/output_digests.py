@@ -295,7 +295,7 @@ def analysis_digest(kind):
                                      (analysis.check_properness, 50),
                                      (analysis.identify_penalty_family,),
                                      (analysis.risk_dual_check, Z, dual_resolution),
-                                     (analysis._solve_conjugate_points, R)):
+                                     (lambda u, R: u._conjugate(R), R)):
                     _case(h, lambda: _report(study(u, *args)))
     return h.digest()
 
