@@ -8,11 +8,13 @@ together, with the solve's path name and iteration count:
 * "flat": a gradient that sums to 1 identically (LMSR, MinSCPM,
   QuadraticScore) makes the objective flat in t, and the kernel reads C
   and the prices at t = max_i q_i straight from q;
-* "closed": the kind's level, _level at S = all, T = 1
-  (ExponentialSCPM, QuadSCPM, LogSCPM), with C and the prices from one
-  s = t - q.  The prices are grad(u) at that level, so the price-sum check
-  below bounds the same |1 - e' grad(u)| a certificate would.  LogSCPM's
-  level is a Newton iteration, and its passes are the iterations;
+* "closed": the kind's level, _level at S = all, T = 1 (QuadSCPM,
+  LogSCPM), with C and the prices from one s = t - q.  The prices are
+  grad(u) at that level, so the price-sum check below bounds the same
+  |1 - e' grad(u)| a certificate would.  LogSCPM's level is a Newton
+  iteration, and its passes are the iterations.  ExponentialSCPM's level
+  is its cost: it reads C and the prices from LMSR's log-sum-exp, with
+  weights e and C(0) = 0, and returns t = C;
 * "root", the base kernel without a level (none in the catalog): _root_t
   brackets g(t) = 1 - e' grad(u)(te - q) with expand_bracket and hands it
   to bracketed_root, or returns "flat" where g is 0 at both ends up to the

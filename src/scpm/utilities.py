@@ -36,8 +36,7 @@ unmoved level and the in-set A holds pi, so x = max(0, tau_B(1 - pi) -
 tau_A(pi)), where _level(q, S, T) = tau_S(T) solves
 sum_{i in S} du/ds_i(tau - q_i) = T:
 
-    LMSR              b (LSE_S(q/b + log theta) - log T)
-    ExponentialSCPM   the same with log theta = -log N
+    LMSR              b (LSE_S(q/b + log theta_hat) - log T), theta_hat = theta/sum(theta)
     MinSCPM           max_S q
     QuadSCPM          water-filling over S
     LogSCPM           Newton on 1 / sum_S theta_i / (tau - q_i), from below
@@ -50,10 +49,10 @@ _curvature(p) gives, from the prices p = p(q), the h >= 0 with
 dp/dq = diag(h) - hh'/sum(h).  For a separable u, h_i = -u_i''(s_i), and
 the level's response dt/dq = h/sum(h) makes the rank-one term:
 
-    LMSR, ExponentialSCPM   p / b
-    QuadSCPM                [p > 0] / 2b
-    QuadraticScore          e / 2b, exact: its price is affine
-    LogSCPM                 p^2 / theta
+    LMSR              p / b
+    QuadSCPM          [p > 0] / 2b
+    QuadraticScore    e / 2b, exact: its price is affine
+    LogSCPM           p^2 / theta
 
 market.fill reads from it the slope h_a - h_a^2/sum(h) of a 0/1 bundle's
 price, h_a = h'a, to guess whether the fill ends before its limit.  MinSCPM,
@@ -63,8 +62,7 @@ _conjugate(R) gives, for interior beliefs R (M, N) on the simplex, a
 maximizer S of u(s) - r's per row, where grad(u)(S) = R: the inverse
 gradient, in closed form with no iteration.
 
-    LMSR              b (log(theta/sum(theta)) - log r)
-    ExponentialSCPM   -b log(N r)
+    LMSR              b (log theta_hat - log r)
     LogSCPM           theta / r
     QuadSCPM          2b (theta - r)
     QuadraticScore    2b (e/N - r)
@@ -77,11 +75,28 @@ the kind.
 _kernel(q) is the whole cost solve of cost.solve_t at q with max(q) = 0:
 the level t, C = t - u(t - q), the prices grad(u)(t - q), the path name
 and the iterations.  The flat kinds read t = 0 and both values from q in
-one pass (LMSR: one exp and one sum).  ExponentialSCPM and QuadSCPM take
-t from solve_withdrawal, LogSCPM from its Newton level with its pass
-count, and each computes C and the prices from one s = t - q.  The base
-kernel is the generic path: the withdrawal or cost._root_t, then value
-and grad.
+one pass.  QuadSCPM takes t from solve_withdrawal, LogSCPM from its Newton
+level with its pass count, and each computes C and the prices from one
+s = t - q.  The base kernel is the generic path: the withdrawal or
+cost._root_t, then value and grad.
+
+LMSR's value, grad and kernel read one log-sum-exp.  With alpha =
+sum(theta), C(0) = b log alpha (from alpha - 1 summed exactly where alpha
+is near 1, stored at construction) and theta_hat = theta/alpha, at max(q)
+= 0 the prices are theta_i exp(q_i/b) over their sum and
+
+    C = C(0) + b log S,    S = sum_i theta_hat_i exp(q_i/b),
+
+with log S summed as log1p(sum_i theta_i expm1(q_i/b) / alpha) where S >=
+1/2, so that C keeps its digits where |q| << b, and as a plain log below
+that; one row evaluates only the branch it takes.  The penalty is
+b KL(p || theta_hat) - C(0).
+
+ExponentialSCPM is LMSR with weights e and C(0) = 0, so its market is
+uniform LMSR's less b log N: it takes the prices, C, level, curvature,
+conjugate points and penalty (the tables above list them under LMSR), and
+keeps only its own u, its loss terms and a kernel whose level is C itself
+(u(C e - q) = 0), on the path "closed".
 """
 
 from __future__ import annotations
@@ -109,12 +124,6 @@ def _scalar(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _logsumexp(z):
-    """log sum exp over the last axis, shifted by the row maximum."""
-    m = z.max(axis=-1)
-    return m + np.log(np.exp(z - m[..., None]).sum(axis=-1))
-
-
 def _xlogx(p):
     """sum_i p_i log p_i over the last axis, with 0 log 0 = 0."""
     return (p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
@@ -137,7 +146,7 @@ def _in_set(a):
 
 def _lse_level(b, z, total):
     # tau with sum_S exp(z_i - tau/b) = total, where z_i = q_i/b + log theta_i:
-    # _logsumexp of one row, its maximum read by index.
+    # log sum exp of one row, shifted by its maximum, read by index.
     m = z[z.argmax()]
     return float(b * (m + np.log(np.add.reduce(np.exp(z - m))) - math.log(total)))
 
@@ -265,7 +274,7 @@ class Utility:
 
     def loss_bound_terms(self):
         """Analytic (B, C(0)): worst-case loss is B + C(0)."""
-        raise NotImplementedError
+        raise NotImplementedError(f"{self.kind} has no worst-case loss terms (loss_bound_terms)")
 
     def _conjugate(self, R):
         """Beliefs R -> S with grad(u)(S) = R, see the module docstring."""
@@ -345,28 +354,54 @@ class LMSR(Utility):
 
     def __init__(self, b=1.0, n_outcomes=2, theta=None):
         super().__init__(b, n_outcomes, theta)
-        self._log_theta = np.log(self.theta)
-        # The penalty's prior theta/alpha, alpha = sum(theta)
-        alpha = self.theta.sum()
-        self._log_prior = np.log(self.theta / alpha)
-        self._log_alpha = math.log(alpha)
+        if self.theta is None:
+            # A subclass without a prior (ExponentialSCPM): weights e, C(0) = 0.
+            weights, alpha, c0 = np.ones(self.n), float(self.n), 0.0
+        else:
+            weights, terms = self.theta, self.theta.tolist()
+            try:
+                alpha = math.fsum(terms)
+            except OverflowError:
+                raise ValueError(f"{self.kind} theta must have a finite sum") from None
+            # C(0) = b log alpha, near alpha = 1 from alpha - 1 summed exactly.
+            near = 0.5 < alpha < 2.0
+            c0 = self.b * (math.log1p(math.fsum(terms + [-1.0])) if near else math.log(alpha))
+        self._weights, self._alpha, self._c0 = weights, alpha, c0
+        self._log_prior = np.log(weights / alpha)
+
+    def _terms(self, q):
+        """q/b, theta_i exp(q_i/b) and their sum, at q with max(q) = 0 on
+        each row: the prices are the terms over their sum."""
+        y = q / self.b
+        w = self._weights * np.exp(y)
+        return y, w, np.add.reduce(w, axis=-1)
+
+    def _lse(self, y, total):
+        """C at q = b y from _terms, see the module docstring.  One row
+        evaluates only the branch it takes; a batch takes log1p over the
+        rows near 0 and the plain log elsewhere."""
+        near = total >= 0.5 * self._alpha
+        if y.ndim == 1 and not near:
+            return self._c0 + self.b * np.log(total / self._alpha)
+        x = np.add.reduce(self._weights * np.expm1(y), axis=-1) / self._alpha
+        if y.ndim == 1:
+            return self._c0 + self.b * np.log1p(x)
+        return self._c0 + self.b * np.log1p(x, out=np.log(total / self._alpha), where=near)
 
     def _value(self, s):
-        z = -s / self.b + self._log_theta
-        return -self.b * _logsumexp(z)
+        # u(s) = -C(-s), with C taken at m - s, max 0, for m = min(s).
+        m = s.min(axis=-1, keepdims=True)
+        y, _, total = self._terms(m - s)
+        return m[..., 0] - self._lse(y, total)
 
     def _grad(self, s):
-        z = -s / self.b + self._log_theta
-        w = np.exp(z - z.max(axis=-1, keepdims=True))
-        return w / w.sum(axis=-1, keepdims=True)
+        _, w, total = self._terms(s.min(axis=-1, keepdims=True) - s)
+        return w / total[..., None]
 
     def _kernel(self, q):
-        # Flat in t: t = max(q) = 0, C = b LSE(q/b + log theta), one exp.
-        z = q / self.b + self._log_theta
-        m = z[z.argmax()]
-        w = np.exp(z - m)
-        total = np.add.reduce(w)
-        return 0.0, self.b * (m + np.log(total)), w / total, "flat", 0
+        # Flat in t: t = max(q) = 0, and C and the prices from one pass over q.
+        y, w, total = self._terms(q)
+        return 0.0, self._lse(y, total), w / total, "flat", 0
 
     def _curvature(self, p):
         return p / self.b
@@ -376,17 +411,17 @@ class LMSR(Utility):
         return self.b * (self._log_prior - np.log(R))
 
     def _level(self, q, inside, total):
-        # Its prices fix no level: take ExponentialSCPM's, with weights theta.
-        return _lse_level(self.b, q[inside] / self.b + self._log_theta[inside], total)
+        # Its prices fix no level: take the one of sum_S theta_hat_i exp(-s_i/b).
+        return _lse_level(self.b, q[inside] / self.b + self._log_prior[inside], total)
 
     def _penalty(self, p):
-        # b * KL(p || theta/alpha) - b log alpha
-        return self.b * (_xlogx(p) - _dot(p, self._log_prior) - self._log_alpha)
+        # b * KL(p || theta_hat) - C(0), with 0 log 0 = 0
+        kl = p * (np.log(np.where(p > 0, p, 1.0)) - self._log_prior)
+        return self.b * kl.sum(axis=-1) - self._c0
 
     def loss_bound_terms(self):
         # B attained as the price concentrates on the smallest-weight state.
-        b_term = -self.b * math.log(self.theta.min())
-        return b_term, self.b * math.log(self.theta.sum())
+        return -self.b * math.log(self.theta.min()), self._c0
 
 
 class QuadraticScore(Utility):
@@ -554,10 +589,12 @@ class MinSCPM(Utility):
         return np.max(np.where(outside, r, 0.0), axis=-1)
 
 
-class ExponentialSCPM(Utility):
-    """Separable exponential utility b(1 - (1/N) sum_i exp(-s_i/b))."""
+class ExponentialSCPM(LMSR):
+    """Separable exponential utility b(1 - (1/N) sum_i exp(-s_i/b)): uniform
+    LMSR's market less b log N, see the module docstring."""
 
     kind = "ExponentialSCPM"
+    takes_theta = False
 
     def _value(self, s):
         # overflow for very negative s harmlessly saturates to -inf
@@ -568,24 +605,9 @@ class ExponentialSCPM(Utility):
         return np.exp(-s / self.b) / self.n
 
     def _kernel(self, q):
-        # (q - t) is -(t - q) and the sum over N is w.mean(), byte for byte.
-        t = self.solve_withdrawal(q)
-        w = np.exp((q - t) / self.b)
-        return t, t - float(self.b * (1.0 - np.add.reduce(w) / self.n)), w / self.n, "closed", 0
-
-    def _curvature(self, p):
-        return p / self.b
-
-    def _conjugate(self, R):
-        return -self.b * np.log(self.n * R)
-
-    def _level(self, q, inside, total):
-        # LMSR's level, log theta = -log N taken out of the sum.
-        return _lse_level(self.b, q[inside] / self.b, self.n * total)
-
-    def _penalty(self, p):
-        # b * KL(p || uniform)
-        return self.b * (_xlogx(p) + math.log(self.n))
+        # sum_i exp((q_i - t)/b) = N at t = C, so u(C e - q) = 0.
+        _, c, p, _, _ = super()._kernel(q)
+        return c, c, p, "closed", 0
 
     def loss_bound_terms(self):
         return self.b * math.log(self.n), 0.0

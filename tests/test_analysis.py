@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from scpm import (
+    MarketConfig,
     check_properness,
     identify_penalty_family,
     implicit_scoring_rule,
     make_utility,
     msr_equivalence_check,
+    new_market,
     risk_dual_check,
     risk_measure,
+    settle,
     table1,
     worst_case_loss,
 )
@@ -25,7 +28,29 @@ from linear_utility import LinearUtility
 MONOTONE_KINDS = [k for k in KINDS if k != "QuadraticScore"]
 
 
+class ValueGradOnly(Utility):
+    """ExponentialSCPM's u at b = 1 and nothing else: no loss_bound_terms."""
+
+    kind = "ValueGradOnly"
+
+    def _value(self, s):
+        return 1.0 - np.exp(-s).mean(axis=-1)
+
+    def _grad(self, s):
+        return np.exp(-s) / self.n
+
+
 class TestWorstCaseLoss:
+    def test_kind_without_loss_terms_is_named(self):
+        # The analytic loss and settlement's bound read loss_bound_terms: a
+        # kind without it gets the error naming it, as _conjugate does.
+        u = ValueGradOnly(n_outcomes=3)
+        message = "ValueGradOnly has no worst-case loss terms"
+        with pytest.raises(NotImplementedError, match=message):
+            worst_case_loss(u)
+        with pytest.raises(NotImplementedError, match=message):
+            settle(new_market(MarketConfig(u, "integral")), 0)
+
     def test_analytic_reads_catalog(self):
         lb = worst_case_loss(make_utility("LMSR", b=2.0, n_outcomes=3))
         assert lb.analytic

@@ -3,6 +3,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from scpm import (
     solve_t,
 )
 from scpm.cost import MAX_ITER, PRICE_SUM_OK, SolverError, bracketed_root, expand_bracket
-from scpm.utilities import KINDS, ExponentialSCPM, Utility, _logsumexp, _lse_level
+from scpm.utilities import KINDS, QuadSCPM, Utility, _lse_level
 
 from linear_utility import LinearUtility
 
@@ -166,9 +167,9 @@ class TestSolveT:
 
     def test_wrong_level_fails_price_check(self):
         # A level's prices are grad(u) at the level, so the price-sum check
-        # is its certificate: a level 0.5 too high prices the simplex at
-        # exp(-0.5) and must raise.
-        class Shifted(ExponentialSCPM):
+        # is its certificate: a level 0.5 too high lowers each of QuadSCPM's
+        # prices at b = 1 by 0.25, to a sum of 0.4 here, and must raise.
+        class Shifted(QuadSCPM):
             def _level(self, q, inside, total):
                 return super()._level(q, inside, total) + 0.5
 
@@ -261,7 +262,11 @@ class TestKernels:
         # Each kind's kernel computes C and the prices in one pass; they must
         # be the bytes of t - u(t - q) and grad(u)(t - q) at its level, and
         # the level that of the generic kernel (the kind's withdrawal, or
-        # the root path's 0 where the objective is flat).
+        # the root path's 0 where the objective is flat).  ExponentialSCPM's
+        # kernel is LMSR's market, not its own u: its level is C, where u
+        # is 0 up to the rounding of C, and its prices are the bytes of
+        # LMSR's with theta = e.
+        eps = np.finfo(float).eps
         rng = np.random.default_rng(n)
         u0 = make_utility(kind, n_outcomes=n)
         thetas = [None]
@@ -276,11 +281,19 @@ class TestKernels:
                 q -= q.max()
                 t, c, p, path, iterations = u._kernel(q)
                 s = t - q
-                assert c == t - u.value(s)
-                np.testing.assert_array_equal(p, u.grad(s))
                 gt, gc, gp, gpath, _ = Utility._kernel(u, q)
-                if path != "flat":
-                    assert (t, path) == (gt, gpath)
+                if kind == "ExponentialSCPM":
+                    assert c == t
+                    assert abs(u.value(s)) <= 4.0 * b * eps
+                    lmsr = make_utility("LMSR", b=b, n_outcomes=n)
+                    np.testing.assert_array_equal(p, lmsr._kernel(q)[2])
+                    assert path == gpath
+                    assert t == pytest.approx(gt, rel=1e-12, abs=1e-12 * b)
+                else:
+                    assert c == t - u.value(s)
+                    np.testing.assert_array_equal(p, u.grad(s))
+                    if path != "flat":
+                        assert (t, path) == (gt, gpath)
                 assert c == pytest.approx(gc, rel=1e-12, abs=1e-12 * b)
                 np.testing.assert_allclose(p, gp, rtol=0.0, atol=1e-12)
                 # The root path, without the kind's level, finds the same C,
@@ -399,25 +412,81 @@ class TestReduceCalls:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_kernel_reductions_at_n3(self, kind):
-        # The sums of C and the prices: LMSR one, ExponentialSCPM its level's
-        # and its kernel's, QuadraticScore and QuadSCPM two, MinSCPM none,
-        # and LogSCPM two per Newton pass and its kernel's sum: _as_alloc
-        # reads s > 0 at argmin.
+        # The sums of C and the prices: LMSR and ExponentialSCPM, whose kernel
+        # is LMSR's, two, the price sum and the expm1 sum of the log1p form
+        # that this q takes (a plain log would read the price sum alone);
+        # QuadraticScore and QuadSCPM two, MinSCPM none, and LogSCPM two per
+        # Newton pass and its kernel's sum: _as_alloc reads s > 0 at argmin.
         u = make_utility(kind, n_outcomes=3)
         res, n = reduce_calls(solve_t, u, np.array([0.3, 1.2, 0.8]))
-        expected = {"LMSR": 1, "ExponentialSCPM": 2, "QuadraticScore": 2, "QuadSCPM": 2,
+        expected = {"LMSR": 2, "ExponentialSCPM": 2, "QuadraticScore": 2, "QuadSCPM": 2,
                     "MinSCPM": 0, "LogSCPM": 2 * res.iterations + 1}
         assert n == expected[kind]
 
     def test_lse_level_is_logsumexp_of_one_row(self):
-        # The reference: _logsumexp, which takes its maximum by a reduction.
+        # The reference: logsumexp shifted by a maximum taken by a reduction.
+        def logsumexp(z):
+            m = z.max(axis=-1)
+            return m + np.log(np.exp(z - m[..., None]).sum(axis=-1))
+
         rng = np.random.default_rng(81740)
         for _ in range(200):
             n = int(rng.choice([2, 3, 10, 1024]))
             b = 10.0 ** rng.uniform(-3.0, 3.0)
             z = rng.uniform(-1e3, 1e3, n) * 10.0 ** rng.uniform(-6.0, 0.0)
             total = 10.0 ** rng.uniform(-12.0, 0.0)
-            assert _lse_level(b, z, total) == float(b * (_logsumexp(z) - math.log(total)))
+            assert _lse_level(b, z, total) == float(b * (logsumexp(z) - math.log(total)))
+
+
+def lse_reference(b, weights, divisor, q):
+    """b log(sum_i w_i exp(q_i/b) / divisor) to 50 digits, the float
+    weights, b and q taken as given."""
+    with mpmath.workdps(50):
+        b = mpmath.mpf(b)
+        total = mpmath.fsum(mpmath.mpf(w) * mpmath.exp(mpmath.mpf(x) / b)
+                            for w, x in zip(weights.tolist(), q.tolist()))
+        return b * mpmath.log(total / divisor)
+
+
+def shifted_lse_cost(b, theta, q):
+    """LMSR's cost as its kernel took it before the log1p form: b (m + log
+    sum exp(z - m)) at z = (q - max q)/b + log theta, m = max z."""
+    z = (q - q.max()) / b + np.log(theta)
+    m = z.max()
+    return float(b * (m + np.log(np.exp(z - m).sum())) + q.max())
+
+
+class TestLogSumExpAccuracy:
+    def test_cost_within_ulps_of_mpmath(self):
+        # LMSR and ExponentialSCPM take C from one log-sum-exp in log1p form
+        # near q = 0, so C keeps its digits where |q| << b: within 8 ulps of
+        # max(|C|, max|q|), where a shifted LSE cancels to an absolute
+        # rounding of about b eps.  A prior spread over eight decades is
+        # checked against that shifted LSE: no less accurate than it.
+        rng = np.random.default_rng(82011)
+        errors = {"spread": [], "shifted": []}
+        for n in (3, 50, 1024):
+            ones = np.ones(n)
+            for b in (1.0, 1e3, 5e5):
+                spread = 10.0 ** rng.uniform(-4.0, 4.0, n)
+                cases = [("ExponentialSCPM", None, ones, n), ("LMSR", None, ones, 1),
+                         ("LMSR", ones / n, ones / n, 1), ("LMSR", spread, spread, 1)]
+                for kind, theta, weights, divisor in cases:
+                    u = make_utility(kind, b=b, n_outcomes=n, theta=theta)
+                    for k in range(4 if n == 1024 else 12):
+                        if k % 2:
+                            q = 30.0 * b * 10.0 ** rng.uniform(-3.0, 0.0) * rng.uniform(-1, 1, n)
+                        else:
+                            q = 1e-3 * rng.uniform(-1.0, 1.0, n)
+                        ref = lse_reference(b, weights, divisor, q)
+                        ulp = np.spacing(max(abs(float(ref)), np.abs(q).max()))
+                        error = float(abs(cost(u, q) - ref)) / ulp
+                        assert error <= 8.0, (kind, theta is not None, n, b, k, error)
+                        if theta is spread:
+                            errors["spread"].append(error)
+                            errors["shifted"].append(
+                                float(abs(shifted_lse_cost(b, theta, q) - ref)) / ulp)
+        assert max(errors["spread"]) <= max(errors["shifted"])
 
 
 @st.composite
@@ -438,13 +507,11 @@ class TestCostProperties:
     @given(chords())
     def test_cost_is_convex_along_chords(self, kind, case):
         # C at the midpoint is at most the mean of C at the ends, within the
-        # rounding of the three solves: 8 ulps of the largest |C|, |q| or b.
-        # b is there for ExponentialSCPM, whose C = b (LSE(q/b) - log N)
-        # cancels to an absolute rounding of b eps where |q| << b.
+        # rounding of the three solves: 8 ulps of the largest |C| or |q|.
         b, n, q, d = case
         u = make_utility(kind, b=b, n_outcomes=n)
         lo, mid, hi = (cost(u, v) for v in (q - d, q, q + d))
-        scale = max(abs(lo), abs(mid), abs(hi), np.abs(q).max() + np.abs(d).max(), b)
+        scale = max(abs(lo), abs(mid), abs(hi), np.abs(q).max() + np.abs(d).max())
         assert mid <= 0.5 * (lo + hi) + 8.0 * np.spacing(scale), (kind, b, q, d)
 
     @pytest.mark.parametrize("kind", [k for k in KINDS if k != "QuadraticScore"])
@@ -472,7 +539,7 @@ class TestCostProperties:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_exponential_is_uniform_lmsr_up_to_constant(self, n, b):
         # b(1 - mean exp(-s/b)) withdraws at b log mean exp(q/b): LMSR's
-        # cost less b log N, with the same softmax prices.
+        # cost less b log N, with the same softmax prices, byte for byte.
         ex = make_utility("ExponentialSCPM", b=b, n_outcomes=n)
         lmsr = make_utility("LMSR", b=b, n_outcomes=n)
         rng = np.random.default_rng(n)
@@ -480,7 +547,7 @@ class TestCostProperties:
             for _ in range(10):
                 q = b * rng.uniform(-scale, scale, size=n)
                 got, ref = solve_t(ex, q), solve_t(lmsr, q)
-                np.testing.assert_allclose(got.prices, ref.prices, rtol=0.0, atol=1e-12)
+                assert got.prices.tobytes() == ref.prices.tobytes()
                 assert abs(got.cost - (ref.cost - b * math.log(n))) <= 1e-12 * max(
                     1.0, np.abs(q).max())
 

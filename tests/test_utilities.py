@@ -60,6 +60,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="theta components must be finite"):
             make_utility(kind, n_outcomes=2, theta=[bad, 1.0])
 
+    def test_lmsr_theta_sum_must_be_finite(self):
+        # C(0) = b log sum(theta), and the prices' sum reaches it.
+        with pytest.raises(ValueError, match="finite sum"):
+            make_utility("LMSR", n_outcomes=2, theta=[1e308, 1e308])
+
     def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="n_outcomes"):
             make_utility("LMSR", n_outcomes=1)
