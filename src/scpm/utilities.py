@@ -378,8 +378,8 @@ class LMSR(Utility):
 
     def _lse(self, y, total):
         """C at q = b y from _terms, see the module docstring.  One row
-        evaluates only the branch it takes; a batch takes log1p over the
-        rows near 0 and the plain log elsewhere."""
+        evaluates only the branch it takes; a batch takes log1p on the rows
+        where S >= 1/2 and the plain log on the others."""
         near = total >= 0.5 * self._alpha
         if y.ndim == 1 and not near:
             return self._c0 + self.b * np.log(total / self._alpha)

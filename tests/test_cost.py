@@ -412,11 +412,12 @@ class TestReduceCalls:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_kernel_reductions_at_n3(self, kind):
-        # The sums of C and the prices: LMSR and ExponentialSCPM, whose kernel
-        # is LMSR's, two, the price sum and the expm1 sum of the log1p form
-        # that this q takes (a plain log would read the price sum alone);
-        # QuadraticScore and QuadSCPM two, MinSCPM none, and LogSCPM two per
-        # Newton pass and its kernel's sum: _as_alloc reads s > 0 at argmin.
+        # The sums of C and the prices: two for LMSR and for ExponentialSCPM,
+        # whose kernel is LMSR's (the price sum, and the expm1 sum of the
+        # log1p form that this q takes; a plain log reads the price sum
+        # alone), two for QuadraticScore and QuadSCPM, none for MinSCPM, and
+        # for LogSCPM two per Newton pass and its kernel's sum: _as_alloc
+        # reads s > 0 at argmin.
         u = make_utility(kind, n_outcomes=3)
         res, n = reduce_calls(solve_t, u, np.array([0.3, 1.2, 0.8]))
         expected = {"LMSR": 2, "ExponentialSCPM": 2, "QuadraticScore": 2, "QuadSCPM": 2,
