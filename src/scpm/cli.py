@@ -2,7 +2,8 @@
 
 Every number printed here comes from a library operation; the CLI only
 loads files and formats output.  Exit codes: 0 success, 1 verification
-failure, 2 usage or configuration error.
+failure, 2 usage or configuration error, or a typed engine error, each
+printed as one error: line.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from . import analysis, market as market_mod
-from .cost import prices as compute_prices
+from .cost import SolverError, prices as compute_prices
 from .oracle import cross_check
 from .utilities import utility_from_dict
 
@@ -32,6 +33,8 @@ def load_market_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {type(doc).__name__}")
     try:
         utility = utility_from_dict(doc.get("utility"))
         return market_mod.MarketConfig(
@@ -221,7 +224,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    # The engine's typed errors (DomainError and StaleFillError are
+    # ValueErrors) are usage errors too: the input asked for what no market
+    # can give.
+    except (ConfigError, ValueError, OSError, SolverError,
+            market_mod.UnboundedFillError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -401,12 +401,20 @@ def converge(state, belief, rounds=100, cap=1.0):
 
 
 def settle(state, outcome):
-    """Pay $1 per outstanding share on the realized outcome."""
+    """Pay $1 per outstanding share on the realized outcome, and check the
+    loss against B + C(initial_q)."""
     n = state.config.n_outcomes
     if not 0 <= outcome < n:
         raise ValueError(f"outcome index must be in [0, {n}), got {outcome}")
     u = state.config.utility
     b_term, c0 = u.loss_bound_terms()
+    # The initial shares are owed from the start and no charge paid for
+    # them, so the bound is B + C(q0): the catalog's C(0) at a fresh start
+    # (q0 >= 0, so its largest entry tells) or under an infinite B, and one
+    # solve elsewhere.
+    q0 = state.config.initial_q
+    if q0[q0.argmax()] > 0 and b_term < math.inf:
+        c0 = _cost.cost(u, q0)
     bound = b_term + c0
     payout = float(state.q[outcome])
     profit = state.collected - payout

@@ -39,7 +39,10 @@ sum_{i in S} du/ds_i(tau - q_i) = T:
     LMSR              b (LSE_S(q/b + log theta_hat) - log T), theta_hat = theta/sum(theta)
     MinSCPM           max_S q
     QuadSCPM          water-filling over S
-    LogSCPM           Newton on 1 / sum_S theta_i / (tau - q_i), from below
+    LogSCPM           Newton on 1 / sum_S theta_i / (tau - q_i), from below;
+                      its two sums over Python floats where |S| < 8, where
+                      np.add.reduce adds left to right and a loop costs less
+                      than numpy's calls, and by np.add.reduce from 8 on
 
 At S = all, T = 1 it is the withdrawal of every non-flat kind.
 QuadraticScore has no level; its bundle price is affine, and its own
@@ -149,6 +152,26 @@ def _lse_level(b, z, total):
     # log sum exp of one row, shifted by its maximum, read by index.
     m = z[z.argmax()]
     return float(b * (m + np.log(np.add.reduce(np.exp(z - m))) - math.log(total)))
+
+
+def _float_sums(tau, q, theta):
+    """sum theta_i / d_i and sum theta_i / d_i^2 at d = tau - q, over lists,
+    each added left to right from 0.0 (not by sum(), which compensates
+    from Python 3.12 on)."""
+    s1 = s2 = 0.0
+    for qi, ti in zip(q, theta):
+        d = tau - qi
+        r = ti / d
+        s1 += r
+        s2 += r / d
+    return s1, s2
+
+
+def _array_sums(tau, q, theta):
+    """The same two sums over arrays, each by np.add.reduce."""
+    d = tau - q
+    r = theta / d
+    return float(np.add.reduce(r)), float(np.add.reduce(r / d))
 
 
 def _check_simplex(p, n):
@@ -511,19 +534,25 @@ class LogSCPM(Utility):
         # above max_S q: Newton on F = 1 / total from the level of the largest
         # q_j alone (kept above q_j in floats) stays below the root and rises
         # to it until a step no longer moves tau.  Returns tau and the passes.
-        # tau and its step run in Python floats: the IEEE operations numpy
-        # scalars make, and np.add.reduce is r.sum() without its wrapper.  A
-        # den of 0 (an underflowing sum, or tau at inf) divides as numpy does,
-        # to inf or nan, where a float division would raise.
+        # tau and its step run in Python floats.  Below eight entries the two
+        # sums do too, added left to right from 0.0: np.add.reduce adds so
+        # few in that order, so both give the same bits (the floats only warn
+        # of no overflow), and the loop skips five numpy calls per pass.  From
+        # eight on numpy adds in blocks, in another order, and its calls cost
+        # less than the loop.  A den of 0 (an underflowing sum, or tau at inf)
+        # divides as numpy does, to inf or nan, where a float division would
+        # raise.
         q, theta = q[inside], self.theta[inside]
         j = q.argmax()
         qj = float(q[j])
         tau = max(qj + float(theta[j]) / total, math.nextafter(qj, math.inf))
+        if q.size < 8:
+            sums, q, theta = _float_sums, q.tolist(), theta.tolist()
+        else:
+            sums = _array_sums
         for passes in range(1, MAX_ITER + 1):
-            d = tau - q
-            r = theta / d
-            s1 = float(np.add.reduce(r))
-            num, den = s1 * (s1 - total), total * float(np.add.reduce(r / d))
+            s1, s2 = sums(tau, q, theta)
+            num, den = s1 * (s1 - total), total * s2
             step = num / den if den else float(np.divide(num, den))
             if not tau + step > tau:
                 break

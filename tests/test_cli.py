@@ -176,3 +176,60 @@ class TestConfigErrors:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"utility": {"kind": "Brier"}}))
         assert main(["quote", "--config", str(path), "--bundle", "1;0"]) == 2
+
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("[1,2]")
+        assert main(["quote", "--config", str(path), "--bundle", "1;0"]) == 2
+        assert_one_error_line(capsys, "must be a JSON object")
+
+
+def assert_one_error_line(capsys, message):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+@pytest.fixture
+def lmsr3_path(tmp_path):
+    path = tmp_path / "lmsr3.json"
+    path.write_text(json.dumps({"utility": {"kind": "LMSR", "b": 1.0, "n_outcomes": 3}}))
+    return str(path)
+
+
+class TestEngineErrors:
+    # A typed engine error is a usage error: one line and exit 2, not a
+    # traceback.
+    def test_trade_without_limit_at_pi_one(self, lmsr3_path, capsys):
+        assert main(["trade", "--config", lmsr3_path, "--pi", "1.0", "--bundle", "1;0;0"]) == 2
+        assert_one_error_line(capsys, "without bound")
+
+    def test_simulate_unbounded_row(self, lmsr3_path, tmp_path, capsys):
+        orders = tmp_path / "orders.csv"
+        orders.write_text("trader_id,pi,limit,bundle\nt,1.0,inf,1;0;0\n")
+        assert main(["simulate", "--config", lmsr3_path, "--orders", str(orders),
+                     "--out", str(tmp_path / "t.jsonl")]) == 2
+        assert_one_error_line(capsys, "without bound")
+
+    def test_solver_error(self, lmsr3_path, monkeypatch, capsys):
+        engine = importlib.import_module("scpm.cost")
+
+        def fail(u, q):
+            raise engine.SolverError("price vector off the simplex")
+
+        monkeypatch.setattr("scpm.cli.compute_prices", fail)
+        assert main(["quote", "--config", lmsr3_path, "--bundle", "1;0;0"]) == 2
+        assert_one_error_line(capsys, "off the simplex")
+
+
+def test_simulate_bound_counts_initial_shares(tmp_path, capsys):
+    config = tmp_path / "start.json"
+    config.write_text(json.dumps({"utility": {"kind": "LMSR", "b": 1.0, "n_outcomes": 3},
+                                  "initial_q": [5.0, 0.0, 0.0]}))
+    orders = tmp_path / "orders.csv"
+    orders.write_text("trader_id,pi,limit,bundle\nt,0.4,1,0;1;0\n")
+    assert main(["simulate", "--config", str(config), "--orders", str(orders),
+                 "--out", str(tmp_path / "t.jsonl")]) == 0
+    assert "loss bound: 5.013386 respected: yes" in capsys.readouterr().out

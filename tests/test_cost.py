@@ -332,9 +332,11 @@ class TestKernels:
             assert residual(tau) <= 8.0 * eps * total
 
     def test_log_newton_in_python_floats_matches_numpy_scalars(self):
-        # _newton_level runs tau and its step in Python floats.  The loop it
-        # replaced, on numpy scalars, is kept here as the reference: the same
-        # IEEE operations in the same order give the same tau and passes.
+        # _newton_level runs tau and its step in Python floats, and its sums
+        # too below eight entries.  The loop it replaced, on numpy scalars and
+        # arrays, is kept here as the reference: the same IEEE operations in
+        # the same order give the same tau and passes.  N = 5 and 7 draw the
+        # Python sums below the threshold, 10 and up numpy's above it.
         def numpy_scalar_level(u, q, inside, total):
             q, theta = q[inside], u.theta[inside]
             j = int(np.argmax(q))
@@ -351,7 +353,7 @@ class TestKernels:
 
         rng = np.random.default_rng(80002)
         for _ in range(3000):
-            n = int(rng.choice([2, 3, 10, 100, 1024]))
+            n = int(rng.choice([2, 3, 5, 7, 10, 100, 1024]))
             u = make_utility("LogSCPM", n_outcomes=n, theta=10.0 ** rng.uniform(-6.0, 6.0, n))
             q = -10.0 ** rng.uniform(-3.0, 12.0) * rng.uniform(0.0, 1.0, n)
             total = 10.0 ** rng.uniform(-12.0, 0.0)
@@ -371,6 +373,23 @@ class TestKernels:
             args = (np.array(q), np.array(inside), total)
             with np.errstate(all="ignore"):
                 assert u._newton_level(*args) == numpy_scalar_level(u, *args) == expected
+
+    def test_small_sums_add_left_to_right_below_eight(self):
+        # _newton_level's Python sums stand in for np.add.reduce below eight
+        # entries because numpy adds so few left to right from 0.0; from
+        # eight on it adds in blocks, and the two part on some draws.  A numpy
+        # that changes its small-sum order fails here, not in a digest.
+        def left_to_right(x):
+            total = 0.0
+            for v in x.tolist():
+                total += v
+            return total
+
+        rng = np.random.default_rng(82112)
+        for n in range(2, 9):
+            same = [left_to_right(x) == float(np.add.reduce(x))
+                    for x in 10.0 ** rng.uniform(-6.0, 6.0, (2000, n))]
+            assert all(same) if n < 8 else not all(same), n
 
 
 def reduce_calls(fn, *args):
@@ -416,12 +435,12 @@ class TestReduceCalls:
         # whose kernel is LMSR's (the price sum, and the expm1 sum of the
         # log1p form that this q takes; a plain log reads the price sum
         # alone), two for QuadraticScore and QuadSCPM, none for MinSCPM, and
-        # for LogSCPM two per Newton pass and its kernel's sum: _as_alloc
-        # reads s > 0 at argmin.
+        # for LogSCPM its kernel's sum alone: at N = 3 the Newton level adds
+        # its sums in Python floats, and _as_alloc reads s > 0 at argmin.
         u = make_utility(kind, n_outcomes=3)
-        res, n = reduce_calls(solve_t, u, np.array([0.3, 1.2, 0.8]))
+        n = reduce_calls(solve_t, u, np.array([0.3, 1.2, 0.8]))[1]
         expected = {"LMSR": 2, "ExponentialSCPM": 2, "QuadraticScore": 2, "QuadSCPM": 2,
-                    "MinSCPM": 0, "LogSCPM": 2 * res.iterations + 1}
+                    "MinSCPM": 0, "LogSCPM": 1}
         assert n == expected[kind]
 
     def test_lse_level_is_logsumexp_of_one_row(self):

@@ -252,17 +252,19 @@ def streams(draw):
         # ends the fill.
         towards = draw(st.floats(0.01, 0.99 if limit == math.inf else 1.5))
         orders.append((a, towards, limit))
-    return n, b, orders
+    # A fresh market, or one that starts with shares of up to 1e3 b.
+    start = draw(st.one_of(st.none(), st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n)))
+    return n, b, None if start is None else b * np.array(start), orders
 
 
-@pytest.mark.parametrize("kind", [k for k in KINDS if k != "LogSCPM"])  # finite B + C(0)
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "LogSCPM"])  # finite B
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(streams())
 def test_settlement_within_loss_bound(kind, case):
-    # Whichever outcome occurs, the organizer loses at most B + C(0).
-    n, b, orders = case
+    # Whichever outcome occurs, the organizer loses at most B + C(q0).
+    n, b, q0, orders = case
     u = make_utility(kind, b=b, n_outcomes=n)
-    state = new_market(MarketConfig(utility=u))
+    state = new_market(MarketConfig(utility=u, initial_q=q0))
     for k, (a, towards, limit) in enumerate(orders):
         p_a = bundle_price(u, state.q, a)
         pi = max(0.0, p_a + towards * (float(a.max()) - p_a))

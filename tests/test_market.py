@@ -1,5 +1,6 @@
 """Tests for market state, fills, settlement, and the stream formats."""
 
+import importlib
 import json
 import math
 
@@ -582,6 +583,23 @@ class TestSettlement:
         rep = settle(state, 0)
         state.collected = state.q[0] - rep.loss_bound - 4e-7
         assert not settle(state, 0).bound_ok
+
+    def test_loss_bound_from_the_initial_shares(self):
+        # The initial shares are owed from the start, and no charge paid for
+        # them: the bound is B + C(q0), here log(e^5 + 2), not C(0) = log 3.
+        state = lmsr_market(b=1.0, n=3, q0=[5.0, 0.0, 0.0])
+        reports = [settle(state, i) for i in range(3)]
+        assert reports[0].profit == -5.0
+        for rep in reports:
+            assert rep.loss_bound == pytest.approx(math.log(math.exp(5.0) + 2.0), rel=1e-15)
+            assert rep.bound_ok
+
+    def test_fresh_market_bound_makes_no_solve(self, monkeypatch):
+        # At q0 = 0 the bound is the catalog's B + C(0), with no cost solve.
+        state = lmsr_market(b=1.0, n=3)
+        engine = importlib.import_module("scpm.cost")
+        monkeypatch.setattr(engine, "solve_t", lambda u, q: pytest.fail("solved"))
+        assert settle(state, 0).loss_bound == math.log(3.0)
 
 
 class TestStreamFormats:
