@@ -224,9 +224,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # The engine's typed errors (DomainError and StaleFillError are
-    # ValueErrors) are usage errors too: the input asked for what no market
-    # can give.
+    # The engine's typed errors end the run as a usage error does, with one
+    # line (DomainError and StaleFillError are ValueErrors).
     except (ConfigError, ValueError, OSError, SolverError,
             market_mod.UnboundedFillError) as exc:
         print(f"error: {exc}", file=sys.stderr)
