@@ -2,22 +2,21 @@
 
 fill() is pure: it computes the accepted quantity and charge without
 touching the state; apply() commits a fill.  The quantity is the largest
-x in [0, limit] with f(x) = p(q + a x)'a - pi <= 0.  After the solve at 0
-a fill with a finite limit reads, from p(q) and the kind's _curvature,
-where the tangent of its bundle price at 0 reaches pi.  Where that lies at
-or past the limit, or the arithmetic gives no answer, the limit is probed
-first, and a fill that ends there takes those two solves.  Where it lies
-before the limit, or the kind has no _curvature, the hook and its
-certificate (below) go first; a certified end whose upper point lies at
-or below the limit ends the fill with no probe, since f is nondecreasing,
-and any other end probes the limit next.  Both orders end the fill at the
-same x_bar with the same charge and prices; only FillResult.solves
-differs.  A fill whose root lies inside its reach asks the utility's
-solve_fill hook for a closed-form candidate x_hat.  With tol = FILL_RTOL *
-max(1, x_hat), or one float spacing of q + a x_hat where that is wider,
-the candidate is accepted only on a certificate from cost solves: f(x_bar)
-<= 0 < f(x_bar + tol), with x_bar = x_hat, or x_hat - tol when f(x_hat) >
-0.  That is the bracket the search would give.  Where x_hat < tol and
+x in [0, limit] with f(x) = p(q + a x)'a - pi <= 0.  After the solve at 0,
+a fill with f(0) < 0 asks the utility's solve_fill hook for a closed-form
+candidate x_hat, handing it that solve, from which most kinds read their
+end (utilities.py); the hook alone orders the probes.  Where it gives no
+candidate, or x_hat lies at or past a finite limit, the limit is probed
+first, and a fill that ends there takes those two solves.  Otherwise x_hat
+and its certificate (below) go first; a certified end whose upper point
+lies at or below the limit ends the fill with no probe, since f is
+nondecreasing, and any other end probes the limit next.  Either order
+ends the fill at the same x_bar with the same charge and prices; only
+FillResult.solves differs.  With tol = FILL_RTOL * max(1, x_hat), or one
+float spacing of q + a x_hat where that is wider, the candidate is
+accepted only on a certificate from cost solves: f(x_bar) <= 0 <
+f(x_bar + tol), with x_bar = x_hat, or x_hat - tol when f(x_hat) > 0.
+That is the bracket the search would give.  Where x_hat < tol and
 f(x_hat) > 0, the solve at 0 closes [0, x_hat]: the fill ends at 0,
 "rejected", as does any certified end at 0.  Otherwise (no form for the
 bundle, a candidate out of reach, a failed certificate) the search runs:
@@ -55,7 +54,6 @@ import numpy as np
 
 # perfbench/tracing.py wraps both names where this module binds them.
 from .cost import charge as compute_charge, prices as compute_prices
-from .cost import _ones
 
 # The package re-exports the function cost under the submodule's name.
 _cost = importlib.import_module(".cost", __package__)
@@ -238,13 +236,7 @@ def fill(state, order):
     x_bar, path = 0.0, "rejected"
     if p_a - order.pi < 0.0:
         # p_a itself: excess(0) + pi loses a price far below pi.
-        finite = math.isfinite(order.limit)
-        x_est = _first_order_end(u, before.prices, a, order.pi - p_a) if finite else None
-        hook_first = x_est is not None and x_est < order.limit
-        if finite and not hook_first and excess(order.limit) <= 0.0:
-            x_bar, path = order.limit, "limit"
-        else:
-            x_bar, path = _price_bound_end(u, q, order, excess, width, p_a, hook_first)
+        x_bar, path = _price_bound_end(u, q, order, before, p_a, excess, width)
         # Units that some bought state's q_i + a_i x_bar cannot record are not sold.
         if x_bar > 0.0 and np.count_nonzero(points[x_bar][0] != q) < np.count_nonzero(a):
             x_bar, path = 0.0, "rejected"
@@ -268,17 +260,19 @@ def fill(state, order):
     )
 
 
-def _price_bound_end(u, q, order, excess, width, p_a, hook_first):
-    """The end of a fill with excess(0) = p_a - pi < 0 and a limit that is
-    infinite or probed, excess(limit) > 0: the root of excess in (0, limit),
-    the hook's candidate if the engine certifies it, else the search's, to
-    the width(x) of a bracket ending at x.  With hook_first the limit is not
-    yet probed: a certificate whose upper point lies at or below it ends the
-    fill unprobed, since excess is nondecreasing and the probe would have
-    failed; any other end probes it next, and ends at the limit where
-    excess(limit) <= 0."""
+def _price_bound_end(u, q, order, before, p_a, excess, width):
+    """The end of a fill with excess(0) = p_a - pi < 0, from the solve at 0,
+    before: the limit where excess(limit) <= 0, else the root of excess in
+    (0, limit), the hook's candidate if the engine certifies it, else the
+    search's, to the width(x) of a bracket ending at x.  The hook is asked
+    before any probe.  A finite limit is probed first only where it gives no
+    candidate below the limit; otherwise a certificate whose upper point
+    lies at or below the limit ends the fill unprobed, since excess is
+    nondecreasing and the probe would have failed, and any other end probes
+    it next."""
     a, limit = order.bundle, order.limit
-    if math.isinf(limit):
+    finite = math.isfinite(limit)
+    if not finite:
         # Prices of a monotone utility concentrate on max-weight states
         # as x grows, so the achievable bundle price is bounded by max(a).
         if u.monotone and order.pi >= a.item(a.argmax()):
@@ -290,11 +284,14 @@ def _price_bound_end(u, q, order, excess, width, p_a, hook_first):
         # Doubling from 1 passes a finite limit within its binary exponent.
         reach, steps = limit, math.frexp(limit)[1]
 
+    x_hat = u.solve_fill(q, a, order.pi, before, p_a)
+    if finite and not (x_hat is not None and x_hat < limit) and excess(limit) <= 0.0:
+        return limit, "limit"
     end = None
-    x_hat = u.solve_fill(q, a, order.pi, p_a)
     if x_hat is not None and 0.0 <= x_hat <= reach:
         end = _certified_end(x_hat, excess, width)
-    if hook_first and (end is None or end[2] > limit) and excess(limit) <= 0.0:
+    # A limit probed above reads its excess again without a solve.
+    if finite and (end is None or end[2] > limit) and excess(limit) <= 0.0:
         return limit, "limit"
     if end is not None:
         return end[:2]
@@ -307,28 +304,6 @@ def _price_bound_end(u, q, order, excess, width, p_a, hook_first):
     lo, hi, f_lo, f_hi = bracket
     x_bar, _ = _cost.bracketed_root(excess, lo, hi, f_lo, f_hi, width(hi))
     return x_bar, "bracket"
-
-
-def _first_order_end(u, p, a, gap):
-    """Where the tangent at x = 0 of the bundle price reaches pi = p_a + gap:
-    gap / (h_a - h_a^2 / sum(h)), with h = u._curvature(p) and h_a = h'a,
-    the slope of a 0/1 bundle's price.  0 for a kind without a curvature,
-    whose hook then goes first; None where the arithmetic gives no end: a
-    sum(h) of 0, or a slope that is 0 (as an underflowed p_a makes it), of
-    the wrong sign or not finite.  The sums are combined in Python floats,
-    which overflow without a warning, and every divisor is checked first."""
-    curvature = u._curvature
-    if curvature is None:
-        return 0.0
-    h = curvature(p)
-    h_a, total = float(h.dot(a)), float(h.dot(_ones(h.size)))
-    if not total > 0.0:
-        return None
-    # h_a (sum(h) - h_a) / sum(h), which neither squares nor cancels h_a.
-    slope = h_a * ((total - h_a) / total)
-    if not 0.0 < slope < math.inf:
-        return None
-    return gap / slope
 
 
 def _certified_end(x_hat, excess, width):

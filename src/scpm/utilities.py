@@ -18,22 +18,23 @@ its analytic worst-case-loss terms (B, C(0)).
 
 A kind writes only its formulas: _value(s) and _grad(s) on float arrays
 (..., N) and loss_bound_terms() always, and _conjugate for the properness
-and penalty studies; _level, _curvature, _penalty, _kernel and _residual
-(for a set-valued subdifferential) where it has them, and _default_theta
-and _check_theta if it takes a prior.
+and penalty studies; _level, _penalty, _kernel and _residual (for a
+set-valued subdifferential) where it has them, a solve_fill of its own
+where the cost solve at q gives its fill's end, and _default_theta and
+_check_theta if it takes a prior.
 MinSCPM's subdifferential is the simplex over the argmin of s, so its
 prices are uniform over the exact argmax of q: no tolerance decides a tie.
 The base class owns the plumbing: value, grad, penalty_raw,
 conjugate_penalty and properness_residual coerce their input (_as_alloc:
 length N, and s > 0 for LogSCPM) and return a float for one row and the
 array for a batch, each row bit for bit as its own call.  solve_withdrawal
-and solve_fill come from _level; a kind without _penalty raises
+and the base solve_fill come from _level; a kind without _penalty raises
 PenaltyUnsupportedError.
 
-solve_fill gives the end of a fill along a 0/1 bundle in closed form
-(market.fill certifies it).  The out-set B then holds price 1 - pi at the
-unmoved level and the in-set A holds pi, so x = max(0, tau_B(1 - pi) -
-tau_A(pi)), where _level(q, S, T) = tau_S(T) solves
+solve_fill(q, a, pi, before, p_a) gives the end of a fill along a 0/1
+bundle in closed form (market.fill certifies it).  The out-set B then
+holds price 1 - pi at the unmoved level and the in-set A holds pi, so x =
+max(0, tau_B(1 - pi) - tau_A(pi)), where _level(q, S, T) = tau_S(T) solves
 sum_{i in S} du/ds_i(tau - q_i) = T:
 
     LMSR              b (LSE_S(q/b + log theta_hat) - log T), theta_hat = theta/sum(theta)
@@ -48,18 +49,24 @@ At S = all, T = 1 it is the withdrawal of every non-flat kind.
 QuadraticScore has no level; its bundle price is affine, and its own
 solve_fill gives 2b (pi - p(q)'a) / (a'a - (e'a)^2/N), any bundle.
 
-_curvature(p) gives, from the prices p = p(q), the h >= 0 with
-dp/dq = diag(h) - hh'/sum(h).  For a separable u, h_i = -u_i''(s_i), and
-the level's response dt/dq = h/sum(h) makes the rank-one term:
+market.fill hands the hook the cost solve at q it already holds, before,
+with p_a = p'a for p = before.prices, so a kind whose end follows from
+that solve reads it from there, with k_S the entries of S where p > 0:
 
-    LMSR              p / b
-    QuadSCPM          [p > 0] / 2b
-    QuadraticScore    e / 2b, exact: its price is affine
-    LogSCPM           p^2 / theta
-
-market.fill reads from it the slope h_a - h_a^2/sum(h) of a 0/1 bundle's
-price, h_a = h'a, to guess whether the fill ends before its limit.  MinSCPM,
-whose price is a step, has none.
+    LMSR              b (log(pi p_B) - log((1 - pi) p_A)), as p_A moves
+                      along sigma(logit p_A + x/b); p_B = p'(e - a) is
+                      summed, not taken as 1 - p_A.  The levels where a
+                      product is not a normal float (p_A or p_B underflows)
+    QuadSCPM          2b k (pi - p_A) / (k_A k_B), k = k_A + k_B, while the
+                      active set {p > 0} stays: each active out-price is
+                      at least (pi - p_A) / k_B, and each clamped in-entry
+                      of s = before.t_star - q stays clamped.  Water-filling
+                      off that piece
+    LogSCPM           both Newton levels, the whole hook over Python lists
+                      below eight states (the sets split, q shifted by its
+                      maximum), bit for bit the array form
+    MinSCPM           the levels: max_B q - max_A q
+    QuadraticScore    its affine form above
 
 _conjugate(R) gives, for interior beliefs R (M, N) on the simplex, a
 maximizer S of u(s) - r's per row, where grad(u)(S) = R: the inverse
@@ -96,7 +103,7 @@ that; one row evaluates only the branch it takes.  The penalty is
 b KL(p || theta_hat) - C(0).
 
 ExponentialSCPM is LMSR with weights e and C(0) = 0, so its market is
-uniform LMSR's less b log N: it takes the prices, C, level, curvature,
+uniform LMSR's less b log N: it takes the prices, C, level, fill end,
 conjugate points and penalty (the tables above list them under LMSR), and
 keeps only its own u, its loss terms and a kernel whose level is C itself
 (u(C e - q) = 0), on the path "closed".
@@ -105,6 +112,7 @@ keeps only its own u, its loss terms and a kernel whose level is C itself
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +120,9 @@ import numpy as np
 from .cost import MAX_ITER, _root_t
 
 SIMPLEX_TOL = 1e-10
+
+# The smallest normal float: a product below it has lost digits.
+_MIN_NORMAL = sys.float_info.min
 
 
 class DomainError(ValueError):
@@ -172,6 +183,29 @@ def _array_sums(tau, q, theta):
     d = tau - q
     r = theta / d
     return float(np.add.reduce(r)), float(np.add.reduce(r / d))
+
+
+def _newton(q, theta, j, total, sums):
+    """LogSCPM's level tau_S(total) over S's q and theta (lists or arrays,
+    with q_j their first maximum), and the passes it took.
+
+    F(tau) = 1 / sum theta_i / (tau - q_i) is concave and increasing above
+    q_j: Newton on F = 1 / total from the level of q_j alone (kept above q_j
+    in floats) stays below the root and rises to it until a step no longer
+    moves tau.  tau and its step run in Python floats, the two sums in
+    sums.  A den of 0 (an underflowing sum, or tau at inf) divides as numpy
+    does, to inf or nan, where a float division would raise.
+    """
+    qj = float(q[j])
+    tau = max(qj + float(theta[j]) / total, math.nextafter(qj, math.inf))
+    for passes in range(1, MAX_ITER + 1):
+        s1, s2 = sums(tau, q, theta)
+        num, den = s1 * (s1 - total), total * s2
+        step = num / den if den else float(np.divide(num, den))
+        if not tau + step > tau:
+            break
+        tau += step
+    return tau, passes
 
 
 def _check_simplex(p, n):
@@ -304,7 +338,6 @@ class Utility:
         raise NotImplementedError(f"{self.kind} has no conjugate point (_conjugate)")
 
     _level = None  # (q, inside, total) -> tau_S(T), see the module docstring
-    _curvature = None  # prices -> h, see the module docstring
 
     def solve_withdrawal(self, q):
         """Minimizer of t - u(te - q): the level tau_all(1), or None without a level."""
@@ -328,19 +361,25 @@ class Utility:
         s = t - q
         return t, t - self.value(s), self.grad(s), path, iterations
 
-    def solve_fill(self, q, a, pi, p_a):
+    def solve_fill(self, q, a, pi, before, p_a):
         """Closed-form candidate for the largest x with p(q + a x)'a <= pi,
-        given the bundle price p_a = p(q)'a < pi, or None when unavailable.
+        given the cost solve at q, before, and the bundle price p_a =
+        p(q)'a < pi, or None when unavailable.
 
         For a 0/1 bundle this is tau_B(1 - pi) - tau_A(pi) from _level,
         clamped at 0: p_a < pi puts the end at x >= 0, and only the
-        rounding of the two levels makes the difference negative.
-        Makes no cost solve.  market.fill accepts the candidate only after
-        cost solves bracket it, and otherwise searches.
+        rounding of the two levels makes the difference negative.  A kind
+        whose end follows from before overrides it (see the module
+        docstring).  Makes no cost solve.  market.fill accepts the
+        candidate only after cost solves bracket it, and otherwise searches.
         """
         inside = _in_set(a)
         if self._level is None or inside is None or not 0.0 < pi < 1.0:
             return None
+        return self._level_fill(q, inside, pi)
+
+    def _level_fill(self, q, inside, pi):
+        """tau_B(1 - pi) - tau_A(pi), clamped at 0, at q shifted to max 0."""
         q = q - q[q.argmax()]
         return max(0.0, self._level(q, ~inside, 1.0 - pi) - self._level(q, inside, pi))
 
@@ -426,9 +465,6 @@ class LMSR(Utility):
         y, w, total = self._terms(q)
         return 0.0, self._lse(y, total), w / total, "flat", 0
 
-    def _curvature(self, p):
-        return p / self.b
-
     def _conjugate(self, R):
         # theta_i exp(-s_i/b) = alpha r_i; at r = theta/alpha this is +0.0, not -0.0.
         return self.b * (self._log_prior - np.log(R))
@@ -436,6 +472,17 @@ class LMSR(Utility):
     def _level(self, q, inside, total):
         # Its prices fix no level: take the one of sum_S theta_hat_i exp(-s_i/b).
         return _lse_level(self.b, q[inside] / self.b + self._log_prior[inside], total)
+
+    def solve_fill(self, q, a, pi, before, p_a):
+        # A 0/1 bundle has a * (1 - a) = 0 everywhere; 1 - a is its out-set.
+        # p_A(q + x a) = sigma(logit p_A + x/b), which reaches pi at
+        # b log(pi p_B / ((1 - pi) p_A)), a log of each normal product.
+        out = 1.0 - a
+        if 0.0 < pi < 1.0 and not np.count_nonzero(a * out):
+            num, den = pi * float(before.prices.dot(out)), (1.0 - pi) * p_a
+            if num >= _MIN_NORMAL and den >= _MIN_NORMAL:
+                return max(0.0, self.b * (math.log(num) - math.log(den)))
+        return super().solve_fill(q, a, pi, before, p_a)
 
     def _penalty(self, p):
         # b * KL(p || theta_hat) - C(0), with 0 log 0 = 0
@@ -472,14 +519,11 @@ class QuadraticScore(Utility):
         cost = qbar + np.add.reduce(d * d) / (4.0 * self.b)
         return 0.0, cost, 1.0 / self.n + d / (2.0 * self.b), "flat", 0
 
-    def _curvature(self, p):
-        return np.full(self.n, 0.5 / self.b)
-
     def _conjugate(self, R):
         # Mean 0 when r sums to 1, so grad = 1/N - s/2b = r.
         return 2.0 * self.b * (1.0 / self.n - R)
 
-    def solve_fill(self, q, a, pi, p_a):
+    def solve_fill(self, q, a, pi, before, p_a):
         # The bundle price is affine: p_a + x (a'a - (e'a)^2 / N) / 2b.
         slope = float(a.dot(a)) - float(np.add.reduce(a)) ** 2 / self.n
         if not slope > 0.0:
@@ -519,10 +563,6 @@ class LogSCPM(Utility):
     def domain_floor(self, q):
         return float(np.max(q))
 
-    def _curvature(self, p):
-        # -u_i'' = theta_i / s_i^2 with p_i = theta_i / s_i.
-        return p * p / self.theta
-
     def _conjugate(self, R):
         return self.theta / R
 
@@ -530,34 +570,40 @@ class LogSCPM(Utility):
         return self._newton_level(q, inside, total)[0]
 
     def _newton_level(self, q, inside, total):
-        # F(tau) = 1 / sum_S theta_i / (tau - q_i) is concave and increasing
-        # above max_S q: Newton on F = 1 / total from the level of the largest
-        # q_j alone (kept above q_j in floats) stays below the root and rises
-        # to it until a step no longer moves tau.  Returns tau and the passes.
-        # tau and its step run in Python floats.  Below eight entries the two
-        # sums do too, added left to right from 0.0: np.add.reduce adds so
-        # few in that order, so both give the same bits (the floats only warn
-        # of no overflow), and the loop skips five numpy calls per pass.  From
-        # eight on numpy adds in blocks, in another order, and its calls cost
-        # less than the loop.  A den of 0 (an underflowing sum, or tau at inf)
-        # divides as numpy does, to inf or nan, where a float division would
-        # raise.
+        # Below eight entries the two sums run over Python floats, added left
+        # to right from 0.0: np.add.reduce adds so few in that order, so both
+        # give the same bits (the floats only warn of no overflow), and the
+        # loop skips five numpy calls per pass.  From eight on numpy adds in
+        # blocks, in another order, and its calls cost less than the loop.
         q, theta = q[inside], self.theta[inside]
-        j = q.argmax()
-        qj = float(q[j])
-        tau = max(qj + float(theta[j]) / total, math.nextafter(qj, math.inf))
         if q.size < 8:
-            sums, q, theta = _float_sums, q.tolist(), theta.tolist()
-        else:
-            sums = _array_sums
-        for passes in range(1, MAX_ITER + 1):
-            s1, s2 = sums(tau, q, theta)
-            num, den = s1 * (s1 - total), total * s2
-            step = num / den if den else float(np.divide(num, den))
-            if not tau + step > tau:
-                break
-            tau += step
-        return tau, passes
+            return _newton(q.tolist(), theta.tolist(), q.argmax(), total, _float_sums)
+        return _newton(q, theta, q.argmax(), total, _array_sums)
+
+    def solve_fill(self, q, a, pi, before, p_a):
+        # Below eight states the whole hook runs over Python lists, as the
+        # level's sums do: the sets split, q shifted by its first maximum,
+        # and both levels, by the same float operations in the same order as
+        # the base's arrays, so with the same bits and without their calls.
+        if q.size >= 8:
+            return super().solve_fill(q, a, pi, before, p_a)
+        if not 0.0 < pi < 1.0:
+            return None
+        q = q.tolist()
+        top = max(q)
+        sides = ([], []), ([], [])  # (q, theta) of the out-set and the in-set
+        for qi, ai, ti in zip(q, a.tolist(), self.theta.tolist()):
+            if ai != 0.0 and ai != 1.0:
+                return None
+            side = sides[ai == 1.0]
+            side[0].append(qi - top)
+            side[1].append(ti)
+        (out_q, out_theta), (in_q, in_theta) = sides
+        if not out_q:
+            return None
+        tau_out = _newton(out_q, out_theta, out_q.index(max(out_q)), 1.0 - pi, _float_sums)[0]
+        tau_in = _newton(in_q, in_theta, in_q.index(max(in_q)), pi, _float_sums)[0]
+        return max(0.0, tau_out - tau_in)
 
     def _kernel(self, q):
         # Not through solve_withdrawal, whose float leaves out the passes.
@@ -682,10 +728,6 @@ class QuadSCPM(Utility):
         value = np.add.reduce(self.theta * v) - np.add.reduce(v * v) / (4.0 * self.b)
         return t, t - float(value), np.maximum(0.0, self.theta - s / (2.0 * self.b)), "closed", 0
 
-    def _curvature(self, p):
-        # The clamp v_i = min(s_i, 2b theta_i) holds p_i at 0 above it.
-        return (p > 0.0) / (2.0 * self.b)
-
     def _conjugate(self, R):
         # Below the clamp for r > 0: theta - s/2b = r.
         return 2.0 * self.b * (self.theta - R)
@@ -700,6 +742,40 @@ class QuadSCPM(Utility):
         c = c[::-1]
         t = (c.cumsum() - 2.0 * self.b * total) / self._sizes[:c.size]
         return float(t[np.count_nonzero(c > t) - 1])
+
+    def solve_fill(self, q, a, pi, before, p_a):
+        # While the active set {p > 0} stays, the level rises by k_A/k per
+        # unit of x, so each active in-price rises by k_B/(2b k) and each
+        # active out-price falls by k_A/(2b k): the bundle price reaches pi
+        # at 2b k gap/(k_A k_B), gap = pi - p_a.  The set stays to there if
+        # no active out-price falls by more than it holds, gap/k_B, and each
+        # clamped in-entry's s = t - q, which falls by 2b gap/k_A, stays at
+        # or above its clamp 2b theta.  Off that piece, water-filling.
+        inside = _in_set(a)
+        if inside is None or not 0.0 < pi < 1.0:
+            return None
+        p = before.prices
+        active = p > 0.0
+        k_a = np.count_nonzero(active & inside)
+        k_b = np.count_nonzero(active) - k_a
+        gap = pi - p_a
+        if k_a and k_b and self._stays(q, inside, before, active, gap / k_a, gap / k_b):
+            return 2.0 * self.b * (k_a + k_b) * gap / (k_a * k_b)
+        return self._level_fill(q, inside, pi)
+
+    def _stays(self, q, inside, before, active, rise, fall):
+        """Whether the active set holds while each active in-price rises by
+        rise and each active out-price falls by fall: no active out-price
+        is below fall, and each clamped in-entry's s - 2b theta, which falls
+        by 2b rise, is at least that."""
+        out_p = before.prices[active & ~inside]
+        if out_p.item(out_p.argmin()) < fall:
+            return False
+        clamped = inside & ~active
+        if not np.count_nonzero(clamped):
+            return True
+        slack = before.t_star - q[clamped] - self._clamp[clamped]
+        return slack.item(slack.argmin()) >= 2.0 * self.b * rise
 
     def _penalty(self, p):
         return self.b * np.sum((p - self.theta) ** 2, axis=-1)

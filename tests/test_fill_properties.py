@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from scpm import (DomainError, MarketConfig, Order, SolverError, StaleFillError,
                   UnboundedFillError, apply_fill, cost, fill, make_utility, new_market, prices,
                   settle)
+from scpm.cost import solve_t
 from scpm.market import FILL_RTOL
 from scpm.utilities import KINDS
 
@@ -69,6 +70,28 @@ def test_fill_properties(case):
         assert f.solves <= 4
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fill_cases())
+def test_hook_orders_the_probes(case):
+    # The hook is asked before any probe.  A candidate below the limit is
+    # certified first: a certified end whose step stays below the limit
+    # takes the solves at 0, at x_hat and one step from it.  A candidate at
+    # or past the limit (or none) probes the limit first: a fill that ends
+    # there takes the solves at 0 and at the limit.
+    u, q, a, pi, limit = case
+    before = solve_t(u, q)
+    p_a = float(before.prices.dot(a))
+    if p_a >= pi:
+        return
+    x_hat = u.solve_fill(q, a, pi, before, p_a)
+    f = fill(market_at(u, q), Order("h", pi, limit, a))
+    if f.path == "closed" and x_hat + 2.0 * max(FILL_RTOL * max(1.0, x_hat),
+                                                 np.spacing(float((q + a * x_hat).max()))) < limit:
+        assert f.solves == 3
+    if f.path == "limit" and x_hat is not None and x_hat >= limit:
+        assert f.solves == 2
+
+
 # The kinds whose 0/1-bundle fill is tau_B(1 - pi) - tau_A(pi).
 LEVEL_KINDS = ("LMSR", "LogSCPM", "MinSCPM", "ExponentialSCPM", "QuadSCPM")
 
@@ -120,7 +143,7 @@ def test_level_fills_end_closed(case):
         # Rejected only where the candidate lies within two of the
         # certificate's steps of 0, at least one float spacing of q each:
         # q cannot record a sale that small.
-        x_hat = u.solve_fill(q, a, pi, p_a)
+        x_hat = u.solve_fill(q, a, pi, solve_t(u, q), p_a)
         assert f.path == "rejected"
         assert x_hat <= 2.0 * max(FILL_RTOL * max(1.0, x_hat),
                                   np.spacing(float((q + a * x_hat).max())))

@@ -16,6 +16,7 @@ from scpm import (
     fill,
     make_utility,
     new_market,
+    prices,
     quote,
     run_orders,
     settle,
@@ -326,7 +327,7 @@ class TestFill:
         # Whatever the hook returns, the fill ends at the root of the engine's
         # own bundle price, b logit(0.6) = log 1.5 for LMSR at q = 0.
         monkeypatch.setattr(type(make_utility("LMSR")), "solve_fill",
-                            lambda self, q, a, pi, p_a: x_hat)
+                            lambda self, q, a, pi, before, p_a: x_hat)
         for limit in (5.0, math.inf):
             f = fill(lmsr_market(), Order("t", 0.6, limit, np.array([1.0, 0.0])))
             assert f.path == "bracket"
@@ -348,7 +349,7 @@ class TestFill:
             limit = float(rng.choice([rng.exponential(5.0), math.inf]))
             cases.append((q0, Order("t", pi, limit, a)))
         closed = [fill(new_market(MarketConfig(utility=u, initial_q=q0)), o) for q0, o in cases]
-        monkeypatch.setattr(type(u), "solve_fill", lambda self, q, a, pi, p_a: None)
+        monkeypatch.setattr(type(u), "solve_fill", lambda self, q, a, pi, before, p_a: None)
         for (q0, o), c in zip(cases, closed):
             s = fill(new_market(MarketConfig(utility=u, initial_q=q0)), o)
             assert s.path == {"closed": "bracket"}.get(c.path, c.path)
@@ -357,7 +358,7 @@ class TestFill:
 
     def test_minscpm_fills_step_in_few_solves(self):
         # MinSCPM's bundle price is a step; its closed form sits on the
-        # step, and with no curvature its hook goes before the limit.  A
+        # step, and its hook goes before the limit where it lies below.  A
         # fill that ends at 0 takes the solves at 0 and one past 0, and is
         # "rejected" whether or not the hook certified it; one that ends
         # past 0, those at its end and one step past it.
@@ -381,14 +382,25 @@ class TestFill:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_price_bound_fill_skips_the_limit(self, kind):
-        # The tangent of the bundle price reaches pi before the limit, so
-        # the hook and its certificate go first, and the limit is never
-        # solved: the solves at 0, at x_hat and one step from it.
+        # The hook's candidate lies before the limit, so it and its
+        # certificate go first, and the limit is never solved: the solves
+        # at 0, at x_hat and one step from it.
         u = make_utility(kind, b=1.0, n_outcomes=3)
         state = new_market(MarketConfig(utility=u, initial_q=[0.0, 1.0, 0.5]))
         f = fill(state, Order("t", 0.75, 50.0, np.array([1.0, 0.0, 0.0])))
         assert (f.path, f.solves) == ("closed", 3)
         assert 0.0 < f.x_bar < 50.0
+
+    def test_any_bundle_hook_goes_before_the_limit(self):
+        # QuadraticScore's hook covers every bundle: for a = [2, 2, 0] its
+        # end, 2b gap / (a'a - (e'a)^2/N) = 0.375, lies before the limit,
+        # so the fill takes the three solves of a certified end, and none
+        # at the limit.
+        u = make_utility("QuadraticScore", b=1.0, n_outcomes=3)
+        state = new_market(MarketConfig(utility=u))
+        a = np.array([2.0, 2.0, 0.0])
+        f = fill(state, Order("t", quote(state, a) + 0.5, 50.0, a))
+        assert (f.x_bar, f.path, f.solves) == (0.37499999999999994, "closed", 3)
 
     def test_minscpm_fill_on_its_step_takes_two_solves(self):
         # At a tie of the bundle's state with the top state, x_hat = 0 prices
@@ -400,45 +412,28 @@ class TestFill:
         f = fill(state, Order("t", 0.75, 50.0, np.array([1.0, 0.0, 0.0])))
         assert (f.x_bar, f.path, f.solves) == (0.0, "rejected", 2)
 
-    @pytest.mark.parametrize("h", [[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [math.inf, 1.0, 1.0],
-                                   [math.nan, 1.0, 1.0], [1e300, 1e300, 1e300],
-                                   [5e-324, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    def test_first_order_end_without_an_answer(self, monkeypatch, h):
-        # A sum(h) of 0, or a slope of 0, below 0 or not finite gives no
-        # end and raises nothing, under the suite's error::RuntimeWarning.
-        from scpm.market import _first_order_end
-
-        u = make_utility("LMSR", n_outcomes=3)
-        monkeypatch.setattr(type(u), "_curvature", lambda self, p: np.array(h))
-        a = np.array([1.0, 0.0, 0.0])
-        x_est = _first_order_end(u, np.full(3, 1 / 3), a, 0.25)
-        assert (x_est is None) == (0.0 in h[:2] or not math.isfinite(h[0]))
-        assert x_est is None or 0.0 < x_est < math.inf
-
     @pytest.mark.parametrize("kind, q0", [("LMSR", [0.0, 1.0]), ("ExponentialSCPM", [0.0, 1.0]),
                                           ("QuadSCPM", [0.0, 1.0])])
-    def test_underflowed_bundle_price_probes_the_limit_first(self, kind, q0):
+    def test_underflowed_bundle_price_certifies_before_the_limit(self, kind, q0):
         # p_a underflows to 0 (LMSR, ExponentialSCPM at b = 1e-3), or the
-        # clamp holds it at 0 (QuadSCPM): h_a = 0, no end, and the limit is
-        # solved before the hook, as before the screen.
-        from scpm.cost import prices
-        from scpm.market import _first_order_end
-
+        # clamp holds it at 0 (QuadSCPM): the held prices give no end, and
+        # the hook takes it from the levels.  It lies before the limit, so
+        # the certificate ends the fill with no solve at the limit.
         u = make_utility(kind, b=1e-3, n_outcomes=2)
         state = new_market(MarketConfig(utility=u, initial_q=q0))
         a = np.array([1.0, 0.0])
         assert quote(state, a) == 0.0
-        assert _first_order_end(u, prices(u, state.q), a, 0.5) is None
         f = fill(state, Order("t", 0.5, 5.0, a))
-        assert (f.path, f.solves) == ("closed", 4)
+        assert (f.path, f.solves) == ("closed", 3)
         assert f.x_bar == pytest.approx(1.0, abs=1e-9)
 
-    def test_screen_picks_only_the_order(self, monkeypatch):
-        # Limit first (None, inf, nan) or hook first (0.0), every fill ends
-        # with the bits of the screened one; only the solve count moves.
-        # The limits include x_hat itself and points within one width above
-        # it, where a fill whose limit prices the bundle at or below pi ends
-        # at "limit".
+    def test_probe_order_moves_only_the_solve_count(self, monkeypatch):
+        # Limit first or hook first, every fill ends with the same bits; only
+        # the solve count moves.  The engine asks the hook first; the limit
+        # first order probes a finite limit before anything else.  The
+        # limits include x_hat itself and points within one width above it,
+        # where a fill whose limit prices the bundle at or below pi ends at
+        # "limit".
         from scpm import market
 
         cases = []
@@ -470,13 +465,21 @@ class TestFill:
                             f.prices_after.tobytes(), f.path, trace_record(f, state.collected)))
             return out
 
-        screened = run()
-        for x_est in (None, 0.0, math.inf, math.nan):
-            monkeypatch.setattr(market, "_first_order_end", lambda u, p, a, gap: x_est)
-            assert run() == screened, x_est
+        hook_first = run()
+        price_bound_end = market._price_bound_end
+
+        def limit_first(u, q, order, before, p_a, excess, width):
+            # excess keeps its solves, so the engine's own order reads this
+            # probe again without a solve.
+            if math.isfinite(order.limit) and excess(order.limit) <= 0.0:
+                return order.limit, "limit"
+            return price_bound_end(u, q, order, before, p_a, excess, width)
+
+        monkeypatch.setattr(market, "_price_bound_end", limit_first)
+        assert run() == hook_first
         # The limit ends a fill exactly where it prices the bundle at or below pi.
         near_limit = 0
-        for (u, q0, order, near), (*_, path, _) in zip(cases, screened):
+        for (u, q0, order, near), (*_, path, _) in zip(cases, hook_first):
             q_limit = np.asarray(q0) + order.bundle * order.limit
             below = quote(new_market(MarketConfig(utility=u, initial_q=q_limit)),
                           order.bundle) <= order.pi
@@ -593,6 +596,33 @@ class TestSettlement:
         for rep in reports:
             assert rep.loss_bound == pytest.approx(math.log(math.exp(5.0) + 2.0), rel=1e-15)
             assert rep.bound_ok
+
+    @pytest.mark.parametrize("kind", ["LMSR", "ExponentialSCPM", "QuadSCPM", "QuadraticScore"])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_adversary_comes_within_delta_of_the_bound(self, kind, seeded):
+        # B + C(q0) is the worst case, not only a bound.  An adversary evens
+        # the shares of the outcomes other than i, then buys i until p_i >=
+        # 1 - 1e-6; settled on i, the loss comes within delta = 1.1e-6 b of
+        # B + C(q0), for every i (the priors are uniform, so every outcome
+        # is the worst).  The gap left is -b log p_i <= 1.0000005e-6 b for
+        # LMSR and ExponentialSCPM, and b |p - e_i|^2 or less, about b 1e-12,
+        # for the quadratic kinds.  Evening matters to QuadraticScore alone:
+        # from uneven shares its price reaches e_i along no single outcome.
+        b, n = 1.5, 3
+        u = make_utility(kind, b=b, n_outcomes=n)
+        q0 = b * np.random.default_rng(82184).uniform(0.0, 3.0, n) if seeded else np.zeros(n)
+        for i in range(n):
+            state = new_market(MarketConfig(utility=u, initial_q=q0))
+            others = [j for j in range(n) if j != i]
+            top = max(q0[others])
+            for j in others:
+                if q0[j] < top:
+                    apply_fill(state, fill(state, Order("even", 10.0, top - q0[j], np.eye(n)[j])))
+            apply_fill(state, fill(state, Order("buy", 1.0 - 0.5e-6, math.inf, np.eye(n)[i])))
+            assert prices(u, state.q)[i] >= 1.0 - 1e-6
+            rep = settle(state, i)
+            assert rep.bound_ok
+            assert -rep.profit >= rep.loss_bound - 1.1e-6 * b
 
     def test_fresh_market_bound_makes_no_solve(self, monkeypatch):
         # At q0 = 0 the bound is the catalog's B + C(0), with no cost solve.

@@ -15,11 +15,14 @@ from scpm import (
     MinSCPM,
     PenaltyUnsupportedError,
     QuadraticScore,
+    Utility,
     cost,
     make_utility,
+    prices,
     utility_from_dict,
 )
 import scpm
+from scpm.cost import solve_t
 from scpm.utilities import CATALOG, KINDS, _xlogx
 
 from linear_utility import LinearUtility
@@ -413,6 +416,85 @@ class TestQuadSCPMWithdrawal:
                 if (c[k] if k < n else -math.inf) <= t <= c[k - 1]:
                     break
             assert u.solve_withdrawal(q) == t
+
+
+def hook_draws(kind, ns, seed, count=200):
+    """Seeded (u, q, a, pi, before, p_a) over N in ns, b in {1e-3, 1, 1e3},
+    the default prior and random ones, q up to 3 b, 0/1 bundles with both
+    sets nonempty, and pi between p_a < 0.99 and 1."""
+    rng = np.random.default_rng(seed)
+    drawn = 0
+    while drawn < count:
+        n = int(rng.choice(ns))
+        b = float(rng.choice([1e-3, 1.0, 1e3]))
+        theta = None
+        if CATALOG[kind].takes_theta and rng.uniform() < 0.5:
+            theta = rng.dirichlet(np.ones(n)) if kind == "QuadSCPM" else 10.0 ** rng.uniform(-2, 2, n)
+        u = make_utility(kind, b=b, n_outcomes=n, theta=theta)
+        q = b * rng.uniform(0.0, 3.0, n)
+        a = np.zeros(n)
+        a[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 1.0
+        before = solve_t(u, q)
+        p_a = float(before.prices.dot(a))
+        if p_a < 0.99:
+            drawn += 1
+            yield u, q, a, pi_between(rng, p_a), before, p_a
+
+
+def pi_between(rng, p_a):
+    return p_a + float(rng.uniform(0.01, 0.99)) * (1.0 - p_a)
+
+
+class TestFillHooks:
+    """Each kind's end from the held solve against Utility.solve_fill, the
+    level form tau_B(1 - pi) - tau_A(pi)."""
+
+    @pytest.mark.parametrize("kind", ["LMSR", "ExponentialSCPM"])
+    def test_logit_end_matches_levels(self, kind):
+        for u, q, a, pi, before, p_a in hook_draws(kind, [2, 3, 5, 10], 82181):
+            x = u.solve_fill(q, a, pi, before, p_a)
+            assert x == pytest.approx(Utility.solve_fill(u, q, a, pi, before, p_a), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["LMSR", "ExponentialSCPM"])
+    @pytest.mark.parametrize("q0, a", [([0.0, 1.0, 1.0], [1.0, 0.0, 0.0]),
+                                       ([0.0, 1.0, 1.0], [0.0, 1.0, 1.0])])
+    def test_logit_end_defers_where_a_price_underflows(self, kind, q0, a):
+        # At b = 1e-3 exp(-1000) underflows: p_A (first case) or p_B (second)
+        # is 0, and the hook returns the levels' bits, log-sum-exps over q:
+        # 1 + b log 2 where the in-set lies 1 below the two out-states, and
+        # 0 where it lies above pi.
+        u = make_utility(kind, b=1e-3, n_outcomes=3)
+        q, a = np.array(q0), np.array(a)
+        before = solve_t(u, q)
+        p_a = float(before.prices.dot(a))
+        assert 0.0 in (p_a, float(before.prices.dot(1.0 - a)))
+        x = u.solve_fill(q, a, 0.5, before, p_a)
+        assert x == Utility.solve_fill(u, q, a, 0.5, before, p_a)
+        assert x == (pytest.approx(1.0 + 1e-3 * math.log(2.0), rel=1e-12) if p_a == 0.0 else 0.0)
+
+    def test_quad_end_on_its_piece_matches_water_filling(self):
+        # On the piece where the active set {p > 0} holds to the end, the
+        # end from the held prices is water-filling's within 1e-12; off it
+        # the hook returns water-filling's bits.
+        on = off = 0
+        for u, q, a, pi, before, p_a in hook_draws("QuadSCPM", [2, 3, 5, 10], 82182, 400):
+            x = u.solve_fill(q, a, pi, before, p_a)
+            w = Utility.solve_fill(u, q, a, pi, before, p_a)
+            if np.array_equal(prices(u, q + a * w) > 0.0, before.prices > 0.0):
+                assert x == pytest.approx(w, rel=1e-12)
+                on += 1
+            else:
+                assert x == w
+                off += 1
+        assert min(on, off) >= 50, (on, off)
+
+    def test_log_float_hook_is_the_array_levels(self):
+        # Below eight states the whole hook runs over Python lists; it gives
+        # the bits of the array form.
+        for u, q, a, pi, before, p_a in hook_draws("LogSCPM", [2, 3, 5, 7], 82183, 1000):
+            x = u.solve_fill(q, a, pi, before, p_a)
+            assert type(x) is float
+            assert x == Utility.solve_fill(u, q, a, pi, before, p_a)
 
 
 class TestLinearUtility:
