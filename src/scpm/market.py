@@ -265,8 +265,8 @@ def _price_bound_end(u, q, order, before, p_a, excess, width):
     before: the limit where excess(limit) <= 0, else the root of excess in
     (0, limit), the hook's candidate if the engine certifies it, else the
     search's, to the width(x) of a bracket ending at x.  The hook is asked
-    before any probe.  A finite limit is probed first only where it gives no
-    candidate below the limit; otherwise a certificate whose upper point
+    before any probe.  A finite limit is probed first only where the hook
+    gives no candidate below it; otherwise a certificate whose upper point
     lies at or below the limit ends the fill unprobed, since excess is
     nondecreasing and the probe would have failed, and any other end probes
     it next."""

@@ -438,11 +438,7 @@ def hook_draws(kind, ns, seed, count=200):
         p_a = float(before.prices.dot(a))
         if p_a < 0.99:
             drawn += 1
-            yield u, q, a, pi_between(rng, p_a), before, p_a
-
-
-def pi_between(rng, p_a):
-    return p_a + float(rng.uniform(0.01, 0.99)) * (1.0 - p_a)
+            yield u, q, a, p_a + float(rng.uniform(0.01, 0.99)) * (1.0 - p_a), before, p_a
 
 
 class TestFillHooks:
@@ -457,20 +453,22 @@ class TestFillHooks:
 
     @pytest.mark.parametrize("kind", ["LMSR", "ExponentialSCPM"])
     @pytest.mark.parametrize("q0, a", [([0.0, 1.0, 1.0], [1.0, 0.0, 0.0]),
+                                       ([0.0, 0.72, 0.72], [1.0, 0.0, 0.0]),
                                        ([0.0, 1.0, 1.0], [0.0, 1.0, 1.0])])
     def test_logit_end_defers_where_a_price_underflows(self, kind, q0, a):
-        # At b = 1e-3 exp(-1000) underflows: p_A (first case) or p_B (second)
-        # is 0, and the hook returns the levels' bits, log-sum-exps over q:
-        # 1 + b log 2 where the in-set lies 1 below the two out-states, and
-        # 0 where it lies above pi.
+        # At b = 1e-3 exp(-1000) underflows to 0 and exp(-720) to a
+        # subnormal, which has lost digits: p_A (first two cases) or p_B
+        # (third) is not a normal float, and the hook returns the levels'
+        # bits, log-sum-exps over q: q_B + b log 2 where the in-set lies
+        # below the two out-states, and 0 where it lies above pi.
         u = make_utility(kind, b=1e-3, n_outcomes=3)
         q, a = np.array(q0), np.array(a)
         before = solve_t(u, q)
-        p_a = float(before.prices.dot(a))
-        assert 0.0 in (p_a, float(before.prices.dot(1.0 - a)))
+        p_a, p_b = float(before.prices.dot(a)), float(before.prices.dot(1.0 - a))
+        assert min(p_a, p_b) < sys.float_info.min
         x = u.solve_fill(q, a, 0.5, before, p_a)
         assert x == Utility.solve_fill(u, q, a, 0.5, before, p_a)
-        assert x == (pytest.approx(1.0 + 1e-3 * math.log(2.0), rel=1e-12) if p_a == 0.0 else 0.0)
+        assert x == (pytest.approx(q[1] + 1e-3 * math.log(2.0), rel=1e-12) if p_a < p_b else 0.0)
 
     def test_quad_end_on_its_piece_matches_water_filling(self):
         # On the piece where the active set {p > 0} holds to the end, the
