@@ -33,11 +33,11 @@ For a monotone kind it rejects a price below -1e-10 and clamps the ones in
 negative, read off the entry at argmin(p): a kernel hands it no -0.0.
 
 expand_bracket and bracketed_root are the one 1-D search of the package,
-and it stops on the width of its bracket alone.  market.fill falls back on
-them, on the bundle price along the order, when a utility's closed-form
-fill is missing or fails its certificate; the bracket grows from 1 up to
-the limit.  analysis uses bracketed_root on the price p_i where a
-non-monotone kind's worst-case loss peaks.
+and it stops on the width of its bracket alone.  market.fill ends every
+price-bound fill on them, on the bundle price along the order: the bracket
+grows from the utility's closed-form candidate, or from [0, 1] without
+one, up to the limit.  analysis uses bracketed_root on the price p_i where
+a non-monotone kind's worst-case loss peaks.
 
 Tolerances are fixed so that traces and acceptance values are bit-stable.
 """
@@ -83,6 +83,9 @@ class CostSolveResult:
 def bracketed_root(f, lo, hi, flo, fhi, tol):
     """Narrow a bracket of a nondecreasing f, f(lo) <= 0 < f(hi), to width tol.
 
+    The bracket is narrow once lo + tol reaches hi or hi - tol reaches lo,
+    so one made by a single step of tol from either end takes no probe.
+
     Anderson-Bjorck false position: when the same end of the bracket is
     kept twice, its value is scaled by 1 - f(x)/f(end replaced), and by at
     least the Illinois 1/2.  Safeguarded as in Brent (1973): no probe lands
@@ -94,7 +97,7 @@ def bracketed_root(f, lo, hi, flo, fhi, tol):
     """
     side = 0
     widths = [hi - lo]
-    while widths[-1] > tol and len(widths) <= MAX_ITER:
+    while lo + tol < hi and hi - tol > lo and len(widths) <= MAX_ITER:
         width = widths[-1]
         if len(widths) > 3 and width > 0.5 * widths[-4] or math.isinf(fhi - flo):
             x = lo + 0.5 * width
@@ -115,16 +118,17 @@ def bracketed_root(f, lo, hi, flo, fhi, tol):
 
 
 def expand_bracket(f, lo, hi, flo, fhi, floor=-math.inf, ceiling=math.inf,
-                   max_steps=MAX_EXPAND):
+                   max_steps=MAX_EXPAND, step=1.0):
     """Widen [lo, hi] by doubling steps until f(lo) <= 0 < f(hi), f nondecreasing.
 
-    Each step moves the end on the wrong side of the root by 1, 2, 4, ...
-    and the end it leaves behind becomes the other end, so the bracket
-    stays as narrow as the probes allow.  No end passes floor or ceiling.
-    Returns (lo, hi, flo, fhi), or None when an end would pass floor or
-    ceiling or max_steps steps find no sign change.
+    Each step moves the end on the wrong side of the root, first by step,
+    then by max(2 step, 1) and doubling from there: 1, 2, 4, ... from the
+    default step.  The end it leaves behind becomes the other end, so the
+    bracket stays as narrow as the probes allow; lo = hi is a bracket to
+    grow.  No end passes floor or ceiling.  Returns (lo, hi, flo, fhi), or
+    None when an end would pass floor or ceiling or max_steps steps find no
+    sign change.
     """
-    step = 1.0
     for _ in range(max_steps):
         if flo > 0.0:
             new_lo = max(lo - step, floor)
@@ -140,7 +144,7 @@ def expand_bracket(f, lo, hi, flo, fhi, floor=-math.inf, ceiling=math.inf,
             fhi = f(hi)
         else:
             return lo, hi, flo, fhi
-        step *= 2.0
+        step = max(2.0 * step, 1.0)
     return (lo, hi, flo, fhi) if flo <= 0.0 < fhi else None
 
 

@@ -5,25 +5,17 @@ touching the state; apply() commits a fill.  The quantity is the largest
 x in [0, limit] with f(x) = p(q + a x)'a - pi <= 0.  After the solve at 0,
 a fill with f(0) < 0 asks the utility's solve_fill hook for a closed-form
 candidate x_hat, handing it that solve, from which most kinds read their
-end (utilities.py); the hook alone orders the probes.  Where it gives no
-candidate, or x_hat lies at or past a finite limit, the limit is probed
-first, and a fill that ends there takes those two solves.  Otherwise x_hat
-and its certificate (below) go first; a certified end whose upper point
-lies at or below the limit ends the fill with no probe, since f is
-nondecreasing, and any other end probes the limit next.  Either order
-ends the fill at the same x_bar with the same charge and prices; only
-FillResult.solves differs.  With tol = FILL_RTOL * max(1, x_hat), or one
-float spacing of q + a x_hat where that is wider, the candidate is
-accepted only on a certificate from cost solves: f(x_bar) <= 0 <
-f(x_bar + tol), with x_bar = x_hat, or x_hat - tol when f(x_hat) > 0.
-That is the bracket the search would give.  Where x_hat < tol and
-f(x_hat) > 0, the solve at 0 closes [0, x_hat]: the fill ends at 0,
-"rejected", as does any certified end at 0.  Otherwise (no form for the
-bundle, a candidate out of reach, a failed certificate) the search runs:
-cost.expand_bracket grows a bracket from [0, min(1, limit)], up to the
-limit or to 2**60, and cost.bracketed_root narrows it to the same width at
-hi, so x_bar is accurate relative to itself.  An x_bar that leaves some
-bought state's q_i unchanged is not sold: the fill ends at 0, "rejected".
+end (utilities.py).  One search ends the fill: cost.expand_bracket grows a
+bracket up to the limit, or to 2**60 for none, and cost.bracketed_root
+narrows it to the same width at its upper end hi, FILL_RTOL * max(1, hi)
+or one float spacing of q + a hi where that is wider, so x_bar is accurate
+relative to itself.  The bracket grows from [x_hat, x_hat], its first step
+that width at x_hat, where 0 <= x_hat < limit (or 2**60); a right candidate
+then ends on its solve and one a step from it, "closed".  Otherwise a
+finite limit is probed first, and the bracket grows from [0, min(1, limit)].
+A limit where f <= 0 ends the fill there, "limit"; a limit past what
+q + a x can hold is no limit.  An end at 0, or an x_bar that leaves some
+bought state's q_i unchanged, sells nothing: "rejected".
 Every point is solved and priced once: the prices before and after and the
 charge are read from those solves.  Two charging modes exist:
 
@@ -237,8 +229,9 @@ def fill(state, order):
     if p_a - order.pi < 0.0:
         # p_a itself: excess(0) + pi loses a price far below pi.
         x_bar, path = _price_bound_end(u, q, order, before, p_a, excess, width)
-        # Units that some bought state's q_i + a_i x_bar cannot record are not sold.
-        if x_bar > 0.0 and np.count_nonzero(points[x_bar][0] != q) < np.count_nonzero(a):
+        # An end at 0 sells nothing, nor does one that some bought state's
+        # q_i + a_i x_bar cannot record.
+        if x_bar == 0.0 or np.count_nonzero(points[x_bar][0] != q) < np.count_nonzero(a):
             x_bar, path = 0.0, "rejected"
 
     _, after, after_p_a = points[x_bar]
@@ -262,72 +255,45 @@ def fill(state, order):
 
 def _price_bound_end(u, q, order, before, p_a, excess, width):
     """The end of a fill with excess(0) = p_a - pi < 0, from the solve at 0,
-    before: the limit where excess(limit) <= 0, else the root of excess in
-    (0, limit), the hook's candidate if the engine certifies it, else the
-    search's, to the width(x) of a bracket ending at x.  The hook is asked
-    before any probe.  A finite limit is probed first only where the hook
-    gives no candidate below it; otherwise a certificate whose upper point
-    lies at or below the limit ends the fill unprobed, since excess is
-    nondecreasing and the probe would have failed, and any other end probes
-    it next."""
+    before, and its path ("limit", "closed" or "bracket"; fill renames an
+    end at 0): one bracket search on excess, grown up to the limit (or
+    2**GROWTH_STEPS) and narrowed to width(hi) at its upper end hi.  It
+    grows from the hook's x_hat, its first step width(x_hat), where x_hat
+    lies in [0, ceiling); otherwise a finite limit is probed first, and it
+    grows from [0, min(1, limit)]."""
     a, limit = order.bundle, order.limit
-    finite = math.isfinite(limit)
-    if not finite:
-        # Prices of a monotone utility concentrate on max-weight states
-        # as x grows, so the achievable bundle price is bounded by max(a).
-        if u.monotone and order.pi >= a.item(a.argmax()):
-            raise UnboundedFillError(
-                f"limit price {order.pi} can never be reached; order would fill without bound"
-            )
-        reach, steps = 2.0 ** GROWTH_STEPS, GROWTH_STEPS
-    else:
-        # Doubling from 1 passes a finite limit within its binary exponent.
-        reach, steps = limit, math.frexp(limit)[1]
+    a_max = a.item(a.argmax())
+    # A limit past what q + a x can hold is no limit.
+    finite = math.isfinite(q.item(q.argmax()) + a_max * limit)
+    # Prices of a monotone utility concentrate on max-weight states as x
+    # grows, so the achievable bundle price is bounded by max(a).
+    if not finite and u.monotone and order.pi >= a_max:
+        raise UnboundedFillError(f"limit price {order.pi} can never be reached; "
+                                 "order would fill without bound")
+    ceiling = limit if finite else 2.0 ** GROWTH_STEPS
+    # Enough steps of 1, 2, 4, ... after the first to pass the ceiling.
+    steps = max(math.frexp(ceiling)[1], 0) + 2
 
     x_hat = u.solve_fill(q, a, order.pi, before, p_a)
-    if finite and not (x_hat is not None and x_hat < limit) and excess(limit) <= 0.0:
+    from_hat = x_hat is not None and 0.0 <= x_hat < ceiling
+    if from_hat:
+        f_lo = f_hi = excess(x_hat)
+        lo, hi, step = x_hat, x_hat, width(x_hat)
+    elif finite and excess(limit) <= 0.0:
         return limit, "limit"
-    end = None
-    if x_hat is not None and 0.0 <= x_hat <= reach:
-        end = _certified_end(x_hat, excess, width)
-    # A limit probed above reads its excess again without a solve.
-    if finite and (end is None or end[2] > limit) and excess(limit) <= 0.0:
-        return limit, "limit"
-    if end is not None:
-        return end[:2]
-
-    hi = min(1.0, limit)
-    bracket = _cost.expand_bracket(excess, 0.0, hi, excess(0.0), excess(hi), ceiling=limit,
-                                   max_steps=steps)
+    else:
+        lo, hi, step = 0.0, min(1.0, ceiling), 1.0
+        f_lo, f_hi = excess(lo), excess(hi)
+    bracket = _cost.expand_bracket(excess, lo, hi, f_lo, f_hi, floor=0.0, ceiling=ceiling,
+                                   max_steps=steps, step=step)
     if bracket is None:
+        # The bracket reached the ceiling with excess(ceiling) <= 0.
+        if finite:
+            return limit, "limit"
         raise UnboundedFillError("fill bracket exceeded the growth cap")
     lo, hi, f_lo, f_hi = bracket
-    x_bar, _ = _cost.bracketed_root(excess, lo, hi, f_lo, f_hi, width(hi))
-    return x_bar, "bracket"
-
-
-def _certified_end(x_hat, excess, width):
-    """(x_bar, path, upper) where cost solves certify the hook's x_hat as
-    the bracket the search would give, f(x_bar) <= 0 < f(x_bar + tol) with
-    x_bar = x_hat or one tol below it, upper being the solved point with
-    f > 0, and path "closed", or "rejected" where x_bar is 0; None where
-    they do not."""
-    below = excess(x_hat) <= 0.0
-    tol = width(x_hat)
-    if below:
-        if not excess(x_hat + tol) > 0.0:
-            return None
-        x_bar, upper = x_hat, x_hat + tol
-    elif x_hat < tol:
-        # f(0) < 0 < f(x_hat): the end lies within one step of 0, closer
-        # than the fill resolves, so the order buys nothing.
-        x_bar, upper = 0.0, x_hat
-    elif excess(x_hat - tol) <= 0.0:
-        x_bar, upper = x_hat - tol, x_hat
-    else:
-        return None
-    # An end at 0 sells nothing, whichever branch certified it.
-    return x_bar, "closed" if x_bar > 0.0 else "rejected", upper
+    x_bar, probes = _cost.bracketed_root(excess, lo, hi, f_lo, f_hi, width(hi))
+    return x_bar, "closed" if from_hat and not probes else "bracket"
 
 
 def apply(state, fill_result):

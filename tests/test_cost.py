@@ -710,6 +710,19 @@ class TestBracketedRoot:
         assert lo == pytest.approx(0.3, abs=1e-12)
 
 
+    def test_one_step_bracket_takes_no_probe(self):
+        # A bracket made by one float step of tol from either end is as
+        # narrow as tol, though hi - lo may round to more than tol.
+        def f(x):
+            raise AssertionError(f"probed {x}")
+
+        rng = np.random.default_rng(82261)
+        for x in rng.uniform(1.0, 50.0, 2000).tolist():
+            tol = 1e-9 * x
+            assert bracketed_root(f, x, x + tol, -1.0, 1.0, tol) == (x, 0)
+            assert bracketed_root(f, x - tol, x, -1.0, 1.0, tol) == (x - tol, 0)
+
+
 class TestExpandBracket:
     def test_end_left_behind_becomes_other_end(self):
         probes = []
@@ -753,6 +766,20 @@ class TestExpandBracket:
         assert probes == [2.0, 4.0, 8.0, 12.0]
         assert expand_bracket(f, 0.0, 1.0, -10.5, -9.5, ceiling=6.0) is None
         assert probes[4:] == [2.0, 4.0, 6.0]
+
+    def test_first_step_then_doubling_from_one(self):
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return x - 10.5
+
+        # From the point [0.25, 0.25]: a first step of 0.25, then 1, 2, 4, 8.
+        assert expand_bracket(f, 0.25, 0.25, -10.25, -10.25, step=0.25) == (7.5, 15.5, -3.0, 5.0)
+        assert probes == [0.5, 1.5, 3.5, 7.5, 15.5]
+        # A first step past 1 doubles from itself; lo steps down to the floor.
+        assert expand_bracket(lambda x: x - 0.5, 12.0, 12.0, 11.5, 11.5, floor=0.0,
+                              step=3.0) == (0.0, 3.0, -0.5, 2.5)
 
     def test_stops_at_cap(self):
         probes = []

@@ -45,6 +45,7 @@ def test_fill_properties(case):
     f = fill(new_market(MarketConfig(utility=u, initial_q=q)), Order("h", pi, limit, a))
     x = f.x_bar
     assert 0.0 <= x <= limit
+    assert (f.path == "rejected") == (x == 0.0)
     # The integral charge is the cost difference, solved at the same points.
     assert f.charge == cost(u, q + a * x) - cost(u, q)
     if bundle_price(u, q, a) >= pi:
@@ -73,11 +74,11 @@ def test_fill_properties(case):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(fill_cases())
 def test_hook_orders_the_probes(case):
-    # The hook is asked before any probe.  A candidate below the limit is
-    # certified first: a certified end whose step stays below the limit
-    # takes the solves at 0, at x_hat and one step from it.  A candidate at
-    # or past the limit (or none) probes the limit first: a fill that ends
-    # there takes the solves at 0 and at the limit.
+    # The hook is asked before any probe.  A candidate below the limit
+    # starts the search: an end one step from it, the step staying below
+    # the limit, takes the solves at 0, at x_hat and one step from it.  A
+    # candidate at or past the limit (or none) probes the limit first: a
+    # fill that ends there takes the solves at 0 and at the limit.
     u, q, a, pi, limit = case
     before = solve_t(u, q)
     p_a = float(before.prices.dot(a))

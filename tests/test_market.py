@@ -232,6 +232,26 @@ class TestFill:
             fill(lmsr_market(b=1e20), order)
         assert points == [0.0] + [2.0 ** k for k in range(61)]
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_limit_past_the_float_range_is_no_limit(self, kind):
+        # q + a limit overflows, so the order fills as one with no limit:
+        # its price-bound end, or the typed error at the growth cap.
+        u = make_utility(kind, b=1.0, n_outcomes=3)
+        q0 = [1e100, 0.0, 0.0] if kind == "LogSCPM" else [40.0, 0.0, 0.0]
+        a = np.array([0.0, 1e10, 0.0])
+        ends = []
+        for limit in (1e308, math.inf):
+            try:
+                f = fill(new_market(MarketConfig(utility=u, initial_q=q0)),
+                         Order("t", 0.5, limit, a))
+            except UnboundedFillError as exc:
+                ends.append(str(exc))
+                continue
+            assert math.isfinite(f.charge)
+            assert float(f.prices_after @ a) <= 0.5
+            ends.append((f.x_bar, f.charge, f.path, f.solves))
+        assert ends[0] == ends[1]
+
     def test_infinite_limit_non_monotone_fill_is_finite(self):
         # QuadraticScore prices are unbounded above, so pi >= max(a) is
         # reached: p_0(q + x e_0) = 1/3 + x/3 = 1.2 at x = 2.6.
@@ -280,6 +300,16 @@ class TestFill:
         assert f.path == "closed"
         assert f.x_bar == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_search_that_ends_at_zero_is_rejected(self, kind):
+        # pi a hair above p_a, on a bundle with no closed form for most
+        # kinds: an end at 0 sells nothing, however the fill reached it.
+        u = make_utility(kind, b=1.0, n_outcomes=3)
+        state = new_market(MarketConfig(utility=u, initial_q=[0.3, 1.2, 0.7]))
+        a = np.array([2.0, 0.5, 0.0])
+        f = fill(state, Order("t", quote(state, a) + 1e-12, 10.0, a))
+        assert (f.path == "rejected") == (f.x_bar == 0.0)
+
     def test_fill_below_float_spacing_of_q_is_rejected(self):
         # At q = 1e12 one float spacing, 1.2e-4, is 122 b: b log 1.5 of the
         # bundle, or a limit of 1e-5, leaves q where it was, so nothing is sold.
@@ -292,8 +322,8 @@ class TestFill:
 
     def test_end_within_one_step_of_zero_is_rejected(self):
         # x_hat lies below one float spacing of q and prices the bundle above
-        # pi: the solve at 0 already closes the bracket [0, x_hat], so the
-        # fill ends there without the search (which took 13 solves here).
+        # pi: the search's first step from x_hat reaches 0, whose solve the
+        # fill holds, and [0, x_hat] ends it (a search from [0, 1] took 13).
         u = make_utility("ExponentialSCPM", b=1.2885754831187525e-06, n_outcomes=3)
         q0 = [17225514652.90035, 17225514652.90035, 17225514652.900345]
         state = new_market(MarketConfig(utility=u, initial_q=q0))
@@ -332,6 +362,8 @@ class TestFill:
             f = fill(lmsr_market(), Order("t", 0.6, limit, np.array([1.0, 0.0])))
             assert f.path == "bracket"
             assert f.x_bar == pytest.approx(math.log(1.5), abs=2e-9)
+            # A wrong candidate costs about what no candidate does.
+            assert f.solves <= 10
 
     @pytest.mark.parametrize("kind", ["LMSR", "QuadraticScore", "LogSCPM", "MinSCPM",
                                       "ExponentialSCPM", "QuadSCPM"])
