@@ -263,16 +263,16 @@ def _price_bound_end(u, q, order, before, p_a, excess, width):
     grows from [0, min(1, limit)]."""
     a, limit = order.bundle, order.limit
     a_max = a.item(a.argmax())
-    # A limit past what q + a x can hold is no limit.
-    finite = math.isfinite(q.item(q.argmax()) + a_max * limit)
+    reach = a_max * limit
+    # A limit past what q + a x can hold is no limit.  q is finite, so that
+    # takes a x of at least half a spacing of the largest float, 2**970.
+    finite = reach < 2.0 ** 970 or math.isfinite(q.item(q.argmax()) + reach)
     # Prices of a monotone utility concentrate on max-weight states as x
     # grows, so the achievable bundle price is bounded by max(a).
     if not finite and u.monotone and order.pi >= a_max:
         raise UnboundedFillError(f"limit price {order.pi} can never be reached; "
                                  "order would fill without bound")
     ceiling = limit if finite else 2.0 ** GROWTH_STEPS
-    # Enough steps of 1, 2, 4, ... after the first to pass the ceiling.
-    steps = max(math.frexp(ceiling)[1], 0) + 2
 
     x_hat = u.solve_fill(q, a, order.pi, before, p_a)
     from_hat = x_hat is not None and 0.0 <= x_hat < ceiling
@@ -284,6 +284,8 @@ def _price_bound_end(u, q, order, before, p_a, excess, width):
     else:
         lo, hi, step = 0.0, min(1.0, ceiling), 1.0
         f_lo, f_hi = excess(lo), excess(hi)
+    # Enough steps of 1, 2, 4, ... after the first to pass the ceiling.
+    steps = max(math.frexp(ceiling)[1], 0) + 2
     bracket = _cost.expand_bracket(excess, lo, hi, f_lo, f_hi, floor=0.0, ceiling=ceiling,
                                    max_steps=steps, step=step)
     if bracket is None:

@@ -252,6 +252,15 @@ class TestFill:
             ends.append((f.x_bar, f.charge, f.path, f.solves))
         assert ends[0] == ends[1]
 
+    def test_limit_past_the_float_range_on_a_finite_reach(self):
+        # a limit is a float, but q_0 + a_0 limit is not: no limit, so the
+        # bracket stops at the growth cap, short of an end past 1e308.
+        u = make_utility("LMSR", b=1.0, n_outcomes=3)
+        for limit in (1.5e308, math.inf):
+            with pytest.raises(UnboundedFillError, match="growth cap"):
+                fill(new_market(MarketConfig(utility=u, initial_q=[1e308, 0.0, 0.0])),
+                     Order("t", 0.9, limit, np.array([0.8, 1.0, 0.0])))
+
     def test_infinite_limit_non_monotone_fill_is_finite(self):
         # QuadraticScore prices are unbounded above, so pi >= max(a) is
         # reached: p_0(q + x e_0) = 1/3 + x/3 = 1.2 at x = 2.6.
