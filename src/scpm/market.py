@@ -229,8 +229,7 @@ def fill(state, order):
     if p_a - order.pi < 0.0:
         # p_a itself: excess(0) + pi loses a price far below pi.
         x_bar, path = _price_bound_end(u, q, order, before, p_a, excess, width)
-        # An end at 0 sells nothing, nor does one that some bought state's
-        # q_i + a_i x_bar cannot record.
+        # An end at 0 sells nothing, nor does one that a bought state's q_i cannot record.
         if x_bar == 0.0 or np.count_nonzero(points[x_bar][0] != q) < np.count_nonzero(a):
             x_bar, path = 0.0, "rejected"
 
@@ -256,23 +255,23 @@ def fill(state, order):
 def _price_bound_end(u, q, order, before, p_a, excess, width):
     """The end of a fill with excess(0) = p_a - pi < 0, from the solve at 0,
     before, and its path ("limit", "closed" or "bracket"; fill renames an
-    end at 0): one bracket search on excess, grown up to the limit (or
-    2**GROWTH_STEPS) and narrowed to width(hi) at its upper end hi.  It
-    grows from the hook's x_hat, its first step width(x_hat), where x_hat
-    lies in [0, ceiling); otherwise a finite limit is probed first, and it
-    grows from [0, min(1, limit)]."""
+    end at 0): one bracket search on excess, narrowed to width(hi) at its
+    upper end hi.  It grows from the hook's x_hat, its first step
+    width(x_hat), where x_hat lies in [0, ceiling); otherwise a finite limit
+    is probed first, and it grows from [0, min(1, ceiling)].  The ceiling is
+    the limit, or 2**GROWTH_STEPS (and no more than the limit) where
+    q + a limit leaves the floats; the steps always reach it, and a search
+    that ends there with excess <= 0 ends at a finite limit, or raises."""
     a, limit = order.bundle, order.limit
     a_max = a.item(a.argmax())
-    reach = a_max * limit
-    # A limit past what q + a x can hold is no limit.  q is finite, so that
-    # takes a x of at least half a spacing of the largest float, 2**970.
-    finite = reach < 2.0 ** 970 or math.isfinite(q.item(q.argmax()) + reach)
-    # Prices of a monotone utility concentrate on max-weight states as x
-    # grows, so the achievable bundle price is bounded by max(a).
+    # Below 2**970, half a spacing of the largest float, a limit keeps q + a limit finite.
+    finite = a_max * limit < 2.0 ** 970 or all(
+        math.isfinite(x + y * limit) for x, y in zip(q.tolist(), a.tolist()))
+    # A monotone utility's prices concentrate on max-weight states as x grows.
     if not finite and u.monotone and order.pi >= a_max:
         raise UnboundedFillError(f"limit price {order.pi} can never be reached; "
                                  "order would fill without bound")
-    ceiling = limit if finite else 2.0 ** GROWTH_STEPS
+    ceiling = limit if finite else min(limit, 2.0 ** GROWTH_STEPS)
 
     x_hat = u.solve_fill(q, a, order.pi, before, p_a)
     from_hat = x_hat is not None and 0.0 <= x_hat < ceiling
@@ -284,17 +283,13 @@ def _price_bound_end(u, q, order, before, p_a, excess, width):
     else:
         lo, hi, step = 0.0, min(1.0, ceiling), 1.0
         f_lo, f_hi = excess(lo), excess(hi)
-    # Enough steps of 1, 2, 4, ... after the first to pass the ceiling.
-    steps = max(math.frexp(ceiling)[1], 0) + 2
     bracket = _cost.expand_bracket(excess, lo, hi, f_lo, f_hi, floor=0.0, ceiling=ceiling,
-                                   max_steps=steps, step=step)
+                                   max_steps=max(math.frexp(ceiling)[1], 0) + 2, step=step)
+    if bracket is None and finite:
+        return limit, "limit"
     if bracket is None:
-        # The bracket reached the ceiling with excess(ceiling) <= 0.
-        if finite:
-            return limit, "limit"
         raise UnboundedFillError("fill bracket exceeded the growth cap")
-    lo, hi, f_lo, f_hi = bracket
-    x_bar, probes = _cost.bracketed_root(excess, lo, hi, f_lo, f_hi, width(hi))
+    x_bar, probes = _cost.bracketed_root(excess, *bracket, width(bracket[1]))
     return x_bar, "closed" if from_hat and not probes else "bracket"
 
 

@@ -234,23 +234,53 @@ class TestFill:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_limit_past_the_float_range_is_no_limit(self, kind):
-        # q + a limit overflows, so the order fills as one with no limit:
-        # its price-bound end, or the typed error at the growth cap.
+        # q + a limit overflows, so the order fills as one with no limit.
+        # The bundle price 1e10 p_1 passes pi within the fill's 1e-9 of 0
+        # (near x = 1.6e-9 for LMSR): five kinds end at 0, QuadraticScore
+        # one step past it.  LogSCPM's end at q_0 = 1e100 lies near 1e90,
+        # past the growth cap of 2**60, so that fillable order raises there:
+        # a known gap of the cap, not of the limit.
         u = make_utility(kind, b=1.0, n_outcomes=3)
         q0 = [1e100, 0.0, 0.0] if kind == "LogSCPM" else [40.0, 0.0, 0.0]
         a = np.array([0.0, 1e10, 0.0])
         ends = []
         for limit in (1e308, math.inf):
-            try:
-                f = fill(new_market(MarketConfig(utility=u, initial_q=q0)),
-                         Order("t", 0.5, limit, a))
-            except UnboundedFillError as exc:
-                ends.append(str(exc))
+            state = new_market(MarketConfig(utility=u, initial_q=q0))
+            if kind == "LogSCPM":
+                with pytest.raises(UnboundedFillError, match="growth cap"):
+                    fill(state, Order("t", 0.5, limit, a))
                 continue
+            f = fill(state, Order("t", 0.5, limit, a))
+            assert 0.0 <= f.x_bar <= limit
+            assert f.path == ("closed" if kind == "QuadraticScore" else "rejected")
             assert math.isfinite(f.charge)
             assert float(f.prices_after @ a) <= 0.5
             ends.append((f.x_bar, f.charge, f.path, f.solves))
-        assert ends[0] == ends[1]
+        assert ends[:1] == ends[1:]
+
+    @pytest.mark.parametrize("kind, pi", [("LMSR", 0.9), ("LMSR", 1.0),
+                                          ("ExponentialSCPM", 0.9), ("ExponentialSCPM", 1.0),
+                                          ("MinSCPM", 0.9), ("MinSCPM", 1.0), ("LogSCPM", 1.0)])
+    def test_limit_with_a_finite_point_holds(self, kind, pi):
+        # q_0 + a_1 limit is past the largest float, but the point is
+        # q + a limit = [1e308, 1e308, 0], where p_1 = 1/2 <= pi: the fill
+        # ends at its limit.  (LogSCPM's hook divides by zero at pi = 0.9.)
+        u = make_utility(kind, b=1.0, n_outcomes=3)
+        state = new_market(MarketConfig(utility=u, initial_q=[1e308, 0.0, 0.0]))
+        f = fill(state, Order("t", pi, 1e308, np.array([0.0, 1.0, 0.0])))
+        assert (f.x_bar, f.path, f.solves) == (1e308, "limit", 2)
+
+    @pytest.mark.parametrize("kind", ["LogSCPM", "MinSCPM"])
+    def test_finite_point_past_2_970_keeps_its_limit(self, kind):
+        # a_1 limit = 1e308 and q_0 = 1.5e308 sit in different states: the
+        # point [1.5e308, 1e308, 0] is finite, so the limit of 1e9 holds
+        # though p_1 stays near 0 up to x = 1.5e9.  (The LMSR hook's
+        # a (1 - a) overflows at a_1 = 1e299, so LMSR is left out.)
+        u = make_utility(kind, b=1.0, n_outcomes=3)
+        state = new_market(MarketConfig(utility=u, initial_q=[1.5e308, 0.0, 0.0]))
+        f = fill(state, Order("t", 0.5, 1e9, np.array([0.0, 1e299, 0.0])))
+        assert f.x_bar <= 1e9
+        assert (f.x_bar, f.path) == (1e9, "limit")
 
     def test_limit_past_the_float_range_on_a_finite_reach(self):
         # a limit is a float, but q_0 + a_0 limit is not: no limit, so the
