@@ -13,9 +13,10 @@ relative to itself.  The bracket grows from [x_hat, x_hat], its first step
 that width at x_hat, where 0 <= x_hat < limit (or 2**60); a right candidate
 then ends on its solve and one a step from it, "closed".  Otherwise a
 finite limit is probed first, and the bracket grows from [0, min(1, limit)].
-A limit where f <= 0 ends the fill there, "limit"; a limit past what
-q + a x can hold is no limit.  An end at 0, or an x_bar that leaves some
-bought state's q_i unchanged, sells nothing: "rejected".
+A limit where f <= 0 ends the fill there, "limit"; a limit where some
+q_i + a_i limit leaves the floats is no limit, and the bracket grows to
+2**60 or to the limit, whichever is lower.  An end at 0, or an x_bar that
+leaves some bought state's q_i unchanged, sells nothing: "rejected".
 Every point is solved and priced once: the prices before and after and the
 charge are read from those solves.  Two charging modes exist:
 

@@ -235,11 +235,12 @@ class TestFill:
     @pytest.mark.parametrize("kind", KINDS)
     def test_limit_past_the_float_range_is_no_limit(self, kind):
         # q + a limit overflows, so the order fills as one with no limit.
-        # The bundle price 1e10 p_1 passes pi within the fill's 1e-9 of 0
-        # (near x = 1.6e-9 for LMSR): five kinds end at 0, QuadraticScore
-        # one step past it.  LogSCPM's end at q_0 = 1e100 lies near 1e90,
-        # past the growth cap of 2**60, so that fillable order raises there:
-        # a known gap of the cap, not of the limit.
+        # Its end lies within the search's resolution of 0 (LMSR's near
+        # x = 1.6e-9, against one float spacing of q + a x at x = 1,
+        # 1.9e-6): four kinds end at 0, and QuadraticScore's candidate
+        # closes at 9e-10.  LogSCPM's end at q_0 = 1e100 lies near 1e90,
+        # past the growth cap of 2**60, so that fillable order raises
+        # there: a known gap of the cap, not of the limit.
         u = make_utility(kind, b=1.0, n_outcomes=3)
         q0 = [1e100, 0.0, 0.0] if kind == "LogSCPM" else [40.0, 0.0, 0.0]
         a = np.array([0.0, 1e10, 0.0])
