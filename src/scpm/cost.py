@@ -27,7 +27,8 @@ q only if it is finite and its spread max(q) - min(q) is too, so that the
 shift cannot overflow; both read off the entries of q at argmin and
 argmax, min(q) and max(q) without a ufunc reduction (of -0.0 and +0.0
 tied, the first; C, the prices and t come out the same).
-The price-sum check reads p'e, and a renormalisation divides by p.sum().
+The price-sum check reads p'e, and a renormalisation divides by p.sum();
+a t, C or price that is not finite (a gap of inf or nan) is a SolverError.
 For a monotone kind it rejects a price below -1e-10 and clamps the ones in
 [-1e-10, 0) to +0.0, and it runs the clamp only when some price is
 negative, read off the entry at argmin(p): a kernel hands it no -0.0.
@@ -190,8 +191,9 @@ def solve_t(u, q):
     """Minimize t - u(te - q); returns level, cost, prices and diagnostics.
 
     Raises ValueError unless q has shape (N,), is finite and has a finite
-    spread max(q) - min(q), and SolverError for prices off the simplex or,
-    from a monotone kind, a price below -1e-10.
+    spread max(q) - min(q), and SolverError for a t, C or price that is not
+    finite, prices off the simplex or, from a monotone kind, a price below
+    -1e-10.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (u.n,):
@@ -204,8 +206,12 @@ def solve_t(u, q):
     if not -math.inf < qmin - qmax:
         raise ValueError("q must be finite, with a finite spread max(q) - min(q)")
     t, c, p, path, iterations = u._kernel(q - qmax)
-    p = np.asarray(p, dtype=float)
+    t, c, p = float(t + qmax), float(c + qmax), np.asarray(p, dtype=float)
     gap = abs(p.dot(_ones(p.size)) - 1.0)
+    # A price that is not finite, or a price sum past the float range,
+    # leaves the gap at inf or nan.
+    if not (math.isfinite(t) and math.isfinite(c) and gap < math.inf):
+        raise SolverError(f"cost solve not finite: t = {t}, C = {c}, price sum off by {gap}")
     if gap > PRICE_SUM_OK:
         scale = max(1.0, float(np.abs(p).sum()))
         if gap > PRICE_SUM_FIX * scale:
@@ -218,7 +224,7 @@ def solve_t(u, q):
             if pmin < -1e-10:
                 raise SolverError("negative price from a non-decreasing utility")
             p = np.maximum(p, 0.0)
-    return CostSolveResult(float(t + qmax), float(c + qmax), p, path == "flat", iterations, path)
+    return CostSolveResult(t, c, p, path == "flat", iterations, path)
 
 
 def cost(u, q):

@@ -41,13 +41,26 @@ sum_{i in S} du/ds_i(tau - q_i) = T:
     MinSCPM           max_S q
     QuadSCPM          water-filling over S
     LogSCPM           Newton on 1 / sum_S theta_i / (tau - q_i), from below;
-                      its two sums over Python floats where |S| < 8, where
-                      np.add.reduce adds left to right and a loop costs less
-                      than numpy's calls, and by np.add.reduce from 8 on
+                      its two sums in the small form where |S| < 8
 
 At S = all, T = 1 it is the withdrawal of every non-flat kind.
 QuadraticScore has no level; its bundle price is affine, and its own
 solve_fill gives 2b (pi - p(q)'a) / (a'a - (e'a)^2/N), any bundle.
+
+Small forms.  Below SMALL_N = 8 states these run over Python floats in
+place of arrays, where numpy's per-call cost outweighs the work on a few
+numbers: QuadSCPM's _level (sort, running sum, active count), _kernel and
+solve_fill; QuadraticScore's _kernel; LogSCPM's solve_fill and its level's
+two sums (there by |S|, elsewhere by q.size).  Each makes the array form's
+float operations in the same order, so it gives the same bits, -0.0
+included: below eight terms np.add.reduce adds left to right from 0.0,
+as the loops do (from eight on it adds in blocks), and np.minimum and
+np.maximum give the second operand at a tie, as the loops' tests do.
+Python floats overflow without numpy's warning; solve_t raises SolverError
+for a t, C or price that is not finite.  LMSR's and ExponentialSCPM's
+kernels and LogSCPM's kernel tail stay in numpy: their exp and log are
+numpy's, whose SIMD log differs from math.log in the last bit on some
+inputs, and a list form of LogSCPM's tail saved under a tenth of its time.
 
 market.fill hands the hook the cost solve at q it already holds, before,
 with p_a = p'a for p = before.prices, so a kind whose end follows from
@@ -62,9 +75,8 @@ that solve reads it from there, with k_S the entries of S where p > 0:
                       at least (pi - p_A) / k_B, and each clamped in-entry
                       of s = before.t_star - q stays clamped.  Water-filling
                       off that piece
-    LogSCPM           both Newton levels, the whole hook over Python lists
-                      below eight states (the sets split, q shifted by its
-                      maximum), bit for bit the array form
+    LogSCPM           both Newton levels (in the small form, the sets
+                      split and q shifted by its maximum)
     MinSCPM           the levels: max_B q - max_A q
     QuadraticScore    its affine form above
 
@@ -111,7 +123,9 @@ keeps only its own u, its loss terms and a kernel whose level is C itself
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -120,6 +134,10 @@ import numpy as np
 from .cost import MAX_ITER, _root_t
 
 SIMPLEX_TOL = 1e-10
+
+# Below this many states the small forms run over Python floats (see the
+# module docstring); from it on, the array forms.
+SMALL_N = 8
 
 # The smallest normal float: a product below it has lost digits.
 _MIN_NORMAL = sys.float_info.min
@@ -165,6 +183,25 @@ def _lse_level(b, z, total):
     return float(b * (m + np.log(np.add.reduce(np.exp(z - m))) - math.log(total)))
 
 
+def _add_reduce(xs):
+    """np.add.reduce's sum of fewer than SMALL_N floats: left to right from
+    0.0, so that all -0.0 terms sum to +0.0 (not by sum(), which
+    compensates from Python 3.12 on)."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def _water_level(c, m):
+    """QuadSCPM's level over a list c, as its array form: c sorted
+    descending, t_k = (c_1 + ... + c_k - m) / k and t at the count of c_k >
+    t_k, with the same float operations in the same order."""
+    c.sort(reverse=True)
+    t = [(run - m) / k for k, run in enumerate(itertools.accumulate(c), 1)]
+    return t[sum(map(operator.gt, c, t)) - 1]
+
+
 def _float_sums(tau, q, theta):
     """sum theta_i / d_i and sum theta_i / d_i^2 at d = tau - q, over lists,
     each added left to right from 0.0 (not by sum(), which compensates
@@ -194,14 +231,19 @@ def _newton(q, theta, j, total, sums):
     in floats) stays below the root and rises to it until a step no longer
     moves tau.  tau and its step run in Python floats, the two sums in
     sums.  A den of 0 (an underflowing sum, or tau at inf) divides as numpy
-    does, to inf or nan, where a float division would raise.
+    does, to inf or nan without its warning, where a float division would
+    raise.
     """
     qj = float(q[j])
     tau = max(qj + float(theta[j]) / total, math.nextafter(qj, math.inf))
     for passes in range(1, MAX_ITER + 1):
         s1, s2 = sums(tau, q, theta)
         num, den = s1 * (s1 - total), total * s2
-        step = num / den if den else float(np.divide(num, den))
+        if den:
+            step = num / den
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = float(np.divide(num, den))
         if not tau + step > tau:
             break
         tau += step
@@ -474,11 +516,12 @@ class LMSR(Utility):
         return _lse_level(self.b, q[inside] / self.b + self._log_prior[inside], total)
 
     def solve_fill(self, q, a, pi, before, p_a):
-        # A 0/1 bundle has a * (1 - a) = 0 everywhere; 1 - a is its out-set.
+        # A 0/1 bundle has min(a, 1 - a) = 0 everywhere (where a (1 - a)
+        # overflows past a = 1e154); 1 - a is its out-set.
         # p_A(q + x a) = sigma(logit p_A + x/b), which reaches pi at
         # b log(pi p_B / ((1 - pi) p_A)), a log of each normal product.
         out = 1.0 - a
-        if 0.0 < pi < 1.0 and not np.count_nonzero(a * out):
+        if 0.0 < pi < 1.0 and not np.count_nonzero(np.minimum(a, out)):
             num, den = pi * float(before.prices.dot(out)), (1.0 - pi) * p_a
             if num >= _MIN_NORMAL and den >= _MIN_NORMAL:
                 return max(0.0, self.b * (math.log(num) - math.log(den)))
@@ -513,7 +556,14 @@ class QuadraticScore(Utility):
 
     def _kernel(self, q):
         # Flat in t: value and grad at s = -q, read from q about its mean
-        # (the sum over N is q.mean(), byte for byte).
+        # (the sum over N is q.mean(), byte for byte).  Below SMALL_N states
+        # over Python floats, by the same operations in the same order.
+        if q.size < SMALL_N:
+            q, base, half = q.tolist(), 1.0 / self.n, 2.0 * self.b
+            qbar = _add_reduce(q) / self.n
+            d = [x - qbar for x in q]
+            cost = qbar + _add_reduce([x * x for x in d]) / (4.0 * self.b)
+            return 0.0, cost, np.array([base + x / half for x in d]), "flat", 0
         qbar = np.add.reduce(q) / self.n
         d = q - qbar
         cost = qbar + np.add.reduce(d * d) / (4.0 * self.b)
@@ -570,22 +620,22 @@ class LogSCPM(Utility):
         return self._newton_level(q, inside, total)[0]
 
     def _newton_level(self, q, inside, total):
-        # Below eight entries the two sums run over Python floats, added left
-        # to right from 0.0: np.add.reduce adds so few in that order, so both
-        # give the same bits (the floats only warn of no overflow), and the
-        # loop skips five numpy calls per pass.  From eight on numpy adds in
-        # blocks, in another order, and its calls cost less than the loop.
+        # Below SMALL_N entries the two sums run over Python floats, added
+        # left to right from 0.0: np.add.reduce adds so few in that order, so
+        # both give the same bits (the floats only warn of no overflow), and
+        # the loop skips five numpy calls per pass.  From SMALL_N on numpy adds
+        # in blocks, in another order, and its calls cost less than the loop.
         q, theta = q[inside], self.theta[inside]
-        if q.size < 8:
+        if q.size < SMALL_N:
             return _newton(q.tolist(), theta.tolist(), q.argmax(), total, _float_sums)
         return _newton(q, theta, q.argmax(), total, _array_sums)
 
     def solve_fill(self, q, a, pi, before, p_a):
-        # Below eight states the whole hook runs over Python lists, as the
+        # Below SMALL_N states the whole hook runs over Python lists, as the
         # level's sums do: the sets split, q shifted by its first maximum,
         # and both levels, by the same float operations in the same order as
         # the base's arrays, so with the same bits and without their calls.
-        if q.size >= 8:
+        if q.size >= SMALL_N:
             return super().solve_fill(q, a, pi, before, p_a)
         if not 0.0 < pi < 1.0:
             return None
@@ -706,6 +756,9 @@ class QuadSCPM(Utility):
         self._sizes = np.arange(1, self.n + 1)
         self._clamp.setflags(write=False)
         self._sizes.setflags(write=False)
+        if self.n < SMALL_N:
+            # The small forms' theta and clamp, as Python floats.
+            self._lists = self.theta.tolist(), self._clamp.tolist()
 
     def _default_theta(self):
         return np.full(self.n, 1.0 / self.n)
@@ -723,6 +776,8 @@ class QuadSCPM(Utility):
 
     def _kernel(self, q):
         t = self.solve_withdrawal(q)
+        if q.size < SMALL_N:
+            return self._float_kernel(t, q.tolist())
         s = t - q
         v = np.minimum(s, self._clamp)
         value = np.add.reduce(self.theta * v) - np.add.reduce(v * v) / (4.0 * self.b)
@@ -738,10 +793,27 @@ class QuadSCPM(Utility):
         # With c sorted descending, t_k is the level if the k largest are
         # active; the active set is every c_i above the level.
         c = q[inside] + self._clamp[inside]
+        if q.size < SMALL_N:
+            return _water_level(c.tolist(), 2.0 * self.b * total)
         c.sort()
         c = c[::-1]
         t = (c.cumsum() - 2.0 * self.b * total) / self._sizes[:c.size]
         return float(t[np.count_nonzero(c > t) - 1])
+
+    def _float_kernel(self, t, q):
+        """The kernel's C and prices over Python floats from its level t and
+        q as a list, by the array form's operations in the same order."""
+        half, tv, vv = 2.0 * self.b, 0.0, 0.0
+        prices = []
+        for qi, ti, ci in zip(q, *self._lists):
+            si = t - qi
+            # np.minimum and np.maximum: a nan s wins, a tie gives the second.
+            vi = si if not si >= ci else ci
+            tv += ti * vi
+            vv += vi * vi
+            p = ti - si / half
+            prices.append(p if not p < 0.0 else 0.0)
+        return t, t - (tv - vv / (4.0 * self.b)), np.array(prices), "closed", 0
 
     def solve_fill(self, q, a, pi, before, p_a):
         # While the active set {p > 0} stays, the level rises by k_A/k per
@@ -751,6 +823,9 @@ class QuadSCPM(Utility):
         # no active out-price falls by more than it holds, gap/k_B, and each
         # clamped in-entry's s = t - q, which falls by 2b gap/k_A, stays at
         # or above its clamp 2b theta.  Off that piece, water-filling.
+        # Below SMALL_N states over Python floats (_float_fill).
+        if q.size < SMALL_N:
+            return self._float_fill(q, a, pi, before, p_a)
         inside = _in_set(a)
         if inside is None or not 0.0 < pi < 1.0:
             return None
@@ -776,6 +851,39 @@ class QuadSCPM(Utility):
             return True
         slack = before.t_star - q[clamped] - self._clamp[clamped]
         return slack.item(slack.argmin()) >= 2.0 * self.b * rise
+
+    def _float_fill(self, q, a, pi, before, p_a):
+        """solve_fill over Python lists, with the array form's tests and
+        float operations.  before's prices are finite (solve_t checks
+        them), so no minimum meets a nan."""
+        if not 0.0 < pi < 1.0:
+            return None
+        q, a, t, clamp = q.tolist(), a.tolist(), before.t_star, self._lists[1]
+        n_out = k_a = k_b = 0
+        low = slack = math.inf  # the least active out-price and clamped in-slack
+        for qi, ci, p, ai in zip(q, clamp, before.prices.tolist(), a):
+            if ai == 1.0:
+                if p > 0.0:
+                    k_a += 1
+                elif t - qi - ci < slack:
+                    slack = t - qi - ci
+            elif ai == 0.0:
+                n_out += 1
+                if p > 0.0:
+                    k_b += 1
+                    low = p if p < low else low
+            else:
+                return None
+        if not n_out:
+            return None
+        gap = pi - p_a
+        if k_a and k_b and low >= gap / k_b and slack >= 2.0 * self.b * (gap / k_a):
+            return 2.0 * self.b * (k_a + k_b) * gap / (k_a * k_b)
+        top, sides = max(q), ([], [])  # c = q - max(q) + 2b theta of the out-set, the in-set
+        for qi, ci, ai in zip(q, clamp, a):
+            sides[ai == 1.0].append(qi - top + ci)
+        tau_out = _water_level(sides[0], 2.0 * self.b * (1.0 - pi))
+        return max(0.0, tau_out - _water_level(sides[1], 2.0 * self.b * pi))
 
     def _penalty(self, p):
         return self.b * np.sum((p - self.theta) ** 2, axis=-1)

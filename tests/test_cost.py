@@ -1,5 +1,6 @@
 """Tests for the scalar cost solve, prices, and charges."""
 
+import contextlib
 import math
 import sys
 
@@ -19,8 +20,9 @@ from scpm import (
     quote,
     solve_t,
 )
+from scpm import utilities
 from scpm.cost import MAX_ITER, PRICE_SUM_OK, SolverError, bracketed_root, expand_bracket
-from scpm.utilities import KINDS, QuadSCPM, Utility, _lse_level
+from scpm.utilities import KINDS, SMALL_N, QuadSCPM, Utility, _lse_level
 
 from linear_utility import LinearUtility
 
@@ -82,6 +84,22 @@ class TestSolveT:
     def test_negative_price_from_monotone_kernel_rejected(self):
         with pytest.raises(SolverError, match="negative price"):
             solve_t(FixedPrices([0.5 + 1e-6, 0.5, -1e-6]), np.zeros(3))
+
+    @pytest.mark.parametrize("kind", ["QuadraticScore", "QuadSCPM"])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_non_finite_solve_is_a_solver_error(self, kind, n):
+        # q = [1e308, 0, ...] is finite with a finite spread, but the
+        # kernels' sums leave the float range, to a C or prices that are not
+        # finite: QuadraticScore read C = nan with every price inf, and the
+        # price-sum check passed it (inf > 1e-8 inf is false).  Below SMALL_N
+        # states the kernels' floats overflow without numpy's warning; the
+        # array forms at N = 8 warn, so they run with the warnings off.
+        u = make_utility(kind, n_outcomes=n)
+        q = np.zeros(n)
+        q[0] = 1e308
+        quiet = np.errstate(all="ignore") if n >= SMALL_N else contextlib.nullcontext()
+        with quiet, pytest.raises(SolverError, match="not finite"):
+            solve_t(u, q)
 
     def test_minus_zero_prior_gives_no_minus_zero_price(self):
         # solve_t clamps only when a price is negative, so no kernel may
@@ -434,12 +452,13 @@ class TestReduceCalls:
         # The sums of C and the prices: two for LMSR and for ExponentialSCPM,
         # whose kernel is LMSR's (the price sum, and the expm1 sum of the
         # log1p form that this q takes; a plain log reads the price sum
-        # alone), two for QuadraticScore and QuadSCPM, none for MinSCPM, and
-        # for LogSCPM its kernel's sum alone: at N = 3 the Newton level adds
-        # its sums in Python floats, and _as_alloc reads s > 0 at argmin.
+        # alone), none for MinSCPM, none for QuadraticScore and QuadSCPM,
+        # whose kernels add in Python floats below SMALL_N states, and for
+        # LogSCPM its kernel's sum alone: at N = 3 the Newton level adds its
+        # sums in Python floats, and _as_alloc reads s > 0 at argmin.
         u = make_utility(kind, n_outcomes=3)
         n = reduce_calls(solve_t, u, np.array([0.3, 1.2, 0.8]))[1]
-        expected = {"LMSR": 2, "ExponentialSCPM": 2, "QuadraticScore": 2, "QuadSCPM": 2,
+        expected = {"LMSR": 2, "ExponentialSCPM": 2, "QuadraticScore": 0, "QuadSCPM": 0,
                     "MinSCPM": 0, "LogSCPM": 1}
         assert n == expected[kind]
 
@@ -456,6 +475,109 @@ class TestReduceCalls:
             z = rng.uniform(-1e3, 1e3, n) * 10.0 ** rng.uniform(-6.0, 0.0)
             total = 10.0 ** rng.uniform(-12.0, 0.0)
             assert _lse_level(b, z, total) == float(b * (logsumexp(z) - math.log(total)))
+
+
+def small_draws(kind, seed, count):
+    """Seeded markets below SMALL_N states for the small forms: N from 2 to
+    7, b in {1e-3, 1, 1e3}, the default prior or a random one (for QuadSCPM
+    one with a zero weight too), and q on a half-b grid (ties, with -0.0
+    for some zeros) or spread over 8b, wide enough that QuadSCPM clamps
+    states.  Yields the generator too, for each test's own draws."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, SMALL_N))
+        b = float(rng.choice([1e-3, 1.0, 1e3]))
+        theta, draw = None, rng.uniform()
+        if kind == "QuadSCPM" and draw < 2.0 / 3.0:
+            theta = rng.dirichlet(np.ones(n))
+            if draw < 1.0 / 3.0:
+                theta[rng.integers(n)] = 0.0
+                theta /= theta.sum()
+        u = make_utility(kind, b=b, n_outcomes=n, theta=theta)
+        if rng.uniform() < 0.5:
+            q = b * rng.integers(-4, 1, n) / 2.0
+            q[(q == 0.0) & (rng.uniform(size=n) < 0.5)] = -0.0
+        else:
+            q = b * rng.uniform(-8.0, 0.0, n)
+        yield rng, u, q
+
+
+def bits(*xs):
+    return [np.asarray(x, dtype=float).tobytes() for x in xs]
+
+
+class TestSmallForms:
+    # Below SMALL_N states QuadSCPM's level, kernel and hook and
+    # QuadraticScore's kernel run over Python floats.  Each must give the
+    # bytes of its array form at the same N, which runs with SMALL_N at 0.
+    @staticmethod
+    def both_forms(monkeypatch, fn):
+        small = fn()
+        with monkeypatch.context() as m:
+            m.setattr(utilities, "SMALL_N", 0)
+            return small, fn()
+
+    def test_quad_level_is_the_array_level(self, monkeypatch):
+        for rng, u, q in small_draws("QuadSCPM", 82397, 1500):
+            inside = rng.uniform(size=u.n) < 0.5
+            inside[rng.integers(u.n)] = True
+            inside = slice(None) if rng.uniform() < 0.3 else inside
+            total = 1.0 if rng.uniform() < 0.3 else 10.0 ** rng.uniform(-6.0, 0.0)
+            small, array = self.both_forms(monkeypatch, lambda: u._level(q, inside, total))
+            assert type(small) is float
+            assert bits(small) == bits(array)
+
+    @pytest.mark.parametrize("kind, seed", [("QuadSCPM", 82398), ("QuadraticScore", 82399)])
+    def test_kernel_is_the_array_kernel(self, monkeypatch, kind, seed):
+        for _, u, q in small_draws(kind, seed, 1500):
+            q = q - q[q.argmax()]
+            small, array = self.both_forms(monkeypatch, lambda: u._kernel(q))
+            assert type(small[2]) is np.ndarray
+            assert bits(*small[:3]) == bits(*array[:3])
+            assert small[3:] == array[3:]
+
+    def test_quad_hook_is_the_array_hook_on_and_off_its_piece(self, monkeypatch):
+        # Off its piece the list hook water-fills, two _water_level calls.
+        calls = []
+        water = utilities._water_level
+        monkeypatch.setattr(utilities, "_water_level", lambda c, m: calls.append(m) or water(c, m))
+        ends = {0: 0, 2: 0}
+        for rng, u, q in small_draws("QuadSCPM", 82400, 1500):
+            q = q + u.b * rng.uniform(0.0, 3.0)
+            a = (rng.uniform(size=u.n) < 0.5).astype(float)
+            a[rng.integers(u.n)] = 1.0
+            if rng.uniform() < 0.05:
+                a[rng.integers(u.n)] = 0.5
+            before = solve_t(u, q)
+            p_a = float(before.prices.dot(a))
+            pi = 1.0 if rng.uniform() < 0.05 else p_a + rng.uniform(0.01, 0.99) * (1.0 - p_a)
+            calls.clear()
+            small, array = self.both_forms(
+                monkeypatch, lambda: u.solve_fill(q, a, pi, before, p_a))
+            if small is None:
+                assert array is None
+                continue
+            assert type(small) is float
+            assert bits(small) == bits(array)
+            ends[len(calls)] += 1
+        assert min(ends.values()) >= 200, ends
+
+    @pytest.mark.parametrize("kind", ["QuadraticScore", "QuadSCPM"])
+    def test_forms_switch_at_eight_states(self, monkeypatch, kind):
+        # N = 7 runs the list forms, whose sums are no ufunc reductions, and
+        # N = 8 the array forms' two sums; likewise QuadSCPM's hook.
+        hooks = []
+        monkeypatch.setattr(QuadSCPM, "_float_fill",
+                            lambda self, *args: hooks.append(self.n))
+        for n, sums in ((SMALL_N - 1, 0), (SMALL_N, 2)):
+            u = make_utility(kind, n_outcomes=n)
+            q = np.linspace(0.0, 1.0, n)
+            before, count = reduce_calls(solve_t, u, q)
+            assert count == sums
+            a = np.zeros(n)
+            a[0] = 1.0
+            u.solve_fill(q, a, 0.5, before, float(before.prices[0]))
+        assert hooks == ([SMALL_N - 1] if kind == "QuadSCPM" else [])
 
 
 def lse_reference(b, weights, divisor, q):

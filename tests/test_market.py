@@ -259,24 +259,29 @@ class TestFill:
             ends.append((f.x_bar, f.charge, f.path, f.solves))
         assert ends[:1] == ends[1:]
 
-    @pytest.mark.parametrize("kind, pi", [("LMSR", 0.9), ("LMSR", 1.0),
-                                          ("ExponentialSCPM", 0.9), ("ExponentialSCPM", 1.0),
-                                          ("MinSCPM", 0.9), ("MinSCPM", 1.0), ("LogSCPM", 1.0)])
-    def test_limit_with_a_finite_point_holds(self, kind, pi):
+    @pytest.mark.parametrize("kind, pi, solves", [
+        ("LMSR", 0.9, 2), ("LMSR", 1.0, 2), ("ExponentialSCPM", 0.9, 2),
+        ("ExponentialSCPM", 1.0, 2), ("MinSCPM", 0.9, 2), ("MinSCPM", 1.0, 2),
+        ("LogSCPM", 0.9, 3), ("LogSCPM", 1.0, 2)])
+    def test_limit_with_a_finite_point_holds(self, kind, pi, solves):
         # q_0 + a_1 limit is past the largest float, but the point is
         # q + a limit = [1e308, 1e308, 0], where p_1 = 1/2 <= pi: the fill
-        # ends at its limit.  (LogSCPM's hook divides by zero at pi = 0.9.)
+        # ends at its limit.  LogSCPM's hook at pi = 0.9 takes a Newton step
+        # whose den is 0 (numpy's quotient, with no warning) and returns x
+        # one float below the limit: the search solves there, then at the
+        # limit, a third solve.
         u = make_utility(kind, b=1.0, n_outcomes=3)
         state = new_market(MarketConfig(utility=u, initial_q=[1e308, 0.0, 0.0]))
         f = fill(state, Order("t", pi, 1e308, np.array([0.0, 1.0, 0.0])))
-        assert (f.x_bar, f.path, f.solves) == (1e308, "limit", 2)
+        assert (f.x_bar, f.path, f.solves) == (1e308, "limit", solves)
 
-    @pytest.mark.parametrize("kind", ["LogSCPM", "MinSCPM"])
+    @pytest.mark.parametrize("kind", ["LMSR", "ExponentialSCPM", "LogSCPM", "MinSCPM"])
     def test_finite_point_past_2_970_keeps_its_limit(self, kind):
         # a_1 limit = 1e308 and q_0 = 1.5e308 sit in different states: the
         # point [1.5e308, 1e308, 0] is finite, so the limit of 1e9 holds
-        # though p_1 stays near 0 up to x = 1.5e9.  (The LMSR hook's
-        # a (1 - a) overflows at a_1 = 1e299, so LMSR is left out.)
+        # though p_1 stays near 0 up to x = 1.5e9.  The LMSR family's hook
+        # tests the 0/1 bundle without a product a (1 - a), which overflows
+        # at a_1 = 1e299.
         u = make_utility(kind, b=1.0, n_outcomes=3)
         state = new_market(MarketConfig(utility=u, initial_q=[1.5e308, 0.0, 0.0]))
         f = fill(state, Order("t", 0.5, 1e9, np.array([0.0, 1e299, 0.0])))
