@@ -59,8 +59,8 @@ np.maximum give the second operand at a tie, as the loops' tests do.
 Python floats overflow without numpy's warning; solve_t raises SolverError
 for a t, C or price that is not finite.  LMSR's and ExponentialSCPM's
 kernels and LogSCPM's kernel tail stay in numpy: their exp and log are
-numpy's, whose SIMD log differs from math.log in the last bit on some
-inputs, and a list form of LogSCPM's tail saved under a tenth of its time.
+numpy's, whose SIMD loops differ from math.exp and math.log in the last
+bit on some inputs, so a list form would move their bits.
 
 market.fill hands the hook the cost solve at q it already holds, before,
 with p_a = p'a for p = before.prices, so a kind whose end follows from
@@ -123,9 +123,7 @@ keeps only its own u, its loss terms and a kernel whose level is C itself
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -183,23 +181,18 @@ def _lse_level(b, z, total):
     return float(b * (m + np.log(np.add.reduce(np.exp(z - m))) - math.log(total)))
 
 
-def _add_reduce(xs):
-    """np.add.reduce's sum of fewer than SMALL_N floats: left to right from
-    0.0, so that all -0.0 terms sum to +0.0 (not by sum(), which
-    compensates from Python 3.12 on)."""
-    total = 0.0
-    for x in xs:
-        total += x
-    return total
-
-
 def _water_level(c, m):
     """QuadSCPM's level over a list c, as its array form: c sorted
     descending, t_k = (c_1 + ... + c_k - m) / k and t at the count of c_k >
     t_k, with the same float operations in the same order."""
     c.sort(reverse=True)
-    t = [(run - m) / k for k, run in enumerate(itertools.accumulate(c), 1)]
-    return t[sum(map(operator.gt, c, t)) - 1]
+    run, count, t = -0.0, 0, []  # -0.0 + c_1 is c_1, as cumsum's first entry
+    for k, ck in enumerate(c, 1):
+        run += ck
+        t.append((run - m) / k)
+        if ck > t[-1]:
+            count += 1
+    return t[count - 1]
 
 
 def _float_sums(tau, q, theta):
@@ -516,8 +509,8 @@ class LMSR(Utility):
         return _lse_level(self.b, q[inside] / self.b + self._log_prior[inside], total)
 
     def solve_fill(self, q, a, pi, before, p_a):
-        # A 0/1 bundle has min(a, 1 - a) = 0 everywhere (where a (1 - a)
-        # overflows past a = 1e154); 1 - a is its out-set.
+        # A 0/1 bundle has min(a, 1 - a) = 0 everywhere, a test that cannot
+        # overflow as a (1 - a) does past a = 1.3e154; 1 - a is its out-set.
         # p_A(q + x a) = sigma(logit p_A + x/b), which reaches pi at
         # b log(pi p_B / ((1 - pi) p_A)), a log of each normal product.
         out = 1.0 - a
@@ -557,13 +550,20 @@ class QuadraticScore(Utility):
     def _kernel(self, q):
         # Flat in t: value and grad at s = -q, read from q about its mean
         # (the sum over N is q.mean(), byte for byte).  Below SMALL_N states
-        # over Python floats, by the same operations in the same order.
+        # over Python floats, by the same operations in the same order: each
+        # sum left to right from 0.0, as np.add.reduce adds so few (not by
+        # sum(), which compensates from Python 3.12 on).
         if q.size < SMALL_N:
-            q, base, half = q.tolist(), 1.0 / self.n, 2.0 * self.b
-            qbar = _add_reduce(q) / self.n
-            d = [x - qbar for x in q]
-            cost = qbar + _add_reduce([x * x for x in d]) / (4.0 * self.b)
-            return 0.0, cost, np.array([base + x / half for x in d]), "flat", 0
+            q, total = q.tolist(), 0.0
+            for x in q:
+                total += x
+            qbar = total / self.n
+            base, half, dd, prices = 1.0 / self.n, 2.0 * self.b, 0.0, []
+            for x in q:
+                d = x - qbar
+                dd += d * d
+                prices.append(base + d / half)
+            return 0.0, qbar + dd / (4.0 * self.b), np.array(prices), "flat", 0
         qbar = np.add.reduce(q) / self.n
         d = q - qbar
         cost = qbar + np.add.reduce(d * d) / (4.0 * self.b)
