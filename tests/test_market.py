@@ -259,11 +259,11 @@ class TestFill:
             ends.append((f.x_bar, f.charge, f.path, f.solves))
         assert ends[:1] == ends[1:]
 
-    @pytest.mark.parametrize("kind, pi, solves", [
-        ("LMSR", 0.9, 2), ("LMSR", 1.0, 2), ("ExponentialSCPM", 0.9, 2),
-        ("ExponentialSCPM", 1.0, 2), ("MinSCPM", 0.9, 2), ("MinSCPM", 1.0, 2),
-        ("LogSCPM", 0.9, 3), ("LogSCPM", 1.0, 2)])
-    def test_limit_with_a_finite_point_holds(self, kind, pi, solves):
+    @pytest.mark.parametrize("kind, pi", [("LMSR", 0.9), ("LMSR", 1.0),
+                                          ("ExponentialSCPM", 0.9), ("ExponentialSCPM", 1.0),
+                                          ("MinSCPM", 0.9), ("MinSCPM", 1.0),
+                                          ("LogSCPM", 0.9), ("LogSCPM", 1.0)])
+    def test_limit_with_a_finite_point_holds(self, kind, pi):
         # q_0 + a_1 limit is past the largest float, but the point is
         # q + a limit = [1e308, 1e308, 0], where p_1 = 1/2 <= pi: the fill
         # ends at its limit.  LogSCPM's hook at pi = 0.9 takes a Newton step
@@ -273,6 +273,7 @@ class TestFill:
         u = make_utility(kind, b=1.0, n_outcomes=3)
         state = new_market(MarketConfig(utility=u, initial_q=[1e308, 0.0, 0.0]))
         f = fill(state, Order("t", pi, 1e308, np.array([0.0, 1.0, 0.0])))
+        solves = 3 if (kind, pi) == ("LogSCPM", 0.9) else 2
         assert (f.x_bar, f.path, f.solves) == (1e308, "limit", solves)
 
     @pytest.mark.parametrize("kind", ["LMSR", "ExponentialSCPM", "LogSCPM", "MinSCPM"])
