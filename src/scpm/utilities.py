@@ -19,9 +19,10 @@ its analytic worst-case-loss terms (B, C(0)).
 A kind writes only its formulas: _value(s) and _grad(s) on float arrays
 (..., N) and loss_bound_terms() always, and _conjugate for the properness
 and penalty studies; _level, _penalty, _kernel and _residual (for a
-set-valued subdifferential) where it has them, a solve_fill of its own
-where the cost solve at q gives its fill's end, and _default_theta and
-_check_theta if it takes a prior.
+set-valued subdifferential) where it has them, _float_level and its
+per-state list _float_w for the fill hook's small form, a solve_fill of
+its own where the cost solve at q gives its fill's end, and _default_theta
+and _check_theta if it takes a prior.
 MinSCPM's subdifferential is the simplex over the argmin of s, so its
 prices are uniform over the exact argmax of q: no tolerance decides a tie.
 The base class owns the plumbing: value, grad, penalty_raw,
@@ -49,34 +50,34 @@ solve_fill gives 2b (pi - p(q)'a) / (a'a - (e'a)^2/N), any bundle.
 
 Small forms.  Below SMALL_N = 8 states these run over Python floats in
 place of arrays, where numpy's per-call cost outweighs the work on a few
-numbers: QuadSCPM's _level (sort, running sum, active count), _kernel and
-solve_fill; QuadraticScore's _kernel; LogSCPM's solve_fill and its level's
-two sums (there by |S|, elsewhere by q.size).  Each makes the array form's
-float operations in the same order, so it gives the same bits, -0.0
-included: below eight terms np.add.reduce adds left to right from 0.0,
-as the loops do (from eight on it adds in blocks), and np.minimum and
-np.maximum give the second operand at a tie, as the loops' tests do.
-Python floats overflow without numpy's warning; solve_t raises SolverError
-for a t, C or price that is not finite.  LMSR's and ExponentialSCPM's
-kernels and LogSCPM's kernel tail stay in numpy: their exp and log are
-numpy's, whose SIMD loops differ from math.exp and math.log in the last
-bit on some inputs, so a list form would move their bits.
+numbers: QuadSCPM's _level (sort, running sum, active prefix) and _kernel;
+QuadraticScore's _kernel; LogSCPM's level's two sums (there by |S|,
+elsewhere by q.size); and the base solve_fill of QuadSCPM, LogSCPM and
+MinSCPM.  That hook makes one split of the 0/1 bundle over lists, q - max q
+and the kind's _float_w (the clamp 2b theta, theta, zeros) for the out-set
+and for the in-set, and takes _float_level(q, w, total) of each: QuadSCPM's
+water-filling over q + w, LogSCPM's Newton over _float_sums, MinSCPM's
+max(q).  Each makes the array form's float operations in the same order,
+so it gives the same bits, -0.0 included: below eight terms np.add.reduce
+adds left to right from 0.0, as the loops do (from eight on it adds in
+blocks), and np.minimum and np.maximum give the second operand at a tie,
+as the loops' tests do.  Python floats overflow without numpy's warning;
+solve_t raises SolverError for a t, C or price that is not finite.  The
+LMSR family's kernels and levels (the levels are its hook's fallback where
+a price underflows) and LogSCPM's kernel tail stay in numpy: their exp and
+log are numpy's, whose SIMD loops differ from math.exp and math.log in the
+last bit on some inputs, so a list form would move their bits.
 
 market.fill hands the hook the cost solve at q it already holds, before,
 with p_a = p'a for p = before.prices, so a kind whose end follows from
-that solve reads it from there, with k_S the entries of S where p > 0:
+that solve reads it from there:
 
     LMSR              b (log(pi p_B) - log((1 - pi) p_A)), as p_A moves
                       along sigma(logit p_A + x/b); p_B = p'(e - a) is
                       summed, not taken as 1 - p_A.  The levels where a
                       product is not a normal float (p_A or p_B underflows)
-    QuadSCPM          2b k (pi - p_A) / (k_A k_B), k = k_A + k_B, while the
-                      active set {p > 0} stays: each active out-price is
-                      at least (pi - p_A) / k_B, and each clamped in-entry
-                      of s = before.t_star - q stays clamped.  Water-filling
-                      off that piece
-    LogSCPM           both Newton levels (in the small form, the sets
-                      split and q shifted by its maximum)
+    QuadSCPM          the levels
+    LogSCPM           the levels
     MinSCPM           the levels: max_B q - max_A q
     QuadraticScore    its affine form above
 
@@ -183,16 +184,19 @@ def _lse_level(b, z, total):
 
 def _water_level(c, m):
     """QuadSCPM's level over a list c, as its array form: c sorted
-    descending, t_k = (c_1 + ... + c_k - m) / k and t at the count of c_k >
-    t_k, with the same float operations in the same order."""
+    descending, t_k = (c_1 + ... + c_k - m) / k and t at the end of the
+    active prefix, c_1 and then each c_k > t_k, with the same float
+    operations in the same order."""
     c.sort(reverse=True)
-    run, count, t = -0.0, 0, []  # -0.0 + c_1 is c_1, as cumsum's first entry
-    for k, ck in enumerate(c, 1):
+    run = c[0]
+    t = run - m
+    for k, ck in enumerate(c[1:], 2):
         run += ck
-        t.append((run - m) / k)
-        if ck > t[-1]:
-            count += 1
-    return t[count - 1]
+        tk = (run - m) / k
+        if not ck > tk:
+            break
+        t = tk
+    return t
 
 
 def _float_sums(tau, q, theta):
@@ -373,6 +377,9 @@ class Utility:
         raise NotImplementedError(f"{self.kind} has no conjugate point (_conjugate)")
 
     _level = None  # (q, inside, total) -> tau_S(T), see the module docstring
+    # (q, w, total) -> tau_S(T) over the lists of S's q and of the kind's
+    # per-state _float_w, for the small form; see the module docstring.
+    _float_level = None
 
     def solve_withdrawal(self, q):
         """Minimizer of t - u(te - q): the level tau_all(1), or None without a level."""
@@ -403,20 +410,37 @@ class Utility:
 
         For a 0/1 bundle this is tau_B(1 - pi) - tau_A(pi) from _level,
         clamped at 0: p_a < pi puts the end at x >= 0, and only the
-        rounding of the two levels makes the difference negative.  A kind
-        whose end follows from before overrides it (see the module
-        docstring).  Makes no cost solve.  market.fill accepts the
+        rounding of the two levels makes the difference negative.  Below
+        SMALL_N states a kind with _float_level takes the small form: one
+        split of the bundle over Python lists, then that level on each
+        side.  A kind whose end follows from before overrides it (see the
+        module docstring).  Makes no cost solve.  market.fill accepts the
         candidate only after cost solves bracket it, and otherwise searches.
         """
-        inside = _in_set(a)
-        if self._level is None or inside is None or not 0.0 < pi < 1.0:
+        if self._level is None or not 0.0 < pi < 1.0:
             return None
-        return self._level_fill(q, inside, pi)
-
-    def _level_fill(self, q, inside, pi):
-        """tau_B(1 - pi) - tau_A(pi), clamped at 0, at q shifted to max 0."""
-        q = q - q[q.argmax()]
-        return max(0.0, self._level(q, ~inside, 1.0 - pi) - self._level(q, inside, pi))
+        if self._float_level is None or q.size >= SMALL_N:
+            inside = _in_set(a)
+            if inside is None:
+                return None
+            q = q - q[q.argmax()]
+            return max(0.0, self._level(q, ~inside, 1.0 - pi) - self._level(q, inside, pi))
+        q = q.tolist()
+        top = max(q)
+        out_q, out_w, in_q, in_w = [], [], [], []  # q - max q and w of each set
+        for qi, ai, wi in zip(q, a.tolist(), self._float_w):
+            if ai == 1.0:
+                in_q.append(qi - top)
+                in_w.append(wi)
+            elif ai == 0.0:
+                out_q.append(qi - top)
+                out_w.append(wi)
+            else:
+                return None
+        if not out_q:
+            return None
+        level = self._float_level
+        return max(0.0, level(out_q, out_w, 1.0 - pi) - level(in_q, in_w, pi))
 
     def properness_residual(self, s, r):
         """Distance from r to the (sub)differential of u at s, inf-norm,
@@ -593,6 +617,8 @@ class LogSCPM(Utility):
     def __init__(self, b=1.0, n_outcomes=2, theta=None):
         super().__init__(b, n_outcomes, theta)
         self._penalty_shift = _xlogx(self.theta) - self.theta.sum()
+        if self.n < SMALL_N:
+            self._float_w = self.theta.tolist()
 
     def _as_alloc(self, s):
         s = super()._as_alloc(s)
@@ -630,30 +656,8 @@ class LogSCPM(Utility):
             return _newton(q.tolist(), theta.tolist(), q.argmax(), total, _float_sums)
         return _newton(q, theta, q.argmax(), total, _array_sums)
 
-    def solve_fill(self, q, a, pi, before, p_a):
-        # Below SMALL_N states the whole hook runs over Python lists, as the
-        # level's sums do: the sets split, q shifted by its first maximum,
-        # and both levels, by the same float operations in the same order as
-        # the base's arrays, so with the same bits and without their calls.
-        if q.size >= SMALL_N:
-            return super().solve_fill(q, a, pi, before, p_a)
-        if not 0.0 < pi < 1.0:
-            return None
-        q = q.tolist()
-        top = max(q)
-        sides = ([], []), ([], [])  # (q, theta) of the out-set and the in-set
-        for qi, ai, ti in zip(q, a.tolist(), self.theta.tolist()):
-            if ai != 0.0 and ai != 1.0:
-                return None
-            side = sides[ai == 1.0]
-            side[0].append(qi - top)
-            side[1].append(ti)
-        (out_q, out_theta), (in_q, in_theta) = sides
-        if not out_q:
-            return None
-        tau_out = _newton(out_q, out_theta, out_q.index(max(out_q)), 1.0 - pi, _float_sums)[0]
-        tau_in = _newton(in_q, in_theta, in_q.index(max(in_q)), pi, _float_sums)[0]
-        return max(0.0, tau_out - tau_in)
+    def _float_level(self, q, w, total):
+        return _newton(q, w, q.index(max(q)), total, _float_sums)[0]
 
     def _kernel(self, q):
         # Not through solve_withdrawal, whose float leaves out the passes.
@@ -678,6 +682,11 @@ class MinSCPM(Utility):
 
     kind = "MinSCPM"
 
+    def __init__(self, b=1.0, n_outcomes=2, theta=None):
+        super().__init__(b, n_outcomes, theta)
+        if self.n < SMALL_N:
+            self._float_w = [0.0] * self.n  # its level reads q alone
+
     def _value(self, s):
         return s.min(axis=-1)
 
@@ -695,6 +704,10 @@ class MinSCPM(Utility):
         # Prices sit on the largest q of S, whatever the total.
         q = q[inside]
         return q.item(q.argmax())
+
+    @staticmethod
+    def _float_level(q, w, total):
+        return max(q)
 
     def _conjugate(self, R):
         # Every diagonal point is a maximizer: its subdifferential is the simplex.
@@ -758,7 +771,7 @@ class QuadSCPM(Utility):
         self._sizes.setflags(write=False)
         if self.n < SMALL_N:
             # The small forms' theta and clamp, as Python floats.
-            self._lists = self.theta.tolist(), self._clamp.tolist()
+            self._float_theta, self._float_w = self.theta.tolist(), self._clamp.tolist()
 
     def _default_theta(self):
         return np.full(self.n, 1.0 / self.n)
@@ -791,21 +804,27 @@ class QuadSCPM(Utility):
         # Water-filling on S: sum_S max(0, theta_i - (t - q_i) / 2b) = total
         # is sum_S max(0, c_i - t) = 2b total with c_i = q_i + 2b theta_i.
         # With c sorted descending, t_k is the level if the k largest are
-        # active; the active set is every c_i above the level.
+        # active.  The active set is a prefix, c_1 (m > 0 puts t_1 below it)
+        # and then each c_k > t_k, so it is read up to the first c_k <= t_k:
+        # the sums past it, which may overflow where q spans the float range,
+        # count for nothing.
         c = q[inside] + self._clamp[inside]
         if q.size < SMALL_N:
             return _water_level(c.tolist(), 2.0 * self.b * total)
         c.sort()
         c = c[::-1]
-        t = (c.cumsum() - 2.0 * self.b * total) / self._sizes[:c.size]
-        return float(t[np.count_nonzero(c > t) - 1])
+        with np.errstate(over="ignore"):
+            t = (c.cumsum() - 2.0 * self.b * total) / self._sizes[:c.size]
+        stays = c > t
+        stays[0] = True
+        return float(t[stays.argmin() - 1])  # argmin 0: every c_k stays
 
     def _float_kernel(self, t, q):
         """The kernel's C and prices over Python floats from its level t and
         q as a list, by the array form's operations in the same order."""
         half, tv, vv = 2.0 * self.b, 0.0, 0.0
         prices = []
-        for qi, ti, ci in zip(q, *self._lists):
+        for qi, ti, ci in zip(q, self._float_theta, self._float_w):
             si = t - qi
             # np.minimum and np.maximum: a nan s wins, a tie gives the second.
             vi = si if not si >= ci else ci
@@ -815,75 +834,9 @@ class QuadSCPM(Utility):
             prices.append(p if not p < 0.0 else 0.0)
         return t, t - (tv - vv / (4.0 * self.b)), np.array(prices), "closed", 0
 
-    def solve_fill(self, q, a, pi, before, p_a):
-        # While the active set {p > 0} stays, the level rises by k_A/k per
-        # unit of x, so each active in-price rises by k_B/(2b k) and each
-        # active out-price falls by k_A/(2b k): the bundle price reaches pi
-        # at 2b k gap/(k_A k_B), gap = pi - p_a.  The set stays to there if
-        # no active out-price falls by more than it holds, gap/k_B, and each
-        # clamped in-entry's s = t - q, which falls by 2b gap/k_A, stays at
-        # or above its clamp 2b theta.  Off that piece, water-filling.
-        # Below SMALL_N states over Python floats (_float_fill).
-        if q.size < SMALL_N:
-            return self._float_fill(q, a, pi, before, p_a)
-        inside = _in_set(a)
-        if inside is None or not 0.0 < pi < 1.0:
-            return None
-        p = before.prices
-        active = p > 0.0
-        k_a = np.count_nonzero(active & inside)
-        k_b = np.count_nonzero(active) - k_a
-        gap = pi - p_a
-        if k_a and k_b and self._stays(q, inside, before, active, gap / k_a, gap / k_b):
-            return 2.0 * self.b * (k_a + k_b) * gap / (k_a * k_b)
-        return self._level_fill(q, inside, pi)
-
-    def _stays(self, q, inside, before, active, rise, fall):
-        """Whether the active set holds while each active in-price rises by
-        rise and each active out-price falls by fall: no active out-price
-        is below fall, and each clamped in-entry's s - 2b theta, which falls
-        by 2b rise, is at least that."""
-        out_p = before.prices[active & ~inside]
-        if out_p.item(out_p.argmin()) < fall:
-            return False
-        clamped = inside & ~active
-        if not np.count_nonzero(clamped):
-            return True
-        slack = before.t_star - q[clamped] - self._clamp[clamped]
-        return slack.item(slack.argmin()) >= 2.0 * self.b * rise
-
-    def _float_fill(self, q, a, pi, before, p_a):
-        """solve_fill over Python lists, with the array form's tests and
-        float operations.  before's prices are finite (solve_t checks
-        them), so no minimum meets a nan."""
-        if not 0.0 < pi < 1.0:
-            return None
-        q, a, t, clamp = q.tolist(), a.tolist(), before.t_star, self._lists[1]
-        n_out = k_a = k_b = 0
-        low = slack = math.inf  # the least active out-price and clamped in-slack
-        for qi, ci, p, ai in zip(q, clamp, before.prices.tolist(), a):
-            if ai == 1.0:
-                if p > 0.0:
-                    k_a += 1
-                elif t - qi - ci < slack:
-                    slack = t - qi - ci
-            elif ai == 0.0:
-                n_out += 1
-                if p > 0.0:
-                    k_b += 1
-                    low = p if p < low else low
-            else:
-                return None
-        if not n_out:
-            return None
-        gap = pi - p_a
-        if k_a and k_b and low >= gap / k_b and slack >= 2.0 * self.b * (gap / k_a):
-            return 2.0 * self.b * (k_a + k_b) * gap / (k_a * k_b)
-        top, sides = max(q), ([], [])  # c = q - max(q) + 2b theta of the out-set, the in-set
-        for qi, ci, ai in zip(q, clamp, a):
-            sides[ai == 1.0].append(qi - top + ci)
-        tau_out = _water_level(sides[0], 2.0 * self.b * (1.0 - pi))
-        return max(0.0, tau_out - _water_level(sides[1], 2.0 * self.b * pi))
+    def _float_level(self, q, w, total):
+        # _level's small form over S's lists of q and of the clamp 2b theta.
+        return _water_level([qi + wi for qi, wi in zip(q, w)], 2.0 * self.b * total)
 
     def _penalty(self, p):
         return self.b * np.sum((p - self.theta) ** 2, axis=-1)

@@ -85,21 +85,35 @@ class TestSolveT:
         with pytest.raises(SolverError, match="negative price"):
             solve_t(FixedPrices([0.5 + 1e-6, 0.5, -1e-6]), np.zeros(3))
 
-    @pytest.mark.parametrize("kind", ["QuadraticScore", "QuadSCPM"])
+    @pytest.mark.parametrize("kind", ["QuadraticScore"])
     @pytest.mark.parametrize("n", [3, 8])
     def test_non_finite_solve_is_a_solver_error(self, kind, n):
         # q = [1e308, 0, ...] is finite with a finite spread, but the
-        # kernels' sums leave the float range, to a C or prices that are not
+        # kernel's sums leave the float range, to a C or prices that are not
         # finite: QuadraticScore read C = nan with every price inf, and the
         # price-sum check passed it (inf > 1e-8 inf is false).  Below SMALL_N
-        # states the kernels' floats overflow without numpy's warning; the
-        # array forms at N = 8 warn, so they run with the warnings off.
+        # states the kernel's floats overflow without numpy's warning; the
+        # array form at N = 8 warns, so it runs with the warnings off.
         u = make_utility(kind, n_outcomes=n)
         q = np.zeros(n)
         q[0] = 1e308
         quiet = np.errstate(all="ignore") if n >= SMALL_N else contextlib.nullcontext()
         with quiet, pytest.raises(SolverError, match="not finite"):
             solve_t(u, q)
+
+    @pytest.mark.parametrize("n", [3, SMALL_N])
+    def test_quad_level_reads_its_active_prefix(self, n):
+        # At q = [1e308, 0, ...] the shifted c is [2b theta_1, -1e308, ...]:
+        # the running sum past c_1 overflows to -inf, and a count over every
+        # c_k > t_k took the later -inf level's entry as active, for a wrong
+        # level and C = inf (numpy's overflow warning in the array form).  The
+        # active set is the prefix c_1, whose level prices state 0 alone.
+        u = make_utility("QuadSCPM", n_outcomes=n)
+        q = np.zeros(n)
+        q[0] = 1e308
+        r = solve_t(u, q)
+        assert r.t_star == r.cost == 1e308
+        assert r.prices.tolist() == [1.0] + [0.0] * (n - 1)
 
     def test_minus_zero_prior_gives_no_minus_zero_price(self):
         # solve_t clamps only when a price is negative, so no kernel may
@@ -479,8 +493,9 @@ class TestReduceCalls:
 
 def small_draws(kind, seed, count):
     """Seeded markets below SMALL_N states for the small forms: N from 2 to
-    7, b in {1e-3, 1, 1e3}, the default prior or a random one (for QuadSCPM
-    one with a zero weight too), and q on a half-b grid (ties, with -0.0
+    7, b in {1e-3, 1, 1e3}, the default prior or, for QuadSCPM and LogSCPM,
+    a random one (for QuadSCPM one with a zero weight too, for LogSCPM one
+    spread over four decades), and q on a half-b grid (ties, with -0.0
     for some zeros) or spread over 8b, wide enough that QuadSCPM clamps
     states.  Yields the generator too, for each test's own draws."""
     rng = np.random.default_rng(seed)
@@ -493,6 +508,8 @@ def small_draws(kind, seed, count):
             if draw < 1.0 / 3.0:
                 theta[rng.integers(n)] = 0.0
                 theta /= theta.sum()
+        elif kind == "LogSCPM" and draw < 0.5:
+            theta = 10.0 ** rng.uniform(-2.0, 2.0, n)
         u = make_utility(kind, b=b, n_outcomes=n, theta=theta)
         if rng.uniform() < 0.5:
             q = b * rng.integers(-4, 1, n) / 2.0
@@ -507,9 +524,10 @@ def bits(*xs):
 
 
 class TestSmallForms:
-    # Below SMALL_N states QuadSCPM's level, kernel and hook and
-    # QuadraticScore's kernel run over Python floats.  Each must give the
-    # bytes of its array form at the same N, which runs with SMALL_N at 0.
+    # Below SMALL_N states QuadSCPM's level and kernel, QuadraticScore's
+    # kernel and the fill hook of QuadSCPM, LogSCPM and MinSCPM run over
+    # Python floats.  Each must give the bytes of its array form at the same
+    # N, which runs with SMALL_N at 0.
     @staticmethod
     def both_forms(monkeypatch, fn):
         small = fn()
@@ -536,13 +554,14 @@ class TestSmallForms:
             assert bits(*small[:3]) == bits(*array[:3])
             assert small[3:] == array[3:]
 
-    def test_quad_hook_is_the_array_hook_on_and_off_its_piece(self, monkeypatch):
-        # Off its piece the list hook water-fills, two _water_level calls.
-        calls = []
-        water = utilities._water_level
-        monkeypatch.setattr(utilities, "_water_level", lambda c, m: calls.append(m) or water(c, m))
-        ends = {0: 0, 2: 0}
-        for rng, u, q in small_draws("QuadSCPM", 82400, 1500):
+    @pytest.mark.parametrize("kind, seed", [("QuadSCPM", 82400), ("LogSCPM", 82441),
+                                            ("MinSCPM", 82442)])
+    def test_hook_is_the_array_hook(self, monkeypatch, kind, seed):
+        # The base hook's one split over lists and the kind's list level
+        # against _in_set and the array levels, on 0/1 bundles, on a bundle
+        # with a 1/2 entry and at pi = 1 (both None).
+        ends = 0
+        for rng, u, q in small_draws(kind, seed, 1500):
             q = q + u.b * rng.uniform(0.0, 3.0)
             a = (rng.uniform(size=u.n) < 0.5).astype(float)
             a[rng.integers(u.n)] = 1.0
@@ -551,7 +570,6 @@ class TestSmallForms:
             before = solve_t(u, q)
             p_a = float(before.prices.dot(a))
             pi = 1.0 if rng.uniform() < 0.05 else p_a + rng.uniform(0.01, 0.99) * (1.0 - p_a)
-            calls.clear()
             small, array = self.both_forms(
                 monkeypatch, lambda: u.solve_fill(q, a, pi, before, p_a))
             if small is None:
@@ -559,16 +577,18 @@ class TestSmallForms:
                 continue
             assert type(small) is float
             assert bits(small) == bits(array)
-            ends[len(calls)] += 1
-        assert min(ends.values()) >= 200, ends
+            ends += 1
+        assert ends >= 500, ends
 
     @pytest.mark.parametrize("kind", ["QuadraticScore", "QuadSCPM"])
     def test_forms_switch_at_eight_states(self, monkeypatch, kind):
         # N = 7 runs the list forms, whose sums are no ufunc reductions, and
-        # N = 8 the array forms' two sums; likewise QuadSCPM's hook.
+        # N = 8 the array forms' two sums; likewise QuadSCPM's hook, whose
+        # small form takes the list level of each side.
         hooks = []
-        monkeypatch.setattr(QuadSCPM, "_float_fill",
-                            lambda self, *args: hooks.append(self.n))
+        level = QuadSCPM._float_level
+        monkeypatch.setattr(QuadSCPM, "_float_level",
+                            lambda self, *args: hooks.append(self.n) or level(self, *args))
         for n, sums in ((SMALL_N - 1, 0), (SMALL_N, 2)):
             u = make_utility(kind, n_outcomes=n)
             q = np.linspace(0.0, 1.0, n)
@@ -577,7 +597,7 @@ class TestSmallForms:
             a = np.zeros(n)
             a[0] = 1.0
             u.solve_fill(q, a, 0.5, before, float(before.prices[0]))
-        assert hooks == ([SMALL_N - 1] if kind == "QuadSCPM" else [])
+        assert hooks == ([SMALL_N - 1] * 2 if kind == "QuadSCPM" else [])
 
 
 def lse_reference(b, weights, divisor, q):

@@ -470,30 +470,6 @@ class TestFillHooks:
         assert x == Utility.solve_fill(u, q, a, 0.5, before, p_a)
         assert x == (pytest.approx(q[1] + 1e-3 * math.log(2.0), rel=1e-12) if p_a < p_b else 0.0)
 
-    def test_quad_end_on_its_piece_matches_water_filling(self):
-        # On the piece where the active set {p > 0} holds to the end, the
-        # end from the held prices is water-filling's within 1e-12; off it
-        # the hook returns water-filling's bits.
-        on = off = 0
-        for u, q, a, pi, before, p_a in hook_draws("QuadSCPM", [2, 3, 5, 10], 82182, 400):
-            x = u.solve_fill(q, a, pi, before, p_a)
-            w = Utility.solve_fill(u, q, a, pi, before, p_a)
-            if np.array_equal(prices(u, q + a * w) > 0.0, before.prices > 0.0):
-                assert x == pytest.approx(w, rel=1e-12)
-                on += 1
-            else:
-                assert x == w
-                off += 1
-        assert min(on, off) >= 50, (on, off)
-
-    def test_log_float_hook_is_the_array_levels(self):
-        # Below eight states the whole hook runs over Python lists; it gives
-        # the bits of the array form.
-        for u, q, a, pi, before, p_a in hook_draws("LogSCPM", [2, 3, 5, 7], 82183, 1000):
-            x = u.solve_fill(q, a, pi, before, p_a)
-            assert type(x) is float
-            assert x == Utility.solve_fill(u, q, a, pi, before, p_a)
-
 
 class TestLinearUtility:
     def test_gradient_is_constant(self):
