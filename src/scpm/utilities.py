@@ -124,6 +124,7 @@ keeps only its own u, its loss terms and a kernel whose level is C itself
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -813,7 +814,10 @@ class QuadSCPM(Utility):
             return _water_level(c.tolist(), 2.0 * self.b * total)
         c.sort()
         c = c[::-1]
-        with np.errstate(over="ignore"):
+        # Only where N c_N passes the float range can a running sum overflow;
+        # only there are numpy's overflow warnings off.
+        wide = c.item(-1) * c.size < -0.5 * sys.float_info.max
+        with np.errstate(over="ignore") if wide else contextlib.nullcontext():
             t = (c.cumsum() - 2.0 * self.b * total) / self._sizes[:c.size]
         stays = c > t
         stays[0] = True

@@ -115,6 +115,15 @@ class TestSolveT:
         assert r.t_star == r.cost == 1e308
         assert r.prices.tolist() == [1.0] + [0.0] * (n - 1)
 
+    @pytest.mark.parametrize("n", [3, SMALL_N])
+    def test_quad_level_keeps_c1_below_its_rounding(self, n):
+        # At a total T whose 2bT is lost in c_1 - 2bT, t_1 rounds to c_1 and
+        # c_1 > t_1 fails; c_1 is active all the same, and the level is c_1.
+        # A count of every c_k > t_k read 0 there and took the last t_k.
+        u = make_utility("QuadSCPM", n_outcomes=n)
+        q = -0.5 * np.arange(n)
+        assert u._level(q, slice(None), 1e-20) == 2.0 / n
+
     def test_minus_zero_prior_gives_no_minus_zero_price(self):
         # solve_t clamps only when a price is negative, so no kernel may
         # hand it -0.0; QuadSCPM's price at a -0.0 weight on its level was.
@@ -554,8 +563,8 @@ class TestSmallForms:
             assert bits(*small[:3]) == bits(*array[:3])
             assert small[3:] == array[3:]
 
-    @pytest.mark.parametrize("kind, seed", [("QuadSCPM", 82400), ("LogSCPM", 82441),
-                                            ("MinSCPM", 82442)])
+    @pytest.mark.parametrize("kind, seed", [("QuadSCPM", 82400), ("LogSCPM", 82439),
+                                            ("MinSCPM", 82440)])
     def test_hook_is_the_array_hook(self, monkeypatch, kind, seed):
         # The base hook's one split over lists and the kind's list level
         # against _in_set and the array levels, on 0/1 bundles, on a bundle
