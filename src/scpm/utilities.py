@@ -805,17 +805,17 @@ class QuadSCPM(Utility):
         # Water-filling on S: sum_S max(0, theta_i - (t - q_i) / 2b) = total
         # is sum_S max(0, c_i - t) = 2b total with c_i = q_i + 2b theta_i.
         # With c sorted descending, t_k is the level if the k largest are
-        # active.  The active set is a prefix, c_1 (m > 0 puts t_1 below it)
-        # and then each c_k > t_k, so it is read up to the first c_k <= t_k:
-        # the sums past it, which may overflow where q spans the float range,
-        # count for nothing.
+        # active.  The active set is a prefix, c_1 (its own level c_1 - 2b
+        # total lies below it) and then each c_k > t_k, so it is read up to
+        # the first c_k <= t_k: the sums past it, which may overflow where q
+        # spans the float range, count for nothing.
         c = q[inside] + self._clamp[inside]
         if q.size < SMALL_N:
             return _water_level(c.tolist(), 2.0 * self.b * total)
         c.sort()
         c = c[::-1]
-        # Only where N c_N passes the float range can a running sum overflow;
-        # only there are numpy's overflow warnings off.
+        # A running sum can overflow only where N c_N, c_N the least, nears
+        # the float range; only there are numpy's overflow warnings off.
         wide = c.item(-1) * c.size < -0.5 * sys.float_info.max
         with np.errstate(over="ignore") if wide else contextlib.nullcontext():
             t = (c.cumsum() - 2.0 * self.b * total) / self._sizes[:c.size]
