@@ -8,8 +8,8 @@ together, with the solve's path name and iteration count:
 * "flat": a gradient that sums to 1 identically (LMSR, MinSCPM,
   QuadraticScore) makes the objective flat in t, and the kernel reads C
   and the prices at t = max_i q_i straight from q;
-* "closed": the kind's level, _level at S = all, T = 1 (QuadSCPM,
-  LogSCPM), with C and the prices from one s = t - q.  The prices are
+* "closed": the kind's level at S = all, T = 1 (QuadSCPM, LogSCPM), its
+  _level of the whole q and _w, with C and the prices from one s = t - q.  The prices are
   grad(u) at that level, so the price-sum check below bounds the same
   |1 - e' grad(u)| a certificate would.  LogSCPM's level is a Newton
   iteration, and its passes are the iterations.  ExponentialSCPM's level
@@ -76,9 +76,12 @@ class CostSolveResult:
     t_star: float
     cost: float
     prices: np.ndarray
-    flat_objective: bool
     iterations: int
     path: str  # "flat", "closed" or "root", named by the kernel
+
+    @property
+    def flat_objective(self):
+        return self.path == "flat"
 
 
 def bracketed_root(f, lo, hi, flo, fhi, tol):
@@ -118,8 +121,7 @@ def bracketed_root(f, lo, hi, flo, fhi, tol):
     return lo, len(widths) - 1
 
 
-def expand_bracket(f, lo, hi, flo, fhi, floor=-math.inf, ceiling=math.inf,
-                   max_steps=MAX_EXPAND, step=1.0):
+def expand_bracket(f, lo, hi, flo, fhi, floor=-math.inf, ceiling=math.inf, step=1.0):
     """Widen [lo, hi] by doubling steps until f(lo) <= 0 < f(hi), f nondecreasing.
 
     Each step moves the end on the wrong side of the root, first by step,
@@ -127,10 +129,13 @@ def expand_bracket(f, lo, hi, flo, fhi, floor=-math.inf, ceiling=math.inf,
     default step.  The end it leaves behind becomes the other end, so the
     bracket stays as narrow as the probes allow; lo = hi is a bracket to
     grow.  No end passes floor or ceiling.  Returns (lo, hi, flo, fhi), or
-    None when an end would pass floor or ceiling or max_steps steps find no
-    sign change.
+    None when an end would pass floor or ceiling or the steps find no sign
+    change: MAX_EXPAND of them below an infinite ceiling, and below a finite
+    one its binary exponent + 2, enough for doubling steps from [0, 1] to
+    reach it.
     """
-    for _ in range(max_steps):
+    steps = MAX_EXPAND if ceiling == math.inf else max(math.frexp(ceiling)[1], 0) + 2
+    for _ in range(steps):
         if flo > 0.0:
             new_lo = max(lo - step, floor)
             if new_lo == lo:
@@ -224,7 +229,7 @@ def solve_t(u, q):
             if pmin < -1e-10:
                 raise SolverError("negative price from a non-decreasing utility")
             p = np.maximum(p, 0.0)
-    return CostSolveResult(t, c, p, path == "flat", iterations, path)
+    return CostSolveResult(t, c, p, iterations, path)
 
 
 def cost(u, q):

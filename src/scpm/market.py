@@ -285,7 +285,7 @@ def _price_bound_end(u, q, order, before, p_a, excess, width):
         lo, hi, step = 0.0, min(1.0, ceiling), 1.0
         f_lo, f_hi = excess(lo), excess(hi)
     bracket = _cost.expand_bracket(excess, lo, hi, f_lo, f_hi, floor=0.0, ceiling=ceiling,
-                                   max_steps=max(math.frexp(ceiling)[1], 0) + 2, step=step)
+                                   step=step)
     if bracket is None and finite:
         return limit, "limit"
     if bracket is None:

@@ -18,11 +18,10 @@ its analytic worst-case-loss terms (B, C(0)).
 
 A kind writes only its formulas: _value(s) and _grad(s) on float arrays
 (..., N) and loss_bound_terms() always, and _conjugate for the properness
-and penalty studies; _level, _penalty, _kernel and _residual (for a
-set-valued subdifferential) where it has them, _float_level and its
-per-state list _float_w for the fill hook's small form, a solve_fill of
-its own where the cost solve at q gives its fill's end, and _default_theta
-and _check_theta if it takes a prior.
+and penalty studies; _level with its per-state weights _w, _penalty,
+_kernel and _residual (for a set-valued subdifferential) where it has
+them, a solve_fill of its own where the cost solve at q gives its fill's
+end, and _default_theta and _check_theta if it takes a prior.
 MinSCPM's subdifferential is the simplex over the argmin of s, so its
 prices are uniform over the exact argmax of q: no tolerance decides a tie.
 The base class owns the plumbing: value, grad, penalty_raw,
@@ -35,14 +34,16 @@ PenaltyUnsupportedError.
 solve_fill(q, a, pi, before, p_a) gives the end of a fill along a 0/1
 bundle in closed form (market.fill certifies it).  The out-set B then
 holds price 1 - pi at the unmoved level and the in-set A holds pi, so x =
-max(0, tau_B(1 - pi) - tau_A(pi)), where _level(q, S, T) = tau_S(T) solves
-sum_{i in S} du/ds_i(tau - q_i) = T:
+max(0, tau_B(1 - pi) - tau_A(pi)).  The level tau_S(T) solves sum_{i in
+S} du/ds_i(tau - q_i) = T; _level(q, w, T) takes S's entries of q - max q
+and of the kind's weights _w:
 
-    LMSR              b (LSE_S(q/b + log theta_hat) - log T), theta_hat = theta/sum(theta)
-    MinSCPM           max_S q
-    QuadSCPM          water-filling over S
-    LogSCPM           Newton on 1 / sum_S theta_i / (tau - q_i), from below;
-                      its two sums in the small form where |S| < 8
+    LMSR              b (LSE_S(q/b + w) - log T),  w = log theta_hat,
+                      theta_hat = theta/sum(theta)
+    MinSCPM           max_S q,                     w = 0 (unread)
+    QuadSCPM          water-filling over S,        w = the clamp 2b theta
+    LogSCPM           Newton on 1 / sum_S w_i / (tau - q_i), from below,
+                                                   w = theta
 
 At S = all, T = 1 it is the withdrawal of every non-flat kind.
 QuadraticScore has no level; its bundle price is affine, and its own
@@ -50,23 +51,23 @@ solve_fill gives 2b (pi - p(q)'a) / (a'a - (e'a)^2/N), any bundle.
 
 Small forms.  Below SMALL_N = 8 states these run over Python floats in
 place of arrays, where numpy's per-call cost outweighs the work on a few
-numbers: QuadSCPM's _level (sort, running sum, active prefix) and _kernel;
-QuadraticScore's _kernel; LogSCPM's level's two sums (there by |S|,
-elsewhere by q.size); and the base solve_fill of QuadSCPM, LogSCPM and
-MinSCPM.  That hook makes one split of the 0/1 bundle over lists, q - max q
-and the kind's _float_w (the clamp 2b theta, theta, zeros) for the out-set
-and for the in-set, and takes _float_level(q, w, total) of each: QuadSCPM's
-water-filling over q + w, LogSCPM's Newton over _float_sums, MinSCPM's
-max(q).  Each makes the array form's float operations in the same order,
-so it gives the same bits, -0.0 included: below eight terms np.add.reduce
-adds left to right from 0.0, as the loops do (from eight on it adds in
+numbers: the levels, QuadSCPM's and QuadraticScore's _kernel.  Utility
+alone picks a level's form, by N: lists below SMALL_N states, arrays from
+it on, of the whole q and _w in solve_withdrawal and of each side of a
+0/1 bundle in the base solve_fill.  Each level reads its form from q:
+QuadSCPM's water-filling over q + w (sort, running sum, active prefix),
+LogSCPM's Newton over _float_sums or _array_sums, MinSCPM's max.  A list
+form makes the array form's float operations in the same order, so it
+gives the same bits, -0.0 included: below eight terms np.add.reduce adds
+left to right from 0.0, as the loops do (from eight on it adds in
 blocks), and np.minimum and np.maximum give the second operand at a tie,
 as the loops' tests do.  Python floats overflow without numpy's warning;
 solve_t raises SolverError for a t, C or price that is not finite.  The
-LMSR family's kernels and levels (the levels are its hook's fallback where
-a price underflows) and LogSCPM's kernel tail stay in numpy: their exp and
-log are numpy's, whose SIMD loops differ from math.exp and math.log in the
-last bit on some inputs, so a list form would move their bits.
+LMSR family's kernels and levels (the levels are its hook's fallback
+where a price underflows; they take lists as arrays) and LogSCPM's kernel
+tail stay in numpy: their exp and log are numpy's, whose SIMD loops
+differ from math.exp and math.log in the last bit on some inputs, so a
+list form would move their bits.
 
 market.fill hands the hook the cost solve at q it already holds, before,
 with p_a = p'a for p = before.prices, so a kind whose end follows from
@@ -125,6 +126,7 @@ keeps only its own u, its loss terms and a kernel whose level is C itself
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -167,13 +169,12 @@ def _dot(p, w):
     return np.einsum("...i,i->...", p, w)
 
 
-def _in_set(a):
-    """In-set mask of a 0/1 bundle whose out-set is not empty, or None."""
-    inside = a == 1.0
-    k = np.count_nonzero(inside)
-    if k == a.size or k + np.count_nonzero(a == 0.0) < a.size:
+def _split(a):
+    """Out-set and in-set indices of a 0/1 bundle with an out-set, or None."""
+    out, inside = np.flatnonzero(a == 0.0), np.flatnonzero(a == 1.0)
+    if not out.size or out.size + inside.size < a.size:
         return None
-    return inside
+    return out, inside
 
 
 def _lse_level(b, z, total):
@@ -220,18 +221,22 @@ def _array_sums(tau, q, theta):
     return float(np.add.reduce(r)), float(np.add.reduce(r / d))
 
 
-def _newton(q, theta, j, total, sums):
-    """LogSCPM's level tau_S(total) over S's q and theta (lists or arrays,
-    with q_j their first maximum), and the passes it took.
+def _newton(q, theta, total):
+    """LogSCPM's level tau_S(total) over S's q and theta, lists (summed by
+    _float_sums) or arrays (by _array_sums), and the passes it took.
 
     F(tau) = 1 / sum theta_i / (tau - q_i) is concave and increasing above
-    q_j: Newton on F = 1 / total from the level of q_j alone (kept above q_j
-    in floats) stays below the root and rises to it until a step no longer
-    moves tau.  tau and its step run in Python floats, the two sums in
-    sums.  A den of 0 (an underflowing sum, or tau at inf) divides as numpy
-    does, to inf or nan without its warning, where a float division would
-    raise.
+    q_j, the first maximum of q: Newton on F = 1 / total from the level of
+    q_j alone (kept above q_j in floats) stays below the root and rises to
+    it until a step no longer moves tau.  tau and its step run in Python
+    floats.  A den of 0 (an underflowing sum, or tau at inf) divides as
+    numpy does, to inf or nan without its warning, where a float division
+    would raise.
     """
+    if isinstance(q, list):
+        j, sums = q.index(max(q)), _float_sums
+    else:
+        j, sums = q.argmax(), _array_sums
     qj = float(q[j])
     tau = max(qj + float(theta[j]) / total, math.nextafter(qj, math.inf))
     for passes in range(1, MAX_ITER + 1):
@@ -274,7 +279,8 @@ class PenaltyValue:
 
 
 class Utility:
-    """Base class: immutable after construction, safe to share across threads."""
+    """Base class: immutable after construction but for the cached _w_list,
+    which any thread builds the same, so safe to share across threads."""
 
     kind = None
     # False when the prices may leave [0, 1]; solve_t then leaves them as is.
@@ -377,16 +383,26 @@ class Utility:
         """Beliefs R -> S with grad(u)(S) = R, see the module docstring."""
         raise NotImplementedError(f"{self.kind} has no conjugate point (_conjugate)")
 
-    _level = None  # (q, inside, total) -> tau_S(T), see the module docstring
-    # (q, w, total) -> tau_S(T) over the lists of S's q and of the kind's
-    # per-state _float_w, for the small form; see the module docstring.
-    _float_level = None
+    # (q, w, total) -> tau_S(T) over S's entries of q - max q and of the
+    # kind's per-state weights _w, see the module docstring.
+    _level = None
+
+    @functools.cached_property
+    def _w_list(self):
+        """_w as a list of Python floats, for the levels below SMALL_N states."""
+        return self._w.tolist()
+
+    def _entries(self, q):
+        """q and _w whole, as _level takes them."""
+        if self.n < SMALL_N:
+            return q.tolist(), self._w_list
+        return q, self._w
 
     def solve_withdrawal(self, q):
         """Minimizer of t - u(te - q): the level tau_all(1), or None without a level."""
         if self._level is None:
             return None
-        return self._level(np.asarray(q, dtype=float), slice(None), 1.0)
+        return self._level(*self._entries(np.asarray(q, dtype=float)), 1.0)
 
     def _kernel(self, q):
         """(t, C, prices, path, iterations) of the cost solve at q, max(q) = 0.
@@ -411,25 +427,26 @@ class Utility:
 
         For a 0/1 bundle this is tau_B(1 - pi) - tau_A(pi) from _level,
         clamped at 0: p_a < pi puts the end at x >= 0, and only the
-        rounding of the two levels makes the difference negative.  Below
-        SMALL_N states a kind with _float_level takes the small form: one
-        split of the bundle over Python lists, then that level on each
-        side.  A kind whose end follows from before overrides it (see the
-        module docstring).  Makes no cost solve.  market.fill accepts the
-        candidate only after cost solves bracket it, and otherwise searches.
+        rounding of the two levels makes the difference negative.  The
+        bundle is split once, over Python lists below SMALL_N states and
+        by _split's indices from it on.  A kind whose end follows from
+        before overrides it (see the module docstring).  Makes no cost
+        solve.  market.fill accepts the candidate only after cost solves
+        bracket it, and otherwise searches.
         """
         if self._level is None or not 0.0 < pi < 1.0:
             return None
-        if self._float_level is None or q.size >= SMALL_N:
-            inside = _in_set(a)
-            if inside is None:
+        if self.n >= SMALL_N:
+            sets = _split(a)
+            if sets is None:
                 return None
-            q = q - q[q.argmax()]
-            return max(0.0, self._level(q, ~inside, 1.0 - pi) - self._level(q, inside, pi))
+            (q, w), (out, inside) = (q - q[q.argmax()], self._w), sets
+            return max(0.0, self._level(q[out], w[out], 1.0 - pi)
+                       - self._level(q[inside], w[inside], pi))
         q = q.tolist()
         top = max(q)
         out_q, out_w, in_q, in_w = [], [], [], []  # q - max q and w of each set
-        for qi, ai, wi in zip(q, a.tolist(), self._float_w):
+        for qi, ai, wi in zip(q, a.tolist(), self._w_list):
             if ai == 1.0:
                 in_q.append(qi - top)
                 in_w.append(wi)
@@ -440,8 +457,7 @@ class Utility:
                 return None
         if not out_q:
             return None
-        level = self._float_level
-        return max(0.0, level(out_q, out_w, 1.0 - pi) - level(in_q, in_w, pi))
+        return max(0.0, self._level(out_q, out_w, 1.0 - pi) - self._level(in_q, in_w, pi))
 
     def properness_residual(self, s, r):
         """Distance from r to the (sub)differential of u at s, inf-norm,
@@ -489,7 +505,7 @@ class LMSR(Utility):
             near = 0.5 < alpha < 2.0
             c0 = self.b * (math.log1p(math.fsum(terms + [-1.0])) if near else math.log(alpha))
         self._weights, self._alpha, self._c0 = weights, alpha, c0
-        self._log_prior = np.log(weights / alpha)
+        self._w = np.log(weights / alpha)  # log theta_hat
 
     def _terms(self, q):
         """q/b, theta_i exp(q_i/b) and their sum, at q with max(q) = 0 on
@@ -527,11 +543,11 @@ class LMSR(Utility):
 
     def _conjugate(self, R):
         # theta_i exp(-s_i/b) = alpha r_i; at r = theta/alpha this is +0.0, not -0.0.
-        return self.b * (self._log_prior - np.log(R))
+        return self.b * (self._w - np.log(R))
 
-    def _level(self, q, inside, total):
+    def _level(self, q, w, total):
         # Its prices fix no level: take the one of sum_S theta_hat_i exp(-s_i/b).
-        return _lse_level(self.b, q[inside] / self.b + self._log_prior[inside], total)
+        return _lse_level(self.b, np.divide(q, self.b) + w, total)
 
     def solve_fill(self, q, a, pi, before, p_a):
         # A 0/1 bundle has min(a, 1 - a) = 0 everywhere, a test that cannot
@@ -547,7 +563,7 @@ class LMSR(Utility):
 
     def _penalty(self, p):
         # b * KL(p || theta_hat) - C(0), with 0 log 0 = 0
-        kl = p * (np.log(np.where(p > 0, p, 1.0)) - self._log_prior)
+        kl = p * (np.log(np.where(p > 0, p, 1.0)) - self._w)
         return self.b * kl.sum(axis=-1) - self._c0
 
     def loss_bound_terms(self):
@@ -618,8 +634,7 @@ class LogSCPM(Utility):
     def __init__(self, b=1.0, n_outcomes=2, theta=None):
         super().__init__(b, n_outcomes, theta)
         self._penalty_shift = _xlogx(self.theta) - self.theta.sum()
-        if self.n < SMALL_N:
-            self._float_w = self.theta.tolist()
+        self._w = self.theta
 
     def _as_alloc(self, s):
         s = super()._as_alloc(s)
@@ -643,26 +658,12 @@ class LogSCPM(Utility):
     def _conjugate(self, R):
         return self.theta / R
 
-    def _level(self, q, inside, total):
-        return self._newton_level(q, inside, total)[0]
-
-    def _newton_level(self, q, inside, total):
-        # Below SMALL_N entries the two sums run over Python floats, added
-        # left to right from 0.0: np.add.reduce adds so few in that order, so
-        # both give the same bits (the floats only warn of no overflow), and
-        # the loop skips five numpy calls per pass.  From SMALL_N on numpy adds
-        # in blocks, in another order, and its calls cost less than the loop.
-        q, theta = q[inside], self.theta[inside]
-        if q.size < SMALL_N:
-            return _newton(q.tolist(), theta.tolist(), q.argmax(), total, _float_sums)
-        return _newton(q, theta, q.argmax(), total, _array_sums)
-
-    def _float_level(self, q, w, total):
-        return _newton(q, w, q.index(max(q)), total, _float_sums)[0]
+    def _level(self, q, w, total):
+        return _newton(q, w, total)[0]
 
     def _kernel(self, q):
         # Not through solve_withdrawal, whose float leaves out the passes.
-        t, passes = self._newton_level(q, slice(None), 1.0)
+        t, passes = _newton(*self._entries(q), 1.0)
         s = self._as_alloc(t - q)
         return (t, t - float(np.add.reduce(self.theta * np.log(s))), self.theta / s,
                 "closed", passes)
@@ -685,8 +686,7 @@ class MinSCPM(Utility):
 
     def __init__(self, b=1.0, n_outcomes=2, theta=None):
         super().__init__(b, n_outcomes, theta)
-        if self.n < SMALL_N:
-            self._float_w = [0.0] * self.n  # its level reads q alone
+        self._w = np.zeros(self.n)  # its level reads q alone
 
     def _value(self, s):
         return s.min(axis=-1)
@@ -701,14 +701,10 @@ class MinSCPM(Utility):
         top = q == 0.0
         return 0.0, 0.0, top / np.count_nonzero(top), "flat", 0
 
-    def _level(self, q, inside, total):
-        # Prices sit on the largest q of S, whatever the total.
-        q = q[inside]
-        return q.item(q.argmax())
-
     @staticmethod
-    def _float_level(q, w, total):
-        return max(q)
+    def _level(q, w, total):
+        # Prices sit on the largest q of S, whatever the total.
+        return max(q) if isinstance(q, list) else q.item(q.argmax())
 
     def _conjugate(self, R):
         # Every diagonal point is a maximizer: its subdifferential is the simplex.
@@ -766,13 +762,10 @@ class QuadSCPM(Utility):
     def __init__(self, b=1.0, n_outcomes=2, theta=None):
         super().__init__(b, n_outcomes, theta)
         # Built once, read-only: the clamp 2b theta and the active-set sizes 1..N.
-        self._clamp = 2.0 * self.b * self.theta
+        self._w = 2.0 * self.b * self.theta
         self._sizes = np.arange(1, self.n + 1)
-        self._clamp.setflags(write=False)
+        self._w.setflags(write=False)
         self._sizes.setflags(write=False)
-        if self.n < SMALL_N:
-            # The small forms' theta and clamp, as Python floats.
-            self._float_theta, self._float_w = self.theta.tolist(), self._clamp.tolist()
 
     def _default_theta(self):
         return np.full(self.n, 1.0 / self.n)
@@ -782,7 +775,7 @@ class QuadSCPM(Utility):
             raise ValueError(f"QuadSCPM theta must sum to 1, got sum {theta.sum()}")
 
     def _value(self, s):
-        v = np.minimum(s, self._clamp)
+        v = np.minimum(s, self._w)
         return (self.theta * v).sum(axis=-1) - (v * v).sum(axis=-1) / (4.0 * self.b)
 
     def _grad(self, s):
@@ -793,7 +786,7 @@ class QuadSCPM(Utility):
         if q.size < SMALL_N:
             return self._float_kernel(t, q.tolist())
         s = t - q
-        v = np.minimum(s, self._clamp)
+        v = np.minimum(s, self._w)
         value = np.add.reduce(self.theta * v) - np.add.reduce(v * v) / (4.0 * self.b)
         return t, t - float(value), np.maximum(0.0, self.theta - s / (2.0 * self.b)), "closed", 0
 
@@ -801,17 +794,17 @@ class QuadSCPM(Utility):
         # Below the clamp for r > 0: theta - s/2b = r.
         return 2.0 * self.b * (self.theta - R)
 
-    def _level(self, q, inside, total):
+    def _level(self, q, w, total):
         # Water-filling on S: sum_S max(0, theta_i - (t - q_i) / 2b) = total
-        # is sum_S max(0, c_i - t) = 2b total with c_i = q_i + 2b theta_i.
-        # With c sorted descending, t_k is the level if the k largest are
-        # active.  The active set is a prefix, c_1 (its own level c_1 - 2b
-        # total lies below it) and then each c_k > t_k, so it is read up to
-        # the first c_k <= t_k: the sums past it, which may overflow where q
-        # spans the float range, count for nothing.
-        c = q[inside] + self._clamp[inside]
-        if q.size < SMALL_N:
-            return _water_level(c.tolist(), 2.0 * self.b * total)
+        # is sum_S max(0, c_i - t) = 2b total with c_i = q_i + w_i, w the
+        # clamp 2b theta.  With c sorted descending, t_k is the level if the
+        # k largest are active.  The active set is a prefix, c_1 (its own
+        # level c_1 - 2b total lies below it) and then each c_k > t_k, so it
+        # is read up to the first c_k <= t_k: the sums past it, which may
+        # overflow where q spans the float range, count for nothing.
+        if isinstance(q, list):
+            return _water_level([qi + wi for qi, wi in zip(q, w)], 2.0 * self.b * total)
+        c = q + w
         c.sort()
         c = c[::-1]
         # A running sum can overflow only where N c_N, c_N the least, nears
@@ -828,7 +821,7 @@ class QuadSCPM(Utility):
         q as a list, by the array form's operations in the same order."""
         half, tv, vv = 2.0 * self.b, 0.0, 0.0
         prices = []
-        for qi, ti, ci in zip(q, self._float_theta, self._float_w):
+        for qi, ti, ci in zip(q, self.theta.tolist(), self._w_list):
             si = t - qi
             # np.minimum and np.maximum: a nan s wins, a tie gives the second.
             vi = si if not si >= ci else ci
@@ -837,10 +830,6 @@ class QuadSCPM(Utility):
             p = ti - si / half
             prices.append(p if not p < 0.0 else 0.0)
         return t, t - (tv - vv / (4.0 * self.b)), np.array(prices), "closed", 0
-
-    def _float_level(self, q, w, total):
-        # _level's small form over S's lists of q and of the clamp 2b theta.
-        return _water_level([qi + wi for qi, wi in zip(q, w)], 2.0 * self.b * total)
 
     def _penalty(self, p):
         return self.b * np.sum((p - self.theta) ** 2, axis=-1)

@@ -21,8 +21,9 @@ from scpm import (
     solve_t,
 )
 from scpm import utilities
-from scpm.cost import MAX_ITER, PRICE_SUM_OK, SolverError, bracketed_root, expand_bracket
-from scpm.utilities import KINDS, SMALL_N, QuadSCPM, Utility, _lse_level
+from scpm.cost import (MAX_EXPAND, MAX_ITER, PRICE_SUM_OK, SolverError, bracketed_root,
+                       expand_bracket)
+from scpm.utilities import KINDS, SMALL_N, QuadSCPM, Utility, _lse_level, _newton
 
 from linear_utility import LinearUtility
 
@@ -120,9 +121,10 @@ class TestSolveT:
         # At a total T whose 2bT is lost in c_1 - 2bT, t_1 rounds to c_1 and
         # c_1 > t_1 fails; c_1 is active all the same, and the level is c_1.
         # A count of every c_k > t_k read 0 there and took the last t_k.
+        # The list form at N = 3, the array form at N = SMALL_N.
         u = make_utility("QuadSCPM", n_outcomes=n)
         q = -0.5 * np.arange(n)
-        assert u._level(q, slice(None), 1e-20) == 2.0 / n
+        assert u._level(*u._entries(q), 1e-20) == 2.0 / n
 
     def test_minus_zero_prior_gives_no_minus_zero_price(self):
         # solve_t clamps only when a price is negative, so no kernel may
@@ -211,8 +213,8 @@ class TestSolveT:
         # is its certificate: a level 0.5 too high lowers each of QuadSCPM's
         # prices at b = 1 by 0.25, to a sum of 0.4 here, and must raise.
         class Shifted(QuadSCPM):
-            def _level(self, q, inside, total):
-                return super()._level(q, inside, total) + 0.5
+            def _level(self, q, w, total):
+                return super()._level(q, w, total) + 0.5
 
         u = Shifted(n_outcomes=3)
         with pytest.raises(SolverError, match="off the simplex"):
@@ -350,7 +352,8 @@ class TestKernels:
         # to 1024 and random S it takes a few passes and ends on the root: no
         # float neighbour does better beyond the residual's own rounding
         # (within 2 eps * total per evaluation), and with max_S q = 0 one
-        # float step moves the residual by at most about eps * total.
+        # float step moves the residual by at most about eps * total.  S's
+        # entries go in as Utility hands them, lists below SMALL_N states.
         rng = np.random.default_rng(80001)
         eps = np.finfo(float).eps
         for _ in range(200):
@@ -361,8 +364,10 @@ class TestKernels:
             inside = rng.uniform(size=n) < 0.5 if rng.uniform() < 0.5 else np.ones(n, bool)
             inside[rng.integers(n)] = True
             q -= q[inside].max()
-            tau, passes = make_utility("LogSCPM", n_outcomes=n, theta=theta)._newton_level(
-                q, inside, total)
+            entries = q[inside], theta[inside]
+            if n < SMALL_N:
+                entries = [x.tolist() for x in entries]
+            tau, passes = _newton(*entries, total)
             assert 1 <= passes <= 16
 
             def residual(t):
@@ -373,11 +378,19 @@ class TestKernels:
             assert residual(tau) <= 8.0 * eps * total
 
     def test_log_newton_in_python_floats_matches_numpy_scalars(self):
-        # _newton_level runs tau and its step in Python floats, and its sums
-        # too below eight entries.  The loop it replaced, on numpy scalars and
-        # arrays, is kept here as the reference: the same IEEE operations in
-        # the same order give the same tau and passes.  N = 5 and 7 draw the
-        # Python sums below the threshold, 10 and up numpy's above it.
+        # _newton runs tau and its step in Python floats, and its sums too
+        # over lists.  The loop it replaced, on numpy scalars and arrays, is
+        # kept here as the reference: the same IEEE operations in the same
+        # order give the same tau and passes.  The array form is checked on
+        # every draw, the list form where S has fewer than eight entries,
+        # which np.add.reduce adds left to right as the list sums do.
+        def forms(u, q, inside, total):
+            q, theta = q[inside], u.theta[inside]
+            arrays = _newton(q, theta, total)
+            if q.size >= SMALL_N:
+                return arrays, arrays
+            return arrays, _newton(q.tolist(), theta.tolist(), total)
+
         def numpy_scalar_level(u, q, inside, total):
             q, theta = q[inside], u.theta[inside]
             j = int(np.argmax(q))
@@ -401,9 +414,10 @@ class TestKernels:
             inside = rng.uniform(size=n) < 0.5 if rng.uniform() < 0.5 else np.ones(n, bool)
             inside[rng.integers(n)] = True
             q -= q[inside].max()
-            tau, passes = u._newton_level(q, inside, total)
-            assert type(tau) is float
-            assert (tau, passes) == numpy_scalar_level(u, q, inside, total)
+            reference = numpy_scalar_level(u, q, inside, total)
+            for tau, passes in forms(u, q, inside, total):
+                assert type(tau) is float
+                assert (tau, passes) == reference
         # Where a numpy scalar overflows or divides by zero, the Python floats
         # reach the same inf: a start past the float range, and a sum of
         # theta/d^2 that underflows to 0 below the root (one step to inf).
@@ -413,10 +427,11 @@ class TestKernels:
             u = make_utility("LogSCPM", n_outcomes=2, theta=theta)
             args = (np.array(q), np.array(inside), total)
             with np.errstate(all="ignore"):
-                assert u._newton_level(*args) == numpy_scalar_level(u, *args) == expected
+                assert numpy_scalar_level(u, *args) == expected
+                assert forms(u, *args) == (expected, expected)
 
     def test_small_sums_add_left_to_right_below_eight(self):
-        # _newton_level's Python sums stand in for np.add.reduce below eight
+        # _newton's Python sums stand in for np.add.reduce below eight
         # entries because numpy adds so few left to right from 0.0; from
         # eight on it adds in blocks, and the two part on some draws.  A numpy
         # that changes its small-sum order fails here, not in a digest.
@@ -533,10 +548,10 @@ def bits(*xs):
 
 
 class TestSmallForms:
-    # Below SMALL_N states QuadSCPM's level and kernel, QuadraticScore's
-    # kernel and the fill hook of QuadSCPM, LogSCPM and MinSCPM run over
-    # Python floats.  Each must give the bytes of its array form at the same
-    # N, which runs with SMALL_N at 0.
+    # Below SMALL_N states the levels, QuadSCPM's and QuadraticScore's
+    # kernels and the base fill hook run over Python floats.  Each must give
+    # the bytes of its array form at the same N, which runs with SMALL_N at
+    # 0, or which a level takes from arrays of the same entries.
     @staticmethod
     def both_forms(monkeypatch, fn):
         small = fn()
@@ -544,15 +559,76 @@ class TestSmallForms:
             m.setattr(utilities, "SMALL_N", 0)
             return small, fn()
 
-    def test_quad_level_is_the_array_level(self, monkeypatch):
+    @staticmethod
+    def both_levels(u, q, inside, total):
+        """u._level over S's entries of q and _w, as lists and as arrays."""
+        q, w = q[inside], u._w[inside]
+        return u._level(q.tolist(), w.tolist(), total), u._level(q, w, total)
+
+    def test_quad_level_is_the_array_level(self):
         for rng, u, q in small_draws("QuadSCPM", 82397, 1500):
             inside = rng.uniform(size=u.n) < 0.5
             inside[rng.integers(u.n)] = True
             inside = slice(None) if rng.uniform() < 0.3 else inside
             total = 1.0 if rng.uniform() < 0.3 else 10.0 ** rng.uniform(-6.0, 0.0)
-            small, array = self.both_forms(monkeypatch, lambda: u._level(q, inside, total))
+            small, array = self.both_levels(u, q, inside, total)
             assert type(small) is float
             assert bits(small) == bits(array)
+
+    def test_log_array_level_on_a_small_set_is_the_list_level(self):
+        # From SMALL_N states LogSCPM's level takes arrays whatever |S|;
+        # below eight entries np.add.reduce adds them left to right, as the
+        # list sums do, so a set of fewer than SMALL_N states gives the list
+        # level's bits (and passes).
+        rng = np.random.default_rng(82451)
+        for _ in range(1500):
+            theta = 10.0 ** rng.uniform(-2.0, 2.0, SMALL_N) if rng.uniform() < 0.5 else None
+            u = make_utility("LogSCPM", n_outcomes=SMALL_N, theta=theta)
+            if rng.uniform() < 0.5:
+                q = rng.integers(-4, 1, SMALL_N) / 2.0
+            else:
+                q = -10.0 ** rng.uniform(-3.0, 6.0) * rng.uniform(0.0, 1.0, SMALL_N)
+            q = q - q[q.argmax()]
+            inside = rng.permutation(SMALL_N) < rng.integers(1, SMALL_N)
+            total = 1.0 if rng.uniform() < 0.3 else 10.0 ** rng.uniform(-6.0, 0.0)
+            small, array = self.both_levels(u, q, inside, total)
+            assert type(small) is type(array) is float
+            assert bits(small) == bits(array)
+            lists = (q[inside].tolist(), u._w[inside].tolist())
+            assert _newton(*lists, total) == _newton(q[inside], u._w[inside], total)
+
+    @pytest.mark.parametrize("kind", ["LMSR", "ExponentialSCPM"])
+    def test_lmsr_fallback_level_over_lists_is_the_array_level(self, monkeypatch, kind):
+        # Where p_A or p_B underflows, the LMSR family's hook falls back on
+        # the base's levels, which take lists below SMALL_N states; the
+        # level computes in numpy all the same.  q spreads over 300 b to 1e4
+        # b, past exp's underflow at -745 b, so the hook's fallback runs too.
+        rng = np.random.default_rng(82452)
+        fallbacks = 0
+        for _ in range(1500):
+            n = int(rng.integers(2, SMALL_N))
+            b = float(rng.choice([1e-3, 1.0, 1e3]))
+            theta = 10.0 ** rng.uniform(-2.0, 2.0, n) if kind == "LMSR" and rng.uniform() < 0.5 else None
+            u = make_utility(kind, b=b, n_outcomes=n, theta=theta)
+            q = -b * 10.0 ** rng.uniform(2.5, 4.0) * rng.uniform(0.0, 1.0, n)
+            q = q - q[q.argmax()]
+            a = (rng.uniform(size=n) < 0.5).astype(float)
+            a[rng.integers(n)] = 1.0
+            total = 10.0 ** rng.uniform(-6.0, 0.0)
+            for inside in (a == 1.0, a == 0.0, slice(None)):
+                if np.any(q[inside] == q[inside]):
+                    small, array = self.both_levels(u, q, inside, total)
+                    assert type(small) is type(array) is float
+                    assert bits(small) == bits(array)
+            before = solve_t(u, q)
+            p_a = float(before.prices.dot(a))
+            if a.all() or not p_a < 0.5:
+                continue
+            fallbacks += 0.5 * p_a < utilities._MIN_NORMAL
+            small, array = self.both_forms(
+                monkeypatch, lambda: u.solve_fill(q, a, 0.5, before, p_a))
+            assert bits(small) == bits(array)
+        assert fallbacks >= 100, fallbacks
 
     @pytest.mark.parametrize("kind, seed", [("QuadSCPM", 82398), ("QuadraticScore", 82399)])
     def test_kernel_is_the_array_kernel(self, monkeypatch, kind, seed):
@@ -567,7 +643,7 @@ class TestSmallForms:
                                             ("MinSCPM", 82440)])
     def test_hook_is_the_array_hook(self, monkeypatch, kind, seed):
         # The base hook's one split over lists and the kind's list level
-        # against _in_set and the array levels, on 0/1 bundles, on a bundle
+        # against _split and the array levels, on 0/1 bundles, on a bundle
         # with a 1/2 entry and at pi = 1 (both None).
         ends = 0
         for rng, u, q in small_draws(kind, seed, 1500):
@@ -592,12 +668,13 @@ class TestSmallForms:
     @pytest.mark.parametrize("kind", ["QuadraticScore", "QuadSCPM"])
     def test_forms_switch_at_eight_states(self, monkeypatch, kind):
         # N = 7 runs the list forms, whose sums are no ufunc reductions, and
-        # N = 8 the array forms' two sums; likewise QuadSCPM's hook, whose
-        # small form takes the list level of each side.
-        hooks = []
-        level = QuadSCPM._float_level
-        monkeypatch.setattr(QuadSCPM, "_float_level",
-                            lambda self, *args: hooks.append(self.n) or level(self, *args))
+        # N = 8 the array forms' two sums; likewise QuadSCPM's level, which
+        # takes lists at N = 7 and arrays at N = 8, in the withdrawal and on
+        # each side of the hook.
+        forms = []
+        level = QuadSCPM._level
+        monkeypatch.setattr(QuadSCPM, "_level", lambda self, q, *args: forms.append(
+            (self.n, type(q))) or level(self, q, *args))
         for n, sums in ((SMALL_N - 1, 0), (SMALL_N, 2)):
             u = make_utility(kind, n_outcomes=n)
             q = np.linspace(0.0, 1.0, n)
@@ -606,7 +683,8 @@ class TestSmallForms:
             a = np.zeros(n)
             a[0] = 1.0
             u.solve_fill(q, a, 0.5, before, float(before.prices[0]))
-        assert hooks == ([SMALL_N - 1] * 2 if kind == "QuadSCPM" else [])
+        expected = [(SMALL_N - 1, list)] * 3 + [(SMALL_N, np.ndarray)] * 3
+        assert forms == (expected if kind == "QuadSCPM" else [])
 
 
 def lse_reference(b, weights, divisor, q):
@@ -939,5 +1017,11 @@ class TestExpandBracket:
             probes.append(x)
             return -1.0
 
-        assert expand_bracket(f, 0.0, 1.0, -1.0, -1.0, max_steps=5) is None
-        assert probes == [2.0, 4.0, 8.0, 16.0, 32.0]
+        # The cap below a finite ceiling is its binary exponent + 2: 24 =
+        # 0.75 * 2**5 caps the steps at 7, which from -1000 stay below it.
+        assert expand_bracket(f, -1e3, -1e3, -1.0, -1.0, ceiling=24.0) is None
+        assert probes == [-999.0, -997.0, -993.0, -985.0, -969.0, -937.0, -873.0]
+        # Below an infinite ceiling, MAX_EXPAND steps.
+        probes.clear()
+        assert expand_bracket(f, 0.0, 1.0, -1.0, -1.0) is None
+        assert probes == [2.0 ** k for k in range(1, MAX_EXPAND + 1)]

@@ -27,3 +27,12 @@ def f(x):
 '''
     # Code: the import, the def, both lines of the assigned string, the return.
     assert src_lines.count(snippet) == (14, 5)
+
+
+def test_src_lines_reports_a_failed_export_in_one_line(capsys):
+    # An unknown revision, or a tree that is no git checkout, makes
+    # git archive fail: one error line and exit 2, not a traceback.
+    assert src_lines.main(["--against", "no-such-rev"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot export no-such-rev: ") and err.count("\n") == 1

@@ -8,7 +8,9 @@ tree the script sits in, so a copy of it placed in a ``git archive`` export
 of another revision digests that revision.  ``--against REV`` does that:
 it runs a copy of the script in an export of REV and prints the names of
 the lines that differ from this tree's, or that only one side has, and
-exits 1 if there are any.  The lines are:
+exits 1 if there are any; where the export fails (an unknown REV, or a
+tree that is no git checkout) it prints one ``error:`` line and exits 2.
+The lines are:
 
 * ``simulate/<kind>/seed11/{trace,stdout}``: ``scpm simulate`` at N = 3,
   b = 1, on criterion 11's stream (seed 11, 40 orders, limits up to 2), and
@@ -345,6 +347,12 @@ def differing(rev):
     return [name for name in {**theirs, **mine} if mine.get(name) != theirs.get(name)]
 
 
+def _reason(exc):
+    """The last line of a failed command's stderr, or the error itself."""
+    lines = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip().splitlines()
+    return lines[-1] if lines else str(exc)
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--against", metavar="REV",
@@ -354,7 +362,11 @@ def main(argv=None):
         for name, digest in digests():
             print(f"{digest.hex()}  {name}", flush=True)
         return 0
-    names = differing(args.against)
+    try:
+        names = differing(args.against)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        print(f"error: cannot export {args.against}: {_reason(exc)}", file=sys.stderr)
+        return 2
     print("\n".join(names) if names else f"no line differs from {args.against}")
     return 1 if names else 0
 

@@ -8,7 +8,9 @@ code line is a line that holds a token other than a comment or a string
 statement (a docstring, or any bare string on its own), as ``tokenize``
 reads it: blank lines, comment lines and docstring lines are not code.
 ``--against REV`` counts ``src/`` of a ``git archive`` export of REV too and
-prints both counts and the difference, this tree's less REV's.
+prints both counts and the difference, this tree's less REV's; where the
+export fails (an unknown REV, or a tree that is no git checkout) it prints
+one ``error:`` line and exits 2.
 """
 
 import argparse
@@ -50,6 +52,12 @@ def tree_counts(root):
     return total, code
 
 
+def _reason(exc):
+    """The last line of a failed command's stderr, or the error itself."""
+    lines = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip().splitlines()
+    return lines[-1] if lines else str(exc)
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--against", metavar="REV", help="also count src/ of git revision REV")
@@ -59,9 +67,13 @@ def main(argv=None):
         print(f"src/: {mine[0]} lines, {mine[1]} code lines")
         return 0
     with tempfile.TemporaryDirectory(prefix="src-lines-") as tree:
-        archive = subprocess.run(["git", "archive", args.against, "src"], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+        try:
+            archive = subprocess.run(["git", "archive", args.against, "src"], cwd=ROOT,
+                                     check=True, capture_output=True).stdout
+            subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+        except (OSError, subprocess.CalledProcessError) as exc:
+            print(f"error: cannot export {args.against}: {_reason(exc)}", file=sys.stderr)
+            return 2
         theirs = tree_counts(tree)
     print(f"{args.against}: {theirs[0]} lines, {theirs[1]} code lines")
     print(f"this tree: {mine[0]} lines, {mine[1]} code lines")
