@@ -22,11 +22,15 @@ u(s) - r's, where grad(u)(s) = r.  They read all of a study's points from
 one call to the kind's inverse gradient, Utility._conjugate, with no grad
 call; a kind without it raises NotImplementedError there.  The studies
 themselves check those points, properness through grad and the penalty
-fit against every catalog family.
+fit against every catalog family.  Their constant lattices, simplex_grid's
+points (all of them, or the interior ones of the penalty fit) and the
+dual's patch offsets, are built once per (N, resolution), read-only, and
+kept in a cache of LATTICES_KEPT each.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +40,7 @@ from .cost import bracketed_root, cost as compute_cost, solve_t
 from . import market as market_mod
 from . import utilities as util_mod
 from .oracle import simplex_grid
+from .utilities import _rows
 
 UNBOUNDED_THRESHOLD = 1e6
 RAY_START = 100.0
@@ -47,6 +52,8 @@ N_PROBES = 16
 DUAL_START = 20
 DUAL_CUT = 4
 DUAL_REACH = 8
+# How many lattices of each kind stay built: the studies use a few.
+LATTICES_KEPT = 8
 
 
 @dataclass
@@ -184,11 +191,12 @@ def _gradient_jump(u, S, D, eps=1e-6):
     """Probe gradient continuity around every row of S along the directions
     D, (M, n_probes, N); a jump signals a non-singleton subdifferential /
     multiple optimal prices."""
-    P = S[:, None] + eps * D / np.linalg.norm(D, axis=-1, keepdims=True)
+    # np.linalg.norm(D, axis=-1, keepdims=True), byte for byte
+    P = S[:, None] + eps * D / np.sqrt(_rows(np.add, D * D, keepdims=True))
     if math.isfinite(u.domain_floor(np.zeros(u.n))):
         P = np.maximum(P, 1e-9)
     G = u.grad(np.concatenate([S[:, None], P], axis=1))
-    return bool(np.any(np.max(np.abs(G[:, 1:] - G[:, :1]), axis=-1) > 1e-2))
+    return bool(np.any(_rows(np.maximum, np.abs(G[:, 1:] - G[:, :1])) > 1e-2))
 
 
 def check_properness(u, n_samples=200, seed=0):
@@ -325,26 +333,47 @@ def risk_measure(u, Z):
     return RiskEvaluation(rho=res.cost, t_star=res.t_star)
 
 
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=LATTICES_KEPT)
+def _grid(n, resolution, interior=False):
+    """simplex_grid(n, resolution), or its points with every component
+    above 1e-9, built once and read-only."""
+    grid = simplex_grid(n, resolution)
+    return _read_only(grid[_rows(np.logical_and, grid > 1e-9)] if interior else grid)
+
+
+@functools.lru_cache(maxsize=LATTICES_KEPT)
+def _offsets(d):
+    """Every integer step of -DUAL_REACH..DUAL_REACH in d coordinates,
+    (steps^d, d), built once and read-only."""
+    steps = np.arange(-DUAL_REACH, DUAL_REACH + 1)
+    return _read_only(np.stack(np.meshgrid(*[steps] * d, indexing="ij"), -1).reshape(-1, d))
+
+
 def _lattice_min(u, Z, resolution):
     """min of p'Z + raw L(p) over a res-DUAL_START lattice (N <= 3) refined
     around its best point, DUAL_CUT times finer per round, on a patch of
     DUAL_REACH steps each way, until the spacing is at most 1/resolution;
     above N = 3, over simplex_grid's sample at that resolution."""
     if u.n > 3:
-        P = simplex_grid(u.n, resolution)
+        P = _grid(u.n, resolution)
         return float(np.min(P @ Z + u.penalty_raw(P)))
-    steps = np.arange(-DUAL_REACH, DUAL_REACH + 1)
-    offsets = np.stack(np.meshgrid(*[steps] * (u.n - 1), indexing="ij"), -1).reshape(-1, u.n - 1)
     res = DUAL_START
-    P = simplex_grid(u.n, res)
+    P = _grid(u.n, res)
     vals = P @ Z + u.penalty_raw(P)
     low = float(vals.min())
     while res < resolution:
         # integer lattice coordinates of all but the last component
-        K = np.rint(P[np.argmin(vals), :-1] * res) * DUAL_CUT + offsets
+        K = np.rint(P[np.argmin(vals), :-1] * res) * DUAL_CUT + _offsets(u.n - 1)
         res *= DUAL_CUT
-        K = K[(K >= 0).all(axis=1) & (K.sum(axis=1) <= res)]
-        P = np.column_stack([K, res - K.sum(axis=1)]) / res
+        total = _rows(np.add, K)
+        keep = _rows(np.logical_and, K >= 0) & (total <= res)
+        K, total = K[keep], total[keep]
+        P = np.column_stack([K, res - total]) / res
         vals = P @ Z + u.penalty_raw(P)
         low = min(low, float(vals.min()))
     return low
@@ -384,10 +413,9 @@ def identify_penalty_family(u, resolution=12):
     interior simplex grid; returns (best label, max deviation)."""
     if not u.monotone:
         raise ValueError(f"{u.kind} has no penalty function")
-    grid = simplex_grid(u.n, resolution)
-    grid = grid[np.all(grid > 1e-9, axis=1)]
+    grid = _grid(u.n, resolution, interior=True)
     S = u._conjugate(grid)
-    numeric = u.value(S) - np.sum(grid * S, axis=-1)
+    numeric = u.value(S) - _rows(np.add, grid * S)
     numeric -= numeric.min()
     fits = []
     for kind, label in PENALTY_LABELS.items():

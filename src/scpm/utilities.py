@@ -67,7 +67,13 @@ LMSR family's kernels and levels (the levels are its hook's fallback
 where a price underflows; they take lists as arrays) and LogSCPM's kernel
 tail stay in numpy: their exp and log are numpy's, whose SIMD loops
 differ from math.exp and math.log in the last bit on some inputs, so a
-list form would move their bits.
+list form would move their bits.  A batch's reductions over its last axis
+(value, grad, the penalties, the residuals and analysis's studies) go
+through _rows: below SMALL_N columns, where numpy would reduce row by row,
+one ufunc call per column over every row, in the reduce's own order
+(np.add from its identity, so a row of -0.0 adds to +0.0; np.minimum and
+np.maximum from the first column), which gives ufunc.reduce's bytes.  A
+1-D input, or a batch of SMALL_N columns or more, stays on ufunc.reduce.
 
 market.fill hands the hook the cost solve at q it already holds, before,
 with p_a = p'a for p = before.prices, so a kind whose end follows from
@@ -158,9 +164,32 @@ def _scalar(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
+@functools.cache
+def _row_dtype(ufunc, dtype):
+    # The dtype ufunc.reduce gives: np.add's reduce adds bool and small
+    # integers in the platform integer.
+    return ufunc.reduce(np.zeros((1, 1), dtype), axis=-1).dtype
+
+
+def _rows(ufunc, x, keepdims=False):
+    """ufunc.reduce(x, axis=-1), the same bytes, as a chain of column calls
+    for a batch of fewer than SMALL_N columns (see the module docstring)."""
+    n = x.shape[-1]
+    if x.ndim < 2 or not 0 < n < SMALL_N:
+        return ufunc.reduce(x, axis=-1, keepdims=keepdims)
+    first, dtype = x[..., 0], _row_dtype(ufunc, x.dtype)
+    if ufunc.identity is None:  # np.minimum, np.maximum: from the first column
+        out = first.astype(dtype)
+    else:  # from the identity, so a row of -0.0 adds to +0.0
+        out = ufunc(ufunc.identity, first).astype(dtype, copy=False)
+    for j in range(1, n):
+        ufunc(out, x[..., j], out=out)
+    return out[..., None] if keepdims else out
+
+
 def _xlogx(p):
     """sum_i p_i log p_i over the last axis, with 0 log 0 = 0."""
-    return (p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
+    return _rows(np.add, p * np.log(np.where(p > 0, p, 1.0)))
 
 
 def _dot(p, w):
@@ -259,7 +288,7 @@ def _check_simplex(p, n):
         raise ValueError(f"expected simplex vectors of length {n}, got shape {p.shape}")
     if np.any(p < -SIMPLEX_TOL):
         raise ValueError("simplex vector has a negative component")
-    if np.any(np.abs(p.sum(axis=-1) - 1.0) > SIMPLEX_TOL):
+    if np.any(np.abs(_rows(np.add, p) - 1.0) > SIMPLEX_TOL):
         raise ValueError("simplex vector does not sum to 1")
     return np.clip(p, 0.0, None)
 
@@ -279,8 +308,9 @@ class PenaltyValue:
 
 
 class Utility:
-    """Base class: immutable after construction but for the cached _w_list,
-    which any thread builds the same, so safe to share across threads."""
+    """Base class: immutable after construction but for its cached lists
+    (_w_list, QuadSCPM's _theta_list), which any thread builds the same,
+    so safe to share across threads."""
 
     kind = None
     # False when the prices may leave [0, 1]; solve_t then leaves them as is.
@@ -465,7 +495,7 @@ class Utility:
         return _scalar(self._residual(self._as_alloc(s), r))
 
     def _residual(self, s, r):
-        return np.max(np.abs(self.grad(s) - r), axis=-1)
+        return _rows(np.maximum, np.abs(self.grad(s) - r))
 
     # -- serialization ------------------------------------------------------
 
@@ -512,7 +542,7 @@ class LMSR(Utility):
         each row: the prices are the terms over their sum."""
         y = q / self.b
         w = self._weights * np.exp(y)
-        return y, w, np.add.reduce(w, axis=-1)
+        return y, w, _rows(np.add, w)
 
     def _lse(self, y, total):
         """C at q = b y from _terms, see the module docstring.  One row
@@ -521,19 +551,19 @@ class LMSR(Utility):
         near = total >= 0.5 * self._alpha
         if y.ndim == 1 and not near:
             return self._c0 + self.b * np.log(total / self._alpha)
-        x = np.add.reduce(self._weights * np.expm1(y), axis=-1) / self._alpha
+        x = _rows(np.add, self._weights * np.expm1(y)) / self._alpha
         if y.ndim == 1:
             return self._c0 + self.b * np.log1p(x)
         return self._c0 + self.b * np.log1p(x, out=np.log(total / self._alpha), where=near)
 
     def _value(self, s):
         # u(s) = -C(-s), with C taken at m - s, max 0, for m = min(s).
-        m = s.min(axis=-1, keepdims=True)
+        m = _rows(np.minimum, s, keepdims=True)
         y, _, total = self._terms(m - s)
         return m[..., 0] - self._lse(y, total)
 
     def _grad(self, s):
-        _, w, total = self._terms(s.min(axis=-1, keepdims=True) - s)
+        _, w, total = self._terms(_rows(np.minimum, s, keepdims=True) - s)
         return w / total[..., None]
 
     def _kernel(self, q):
@@ -564,7 +594,7 @@ class LMSR(Utility):
     def _penalty(self, p):
         # b * KL(p || theta_hat) - C(0), with 0 log 0 = 0
         kl = p * (np.log(np.where(p > 0, p, 1.0)) - self._w)
-        return self.b * kl.sum(axis=-1) - self._c0
+        return self.b * _rows(np.add, kl) - self._c0
 
     def loss_bound_terms(self):
         # B attained as the price concentrates on the smallest-weight state.
@@ -579,13 +609,13 @@ class QuadraticScore(Utility):
     monotone = False
 
     def _value(self, s):
-        sbar = s.mean(axis=-1)
+        sbar = _rows(np.add, s) / self.n  # s.mean(axis=-1), byte for byte
         # s'(I - ee'/N)s about the mean: s's - N sbar^2 cancels at large, uniform s
         d = s - sbar[..., None]
-        return sbar - (d * d).sum(axis=-1) / (4.0 * self.b)
+        return sbar - _rows(np.add, d * d) / (4.0 * self.b)
 
     def _grad(self, s):
-        sbar = s.sum(axis=-1, keepdims=True) / self.n
+        sbar = _rows(np.add, s, keepdims=True) / self.n
         return 1.0 / self.n + (sbar - s) / (2.0 * self.b)
 
     def _kernel(self, q):
@@ -647,7 +677,7 @@ class LogSCPM(Utility):
         return s
 
     def _value(self, s):
-        return (self.theta * np.log(s)).sum(axis=-1)
+        return _rows(np.add, self.theta * np.log(s))
 
     def _grad(self, s):
         return self.theta / s
@@ -689,12 +719,12 @@ class MinSCPM(Utility):
         self._w = np.zeros(self.n)  # its level reads q alone
 
     def _value(self, s):
-        return s.min(axis=-1)
+        return _rows(np.minimum, s)
 
     def _grad(self, s):
         # Canonical subgradient: uniform over the exact argmin set.
-        mask = s == s.min(axis=-1, keepdims=True)
-        return mask / mask.sum(axis=-1, keepdims=True)
+        mask = s == _rows(np.minimum, s, keepdims=True)
+        return mask / _rows(np.add, mask, keepdims=True)  # an integer count
 
     def _kernel(self, q):
         # Flat in t: C = max(q) = 0, prices uniform over the argmax, as grad(-q).
@@ -719,9 +749,9 @@ class MinSCPM(Utility):
     def _residual(self, s, r):
         # Subdifferential at s is the simplex over the argmin set, so the
         # distance from r is the mass r places outside that set.
-        outside = s > s.min(axis=-1, keepdims=True)
+        outside = s > _rows(np.minimum, s, keepdims=True)
         # r >= 0, so 0 stands for the mass of an empty outside set.
-        return np.max(np.where(outside, r, 0.0), axis=-1)
+        return _rows(np.maximum, np.where(outside, r, 0.0))
 
 
 class ExponentialSCPM(LMSR):
@@ -734,7 +764,7 @@ class ExponentialSCPM(LMSR):
     def _value(self, s):
         # overflow for very negative s harmlessly saturates to -inf
         with np.errstate(over="ignore"):
-            return self.b * (1.0 - np.exp(-s / self.b).mean(axis=-1))
+            return self.b * (1.0 - _rows(np.add, np.exp(-s / self.b)) / self.n)
 
     def _grad(self, s):
         return np.exp(-s / self.b) / self.n
@@ -776,7 +806,7 @@ class QuadSCPM(Utility):
 
     def _value(self, s):
         v = np.minimum(s, self._w)
-        return (self.theta * v).sum(axis=-1) - (v * v).sum(axis=-1) / (4.0 * self.b)
+        return _rows(np.add, self.theta * v) - _rows(np.add, v * v) / (4.0 * self.b)
 
     def _grad(self, s):
         return np.maximum(0.0, self.theta - s / (2.0 * self.b))
@@ -816,12 +846,17 @@ class QuadSCPM(Utility):
         stays[0] = True
         return float(t[stays.argmin() - 1])  # argmin 0: every c_k stays
 
+    @functools.cached_property
+    def _theta_list(self):
+        """theta as a list of Python floats, for _float_kernel."""
+        return self.theta.tolist()
+
     def _float_kernel(self, t, q):
         """The kernel's C and prices over Python floats from its level t and
         q as a list, by the array form's operations in the same order."""
         half, tv, vv = 2.0 * self.b, 0.0, 0.0
         prices = []
-        for qi, ti, ci in zip(q, self.theta.tolist(), self._w_list):
+        for qi, ti, ci in zip(q, self._theta_list, self._w_list):
             si = t - qi
             # np.minimum and np.maximum: a nan s wins, a tie gives the second.
             vi = si if not si >= ci else ci
@@ -832,7 +867,7 @@ class QuadSCPM(Utility):
         return t, t - (tv - vv / (4.0 * self.b)), np.array(prices), "closed", 0
 
     def _penalty(self, p):
-        return self.b * np.sum((p - self.theta) ** 2, axis=-1)
+        return self.b * _rows(np.add, (p - self.theta) ** 2)
 
     def loss_bound_terms(self):
         t = self.theta

@@ -20,7 +20,8 @@ from scpm import (
     table1,
     worst_case_loss,
 )
-from scpm.analysis import PENALTY_LABELS
+from scpm.analysis import PENALTY_LABELS, _grid, _offsets
+from scpm.oracle import simplex_grid
 from scpm.utilities import CATALOG, KINDS, LMSR, Utility
 
 from linear_utility import LinearUtility
@@ -420,6 +421,29 @@ class TestDualWork:
         spacing = min(np.diff(np.unique(P[:, :-1])).min()
                       for P in seen if np.ndim(P) == 2)
         assert spacing <= (1.0 + 1e-9) / res
+
+    def test_lattices_built_once_and_read_only(self):
+        # The constant lattices of the dual and of the penalty fit are built
+        # on their first call and shared after it, so none may be written.
+        grid = simplex_grid(3, 12)
+        interior = grid[np.all(grid > 1e-9, axis=1)]
+        steps = np.arange(-8, 9)
+        for build, want in [(lambda: _grid(3, 20), simplex_grid(3, 20)),
+                            (lambda: _grid(2, 12), simplex_grid(2, 12)),
+                            (lambda: _grid(3, 12, interior=True), interior),
+                            (lambda: _offsets(1), steps[:, None]),
+                            (lambda: _offsets(2), np.stack(np.meshgrid(steps, steps, indexing="ij"),
+                                                           -1).reshape(-1, 2))]:
+            lattice = build()
+            assert build() is lattice
+            assert lattice.tobytes() == want.tobytes() and lattice.shape == want.shape
+            with pytest.raises(ValueError, match="read-only"):
+                lattice[0, 0] = 0.5
+        u = make_utility("LMSR", n_outcomes=3)
+        before = _grid(3, 12, interior=True)
+        identify_penalty_family(u)
+        risk_dual_check(u, np.array([0.3, -0.2, 0.1]), 400)
+        assert _grid(3, 12, interior=True) is before
 
 
 class TestPenaltyFamily:

@@ -3,10 +3,16 @@
 import importlib.util
 from pathlib import Path
 
-spec = importlib.util.spec_from_file_location(
-    "src_lines", Path(__file__).resolve().parent.parent / "tools" / "src_lines.py")
-src_lines = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(src_lines)
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+src_lines = load_tool("src_lines")
+bench_pairs = load_tool("bench_pairs")
 
 
 def test_src_lines_counts_code_apart_from_blanks_comments_and_docstrings():
@@ -36,3 +42,36 @@ def test_src_lines_reports_a_failed_export_in_one_line(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: cannot export no-such-rev: ") and err.count("\n") == 1
+
+
+def test_bench_pairs_keeps_each_runs_attempted_count(monkeypatch):
+    # perfbench keeps a sample per op, so peak_rss_mb is read against the
+    # op count: each run's row keeps it, and each side its quartiles.
+    attempted = {("parent", 1): 100, ("change", 1): 130, ("parent", 2): 110,
+                 ("change", 2): 150, ("parent", 3): 90, ("change", 3): 140}
+
+    def run_one(tree, workload, seed, seconds):
+        info = {"env": {"nproc": 2, "cpu": "cpu", "python": "3", "numpy": "2", "scipy": "1",
+                        "source_sha256": tree}, "digest": "d", "unadjusted": {"setup_s": 0.01}}
+        count = attempted[tree, seed]
+        metrics = {"ops_per_s": count / 25.0, "peak_rss_mb": 40.0 + count / 100.0}
+        return info, {"correct": True, "attempted": count, "failed": 0,
+                      "metrics": {k: {"value": v} for k, v in metrics.items()}}
+
+    monkeypatch.setattr(bench_pairs, "run_one", run_one)
+    report = {"machine": None, "source_sha256": {}}
+    section = {"all_correct": True, "failed_ops": {"parent": 0, "change": 0},
+               "digests_equal_in_every_pair": True, "first_side": {},
+               "runs": {"parent": [], "change": []}}
+    trees = {"parent": "parent", "change": "change"}
+    for i, seed in enumerate((1, 2, 3)):
+        bench_pairs.run_pair(trees, report, section, i, seed, 25, "analysis")
+    bench_pairs.summarize_section(section, {"ops_per_s": "higher", "peak_rss_mb": "lower"},
+                                  {"ops_per_s": 0.2, "peak_rss_mb": 0.1})
+    assert section["first_side"] == {"1": "parent", "2": "change", "3": "parent"}
+    for side in ("parent", "change"):
+        assert [r["attempted"] for r in section["runs"][side]] == [
+            attempted[side, seed] for seed in (1, 2, 3)]
+    assert section["attempted"]["parent"] == {"q1": 95.0, "median": 100, "q3": 105.0}
+    assert section["attempted"]["change"] == {"q1": 135.0, "median": 140, "q3": 145.0}
+    assert section["summary"]["peak_rss_mb"]["pairs_won"] == "0/3"

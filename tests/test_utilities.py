@@ -23,7 +23,7 @@ from scpm import (
 )
 import scpm
 from scpm.cost import solve_t
-from scpm.utilities import CATALOG, KINDS, _xlogx
+from scpm.utilities import CATALOG, KINDS, SMALL_N, _rows, _xlogx
 
 from linear_utility import LinearUtility
 
@@ -137,35 +137,42 @@ class TestValuesAndGradients:
             g_fd = finite_diff_gradient(u.value, s, h=1e-6)
             np.testing.assert_allclose(g, g_fd, atol=5e-6)
 
+    @staticmethod
+    def batches(kind, rng):
+        """Allocations and beliefs at N in {2, 3, 7, 8}, as an (M, N) batch
+        and as the (M, K, N) batch that analysis._gradient_jump passes: both
+        sides of SMALL_N, where a batch's last-axis reductions change form."""
+        for n in (2, 3, 7, 8):
+            u = make_utility(kind, b=0.7, n_outcomes=n)
+            for shape in ((50, n), (6, 5, n)):
+                S = np.abs(rng.normal(size=shape)) + 0.1
+                S[0, ..., :2] = 0.05  # a tie at the minimum
+                yield u, S, rng.dirichlet(np.ones(n), size=shape[:-1])
+
+    @staticmethod
+    def assert_rows(method, *batches):
+        """method over a batch gives each row's own call, byte for byte."""
+        got = np.asarray(method(*batches))
+        rows = np.array([method(*row) for row in zip(*(b.reshape(-1, b.shape[-1])
+                                                      for b in batches))])
+        assert got.tobytes() == rows.reshape(got.shape).tobytes()
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_value_batching_matches_scalar(self, kind):
-        u = make_utility(kind, b=0.7, n_outcomes=3)
-        rng = np.random.default_rng(3)
-        S = np.abs(rng.normal(size=(50, 3))) + 0.1
-        batched = u.value(S)
-        singles = np.array([u.value(s) for s in S])
-        np.testing.assert_allclose(batched, singles, rtol=1e-14)
-        assert type(u.value(S[0])) is float
-        # The same contract for the other batched methods: a float for one
-        # row, and each row of a batch bit for bit as its own call.
-        R = rng.dirichlet(np.ones(3), size=50)
-        methods = [u.properness_residual]
-        if u.monotone:
-            methods.append(lambda s, p: u.penalty_raw(p))
-        for method in methods:
-            rows = [method(s, r) for s, r in zip(S, R)]
-            assert all(type(v) is float for v in rows)
-            np.testing.assert_array_equal(method(S, R), rows)
+        # A float for one row, and each row of a batch byte for byte as its
+        # own call: value, properness_residual and penalty_raw.
+        for u, S, R in self.batches(kind, np.random.default_rng(3)):
+            s, r = S.reshape(-1, u.n)[0], R.reshape(-1, u.n)[0]
+            assert type(u.value(s)) is float and type(u.properness_residual(s, r)) is float
+            self.assert_rows(u.value, S)
+            self.assert_rows(u.properness_residual, S, R)
+            if u.monotone:
+                self.assert_rows(u.penalty_raw, R)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_grad_batching_matches_rows(self, kind):
-        u = make_utility(kind, b=0.7, n_outcomes=3)
-        rng = np.random.default_rng(4)
-        S = np.vstack([[0.5, 1.0, 2.0], [5.0, 3.0, 4.0],
-                       np.abs(rng.normal(size=(20, 3))) + 0.1])
-        batched = u.grad(S)
-        rows = np.array([u.grad(s) for s in S])
-        np.testing.assert_allclose(batched, rows, rtol=1e-14, atol=0.0)
+        for u, S, _ in self.batches(kind, np.random.default_rng(4)):
+            self.assert_rows(u.grad, S)
 
     def test_min_grad_batched_argmin_per_row(self):
         u = make_utility("MinSCPM", n_outcomes=3)
@@ -469,6 +476,49 @@ class TestFillHooks:
         x = u.solve_fill(q, a, 0.5, before, p_a)
         assert x == Utility.solve_fill(u, q, a, 0.5, before, p_a)
         assert x == (pytest.approx(q[1] + 1e-3 * math.log(2.0), rel=1e-12) if p_a < p_b else 0.0)
+
+
+class TestRows:
+    # _rows stands in for ufunc.reduce(x, axis=-1) on every batched path,
+    # so below SMALL_N columns its chain of column calls must give the
+    # reduce's bytes, dtype and shape, nan, infinities and -0.0 included.
+    UFUNCS = [np.add, np.minimum, np.maximum, np.logical_and]
+
+    @staticmethod
+    def assert_reduces(ufunc, x):
+        for keepdims in (False, True):
+            with np.errstate(invalid="ignore"):  # inf - inf
+                want = ufunc.reduce(x, axis=-1, keepdims=keepdims)
+                got = _rows(ufunc, x, keepdims)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), (ufunc, x)
+
+    @pytest.mark.parametrize("ufunc", UFUNCS)
+    def test_matches_reduce_byte_for_byte(self, ufunc):
+        rng = np.random.default_rng(82510)
+        special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan])
+        for _ in range(250):
+            n = int(rng.integers(1, SMALL_N + 2))
+            m, k = rng.integers(1, 7, size=2).tolist()
+            for shape in ((n,), (m, n), (m, k, n)):
+                x = rng.normal(size=shape) * 10.0 ** rng.uniform(-5.0, 5.0)
+                pick = rng.uniform(size=shape) < 0.3
+                x[pick] = rng.choice(special, size=int(pick.sum()))
+                self.assert_reduces(ufunc, x)
+        for n in range(1, SMALL_N + 2):
+            # np.add starts from its identity: a row of -0.0 adds to +0.0.
+            self.assert_reduces(ufunc, np.full((3, n), -0.0))
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.int64, np.uint16])
+    @pytest.mark.parametrize("ufunc", UFUNCS)
+    def test_keeps_the_reduce_dtype(self, ufunc, dtype):
+        # np.add's reduce counts bool and adds small integers in the
+        # platform integer; MinSCPM's grad divides by such a count.
+        rng = np.random.default_rng(82511)
+        for n in range(1, SMALL_N + 2):
+            x = rng.integers(0, 100, size=(4, 3, n)).astype(dtype)
+            self.assert_reduces(ufunc, x)
+            self.assert_reduces(ufunc, x[0])
 
 
 class TestLinearUtility:

@@ -13,7 +13,9 @@ first pair is pair 0).  For each workload the file keeps every run's
 end-to-end metrics, the output digests and the two sides' quartiles, pairs
 won and median ratio per metric.  Beside ``setup_s`` it keeps each run's
 unadjusted set-up time from the info line, with its quartiles, since the
-speed factor that adjusts set-ups moves with the process's state.  A claim
+speed factor that adjusts set-ups moves with the process's state; and
+each run's ``attempted`` op count, with its quartiles, since the harness
+keeps a sample per op and ``peak_rss_mb`` grows with the count.  A claim
 on WORKLOAD:METRIC is met when the change wins at least nine tenths of the
 pairs, ties counting for neither, and its median is better than the
 parent's by more than the parent's interquartile spread.  Every other workload and metric is
@@ -98,6 +100,38 @@ def summarize(runs, metrics):
     return summary
 
 
+def run_pair(trees, report, section, i, seed, seconds, workload):
+    """Pair i: one seed run on both sides, the parent first on even pairs,
+    each run's row added to section."""
+    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+    section["first_side"][str(seed)] = order[0]
+    digests = {}
+    for side in order:
+        info, result = run_one(trees[side], workload, seed, seconds)
+        env = info["env"]
+        report["machine"] = {k: env[k] for k in ("nproc", "cpu", "python", "numpy", "scipy")}
+        report["source_sha256"][side] = env["source_sha256"]
+        section["all_correct"] &= result["correct"]
+        section["failed_ops"][side] += result["failed"]
+        digests[side] = info["digest"]
+        row = {"seed": seed, "digest": info["digest"]}
+        row.update({k: v["value"] for k, v in result["metrics"].items()})
+        row["unadjusted_setup_s"] = info["unadjusted"]["setup_s"]
+        row["attempted"] = result["attempted"]
+        section["runs"][side].append(row)
+    section["digests_equal_in_every_pair"] &= digests["parent"] == digests["change"]
+
+
+def summarize_section(section, metrics, bounds):
+    """The section's summary, its quartiles of the unadjusted set-ups and of
+    the attempted counts, and its bound verdicts, from the pairs so far."""
+    section["summary"] = summarize(section["runs"], metrics)
+    for key in ("unadjusted_setup_s", "attempted"):
+        section[key] = {side: quartiles([r[key] for r in rows])
+                        for side, rows in section["runs"].items()}
+    section["bounds"] = bound_verdicts(section, bounds)
+
+
 def claim_verdict(section, metric):
     s = section["summary"][metric]
     won, n = map(int, s["pairs_won"].split("/"))
@@ -152,28 +186,8 @@ def main(argv=None):
                        "runs": {"parent": [], "change": []}}
             report[workload] = section
             for i, seed in enumerate(seeds):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                section["first_side"][str(seed)] = order[0]
-                digests = {}
-                for side in order:
-                    info, result = run_one(trees[side], workload, seed, seconds)
-                    env = info["env"]
-                    report["machine"] = {k: env[k] for k in ("nproc", "cpu", "python", "numpy",
-                                                             "scipy")}
-                    report["source_sha256"][side] = env["source_sha256"]
-                    section["all_correct"] &= result["correct"]
-                    section["failed_ops"][side] += result["failed"]
-                    digests[side] = info["digest"]
-                    row = {"seed": seed, "digest": info["digest"]}
-                    row.update({k: v["value"] for k, v in result["metrics"].items()})
-                    row["unadjusted_setup_s"] = info["unadjusted"]["setup_s"]
-                    section["runs"][side].append(row)
-                section["digests_equal_in_every_pair"] &= digests["parent"] == digests["change"]
-                section["summary"] = summarize(section["runs"], metrics)
-                section["unadjusted_setup_s"] = {
-                    side: quartiles([r["unadjusted_setup_s"] for r in rows])
-                    for side, rows in section["runs"].items()}
-                section["bounds"] = bound_verdicts(section, bounds)
+                run_pair(trees, report, section, i, seed, seconds, workload)
+                summarize_section(section, metrics, bounds)
                 if args.claim and args.claim[0] == workload:
                     report["result"] = claim_verdict(section, args.claim[1])
                 out_path.write_text(json.dumps(report, indent=1) + "\n")
