@@ -174,10 +174,11 @@ def _row_dtype(ufunc, dtype):
 def _rows(ufunc, x, keepdims=False):
     """ufunc.reduce(x, axis=-1), the same bytes, as a chain of column calls
     for a batch of fewer than SMALL_N columns (see the module docstring)."""
-    n = x.shape[-1]
-    if x.ndim < 2 or not 0 < n < SMALL_N:
-        return ufunc.reduce(x, axis=-1, keepdims=keepdims)
-    first, dtype = x[..., 0], _row_dtype(ufunc, x.dtype)
+    if x.ndim < 2 or not 0 < x.shape[-1] < SMALL_N:
+        # Positional, and keepdims only where set: the kernels' 1-D sums
+        # then cost what a direct call does.
+        return ufunc.reduce(x, -1, keepdims=True) if keepdims else ufunc.reduce(x, -1)
+    n, first, dtype = x.shape[-1], x[..., 0], _row_dtype(ufunc, x.dtype)
     if ufunc.identity is None:  # np.minimum, np.maximum: from the first column
         out = first.astype(dtype)
     else:  # from the identity, so a row of -0.0 adds to +0.0
