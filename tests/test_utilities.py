@@ -167,6 +167,7 @@ class TestValuesAndGradients:
             self.assert_rows(u.value, S)
             self.assert_rows(u.properness_residual, S, R)
             if u.monotone:
+                assert type(u.penalty_raw(r)) is float
                 self.assert_rows(u.penalty_raw, R)
 
     @pytest.mark.parametrize("kind", KINDS)
