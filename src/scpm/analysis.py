@@ -419,20 +419,16 @@ def identify_penalty_family(u, resolution=12):
     numeric -= numeric.min()
     fits = []
     for kind, label in PENALTY_LABELS.items():
-        theta = u.theta if kind == u.kind else None
-        candidate = util_mod.make_utility(kind, b=u.b, n_outcomes=u.n, theta=theta)
+        candidate = u if kind == u.kind else util_mod.make_utility(kind, b=u.b, n_outcomes=u.n)
         vals = candidate.penalty_raw(grid)
         vals = vals - vals.min()
         fits.append((kind, label, float(np.max(np.abs(vals - numeric)))))
     best_dev = min(dev for _, _, dev in fits)
     # Families can coincide exactly (uniform-prior KL fits both the LMSR and
-    # the exponential catalog entries); break ties toward the utility's own.
-    for kind, label, dev in fits:
-        if kind == u.kind and dev <= best_dev + 1e-9:
-            return label, dev
-    for kind, label, dev in fits:
-        if dev == best_dev:
-            return label, dev
+    # the exponential catalog entries); break ties toward the utility's own,
+    # and otherwise take the first best fit.
+    _, label, dev = min(fits, key=lambda f: (f[0] != u.kind or f[2] > best_dev + 1e-9, f[2]))
+    return label, dev
 
 
 # -- mechanism table ---------------------------------------------------------

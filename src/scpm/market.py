@@ -41,7 +41,6 @@ import importlib
 import json
 import math
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -57,8 +56,8 @@ CHARGING_MODES = ("integral", "final")
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True)
 
 # A trace record as _TRACE_ENCODER writes it, its keys in sorted order.
-_TRACE_LINE = ('{"charge": %s, "collected_after": %s, "order": {"bundle": [%s], "limit": %s, '
-               '"pi": %s, "trader_id": %s}, "prices_after": [%s], "prices_before": [%s], '
+_TRACE_LINE = ('{"charge": %s, "collected_after": %s, "order": {"bundle": %s, "limit": %s, '
+               '"pi": %s, "trader_id": %s}, "prices_after": %s, "prices_before": %s, '
                '"x_bar": %s}')
 
 # Relative tolerance of the fill quantity.
@@ -321,7 +320,8 @@ def converge(state, belief, rounds=100, cap=1.0):
     """
     n = state.config.n_outcomes
     belief = np.asarray(belief, dtype=float)
-    if belief.shape != (n,) or abs(belief.sum() - 1.0) > 1e-10 or np.any(belief < 0):
+    # Negated, so a nan sum fails the test as well.
+    if belief.shape != (n,) or not abs(belief.sum() - 1.0) <= 1e-10 or np.any(belief < 0):
         raise ValueError("belief must lie on the probability simplex")
     sweeps = 0
     for _ in range(rounds):
@@ -410,57 +410,37 @@ def read_orders_csv(path, n):
     return orders
 
 
-def _json_number(x):
-    """x as json.dumps writes it where that is its repr: an exact float or
-    int, finite.  None for anything else."""
-    if type(x) is float or type(x) is int:
-        text = repr(x)
-        # A finite repr has no "n": json writes inf and nan its own way.
-        if "n" not in text:
-            return text
-    return None
+def _json(x):
+    """x as _TRACE_ENCODER writes it: a finite float by its repr, anything
+    else through the encoder alone (a str by the escape that encode calls
+    at once)."""
+    text = repr(x) if type(x) is float else "n"
+    # A finite repr has no "n": json writes inf and nan its own way.
+    return text if "n" not in text else _TRACE_ENCODER.encode(x)
 
 
 def _json_floats(values):
-    """', '-joined reprs of a list of floats, or None where json.dumps would
-    write some entry otherwise: an int or bool raises TypeError here."""
+    """A list as _TRACE_ENCODER writes it: finite floats by their reprs,
+    joined directly; any other list through the encoder (an int or bool
+    entry raises TypeError here)."""
     try:
         text = ", ".join(map(float.__repr__, values))
     except TypeError:
-        return None
-    return None if "n" in text else text
+        text = "n"
+    return _TRACE_ENCODER.encode(values) if "n" in text else f"[{text}]"
 
 
 def trace_record(fill_result, collected_after):
     """One JSONL trace line per fill: the bytes of json.dumps(rec,
-    sort_keys=True), floats by repr, so replays stay byte-identical.  The
-    line is formatted directly when every number is a finite float or int
-    and the trader id a string; anything else goes through the encoder."""
+    sort_keys=True), floats by repr, so replays stay byte-identical.  Each
+    field is written into _TRACE_LINE on its own: directly where it is a
+    finite float, a list of them or a str id, else by the encoder."""
     o = fill_result.order
-    limit = "inf" if math.isinf(o.limit) else o.limit
-    bundle = o.bundle.tolist()
-    before, after = fill_result.prices_before.tolist(), fill_result.prices_after.tolist()
-    fields = (_json_number(fill_result.charge), _json_number(collected_after),
-              _json_floats(bundle), '"inf"' if limit == "inf" else _json_number(limit),
-              _json_number(o.pi),
-              encode_basestring_ascii(o.trader_id) if type(o.trader_id) is str else None,
-              _json_floats(after), _json_floats(before), _json_number(fill_result.x_bar))
-    if None not in fields:
-        return _TRACE_LINE % fields
-    rec = {
-        "order": {
-            "trader_id": o.trader_id,
-            "pi": o.pi,
-            "limit": limit,
-            "bundle": bundle,
-        },
-        "x_bar": fill_result.x_bar,
-        "charge": fill_result.charge,
-        "prices_before": before,
-        "prices_after": after,
-        "collected_after": collected_after,
-    }
-    return _TRACE_ENCODER.encode(rec)
+    return _TRACE_LINE % (
+        _json(fill_result.charge), _json(collected_after), _json_floats(o.bundle.tolist()),
+        _json("inf" if math.isinf(o.limit) else o.limit), _json(o.pi), _json(o.trader_id),
+        _json_floats(fill_result.prices_after.tolist()),
+        _json_floats(fill_result.prices_before.tolist()), _json(fill_result.x_bar))
 
 
 def run_orders(state, orders, trace=None):

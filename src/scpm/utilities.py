@@ -106,9 +106,11 @@ _kernel(q) is the whole cost solve of cost.solve_t at q with max(q) = 0:
 the level t, C = t - u(t - q), the prices grad(u)(t - q), the path name
 and the iterations.  The flat kinds read t = 0 and both values from q in
 one pass.  QuadSCPM takes t from solve_withdrawal, LogSCPM from its Newton
-level with its pass count, and each computes C and the prices from one
-s = t - q.  The base kernel is the generic path: the withdrawal or
-cost._root_t, then value and grad.
+level with its pass count, and each reads C = t - _value(s) and the
+prices _grad(s) at one s = t - q; QuadSCPM below SMALL_N states makes the
+same float operations over lists (_float_kernel).  The base kernel is the
+generic path: the withdrawal or cost._root_t, then the public value and
+grad, which a kind may override in place of _value and _grad.
 
 LMSR's value, grad and kernel read one log-sum-exp.  With alpha =
 sum(theta), C(0) = b log alpha (from alpha - 1 summed exactly where alpha
@@ -695,9 +697,9 @@ class LogSCPM(Utility):
     def _kernel(self, q):
         # Not through solve_withdrawal, whose float leaves out the passes.
         t, passes = _newton(*self._entries(q), 1.0)
-        s = self._as_alloc(t - q)
-        return (t, t - float(np.add.reduce(self.theta * np.log(s))), self.theta / s,
-                "closed", passes)
+        # Newton keeps t above max q, so s > 0 needs no check.
+        s = t - q
+        return t, t - float(self._value(s)), self._grad(s), "closed", passes
 
     def _penalty(self, p):
         # -sum theta log p + sum (theta log theta - theta); theta > 0 makes
@@ -817,9 +819,7 @@ class QuadSCPM(Utility):
         if q.size < SMALL_N:
             return self._float_kernel(t, q.tolist())
         s = t - q
-        v = np.minimum(s, self._w)
-        value = np.add.reduce(self.theta * v) - np.add.reduce(v * v) / (4.0 * self.b)
-        return t, t - float(value), np.maximum(0.0, self.theta - s / (2.0 * self.b)), "closed", 0
+        return t, t - float(self._value(s)), self._grad(s), "closed", 0
 
     def _conjugate(self, R):
         # Below the clamp for r > 0: theta - s/2b = r.

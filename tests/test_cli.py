@@ -115,6 +115,13 @@ class TestConverge:
     def test_belief_off_simplex_rejected(self, config_path, capsys):
         assert main(["converge", "--config", config_path, "--belief", "0.9;0.3"]) == 2
 
+    def test_nan_belief_rejected(self, config_path, capsys):
+        # One error line and exit 2, not a run that prints a nan gap.
+        assert main(["converge", "--config", config_path, "--belief", "nan;1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "simplex" in err and err.count("\n") == 1
+
 
 class TestTable1:
     def test_lists_all_mechanisms(self, capsys):

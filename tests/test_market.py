@@ -21,7 +21,8 @@ from scpm import (
     run_orders,
     settle,
 )
-from scpm.market import FillResult, parse_bundle, parse_limit, read_orders_csv, trace_record
+from scpm.market import (FillResult, converge, parse_bundle, parse_limit, read_orders_csv,
+                         trace_record)
 from scpm.utilities import KINDS
 
 
@@ -710,6 +711,17 @@ class TestSettlement:
         assert settle(state, 0).loss_bound == math.log(3.0)
 
 
+class TestConverge:
+    @pytest.mark.parametrize("belief", [[math.nan, 1.0], [0.5, math.nan], [math.nan, math.nan]])
+    def test_nan_belief_rejected(self, belief):
+        # No comparison holds for nan: a nan belief fails the simplex test
+        # before any sweep, where it used to trade.
+        state = lmsr_market()
+        with pytest.raises(ValueError, match="simplex"):
+            converge(state, belief)
+        assert not state.journal and state.q.tolist() == [0.0, 0.0]
+
+
 class TestStreamFormats:
     def test_parse_limit_inf(self):
         assert parse_limit("inf") == math.inf
@@ -779,21 +791,29 @@ class TestStreamFormats:
             '"prices_before": [0.5, 0.25, 0.25], "x_bar": 0.1}'
         )
 
-    @pytest.mark.parametrize("trader_id, pi, limit, charge, collected, before", [
-        ('q"b\\\u00e9\u2603', 0.25, 2.5, 1 / 3, 1e21, [0.5, 0.25, 0.25]),
-        ("t", 1, 2.5, 0.1, 2.0, [0.5, 0.25, 0.25]),
-        ("t", 0.25, 3, 0.1, 2, [0.5, 0.25, 0.25]),
-        ("t", np.float64(0.25), math.inf, np.float64(0.1), 0.5, [0.5, 0.25, 0.25]),
-        ("t", 0.25, math.inf, math.nan, math.inf, [0.5, 0.25, 0.25]),
-        ("t", 0.25, 2.5, -math.inf, 0.0, [0.5, math.nan, 0.25]),
-        ("t", 0.25, 2.5, True, -0.0, np.array([1, 0, 0])),
-        (7, 0.25, 2.5, 0.1, 0.0, np.array([True, False, False])),
+    @pytest.mark.parametrize("trader_id, pi, limit, charge, collected, before, after", [
+        ('q"b\\\u00e9\u2603', 0.25, 2.5, 1 / 3, 1e21, [0.5, 0.25, 0.25], [2 / 3, 1e-17, 1 / 3]),
+        ("t", 1, 2.5, 0.1, 2.0, [0.5, 0.25, 0.25], [2 / 3, 1e-17, 1 / 3]),
+        ("t", 0.25, 3, 0.1, 2, [0.5, 0.25, 0.25], [2 / 3, 1e-17, 1 / 3]),
+        ("t", np.float64(0.25), math.inf, np.float64(0.1), 0.5, [0.5, 0.25, 0.25],
+         [2 / 3, 1e-17, 1 / 3]),
+        ("t", 0.25, math.inf, math.nan, math.inf, [0.5, 0.25, 0.25], [2 / 3, 1e-17, 1 / 3]),
+        ("t", 0.25, 2.5, -math.inf, 0.0, [0.5, math.nan, 0.25], [2 / 3, 1e-17, 1 / 3]),
+        ("t", 0.25, 2.5, True, -0.0, np.array([1, 0, 0]), np.array([0, 1, 0])),
+        (7, 0.25, 2.5, 0.1, 0.0, np.array([True, False, False]), [2 / 3, 1e-17, 1 / 3]),
+        # Exactly one field through the encoder, every other formatted directly.
+        (7, 0.25, 2.5, 0.1, 2.0, [0.5, 0.25, 0.25], [2 / 3, 1e-17, 1 / 3]),
+        ("t", np.float64(0.25), 2.5, 0.1, 2.0, [0.5, 0.25, 0.25], [2 / 3, 1e-17, 1 / 3]),
+        ("t", 0.25, 3, 0.1, 2.0, [0.5, 0.25, 0.25], [2 / 3, 1e-17, 1 / 3]),
+        ("t", 0.25, 2.5, 0.1, 2.0, [0.5, 0.25, 0.25], [2 / 3, math.nan, 1 / 3]),
+        ("t", 0.25, 2.5, 0.1, 2.0, [0.5, 0.25, math.nan], [2 / 3, 1e-17, 1 / 3]),
     ])
-    def test_trace_record_is_json_dumps(self, trader_id, pi, limit, charge, collected, before):
+    def test_trace_record_is_json_dumps(self, trader_id, pi, limit, charge, collected, before,
+                                        after):
         # Formatted directly or through the encoder, the line is json.dumps'.
         order = Order(trader_id, pi, limit, np.array([1.0, 0.0, 2.5]))
         f = FillResult(x_bar=0.1, charge=charge, prices_before=np.array(before),
-                       prices_after=np.array([2 / 3, 1e-17, 1 / 3]), order=order,
+                       prices_after=np.array(after), order=order,
                        q_before=np.zeros(3), solves=3, path="closed")
         rec = {"order": {"trader_id": trader_id, "pi": pi,
                          "limit": "inf" if math.isinf(limit) else limit,

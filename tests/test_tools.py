@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 def load_tool(name):
     spec = importlib.util.spec_from_file_location(
         name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
@@ -75,3 +77,33 @@ def test_bench_pairs_keeps_each_runs_attempted_count(monkeypatch):
     assert section["attempted"]["parent"] == {"q1": 95.0, "median": 100, "q3": 105.0}
     assert section["attempted"]["change"] == {"q1": 135.0, "median": 140, "q3": 145.0}
     assert section["summary"]["peak_rss_mb"]["pairs_won"] == "0/3"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--runs", "no-such-workload:1"], "unknown workload 'no-such-workload'"),
+    (["--runs", "analysis:1", "--claim", "analysis:no_such_metric"], "'no_such_metric'"),
+    (["--runs", "analysis:1", "--claim", "analysis:cost.solve_us.LMSR"],
+     "'cost.solve_us.LMSR'"),
+    (["--runs", "analysis:1", "--claim", "stream-deep:ops_per_s"], "'stream-deep' has no --runs"),
+    (["--runs", "analysis:1", "--claim", "analysis"], "not WORKLOAD:METRIC"),
+    (["--parent", "no-such-rev", "--runs", "analysis:1"], "cannot export no-such-rev: "),
+])
+def test_bench_pairs_fails_before_any_run(monkeypatch, capsys, args, message):
+    # A bad --runs or --claim is found before anything is exported, and a
+    # revision git cannot export before any run: one error line and exit 2.
+    exported = []
+
+    def export(rev, dest):
+        exported.append(rev)
+        return real_export(rev, dest)
+
+    real_export = bench_pairs.export
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_one", lambda *a: pytest.fail("ran"))
+    argv = ["--parent", "HEAD", "--change", "HEAD", "--label", "usage-check"] + args
+    assert bench_pairs.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert exported == (["no-such-rev"] if "no-such-rev" in args else [])
+    assert not (bench_pairs.ROOT / "BENCH_usage-check.json").exists()

@@ -21,6 +21,10 @@ pairs, ties counting for neither, and its median is better than the
 parent's by more than the parent's interquartile spread.  Every other workload and metric is
 compared against the bound that BENCHMARK.json fixes for it.  The file is
 rewritten after every pair, so a cut run keeps the pairs it finished.
+Before any export or run, a ``--runs`` workload that BENCHMARK.json does
+not declare, or a ``--claim`` on a workload missing from ``--runs`` or on
+a metric that is not end to end, prints one ``error:`` line and exits 2,
+as a ``--parent`` or ``--change`` that git cannot export does.
 """
 
 import argparse
@@ -59,11 +63,12 @@ def parse_args(argv):
 
 def export(rev, dest):
     """The committed files of rev in dest; returns the full commit hash."""
-    commit = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
-                            capture_output=True, text=True).stdout.strip()
-    dest.mkdir(parents=True)
-    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+    # git archive first: its error names a bad rev in one line.
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
+    commit = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                            capture_output=True).stdout.decode().strip()
+    dest.mkdir(parents=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return commit
 
@@ -157,17 +162,50 @@ def bound_verdicts(section, bounds):
     return out
 
 
+def _reason(exc):
+    """The last line of a failed command's stderr, or the error itself."""
+    lines = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip().splitlines()
+    return lines[-1] if lines else str(exc)
+
+
+def usage_error(args, spec):
+    """What is wrong with --runs or --claim against BENCHMARK.json, or None."""
+    workloads = [w["name"] for w in spec["workloads"]]
+    for workload, _ in args.runs:
+        if workload not in workloads:
+            return f"unknown workload {workload!r} in --runs; expected one of {workloads}"
+    if args.claim is None:
+        return None
+    if len(args.claim) != 2:
+        return f"--claim {args.claim[0]} is not WORKLOAD:METRIC"
+    if args.claim[0] not in (w for w, _ in args.runs):
+        return f"--claim workload {args.claim[0]!r} has no --runs"
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    if args.claim[1] not in metrics:
+        return f"--claim metric {args.claim[1]!r} is not one of the end-to-end {metrics}"
+    return None
+
+
 def main(argv=None):
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    problem = usage_error(args, spec)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     seconds = spec["run_seconds"]
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     out_path = ROOT / f"BENCH_{args.label}.json"
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
         trees = {side: Path(work) / side for side in ("parent", "change")}
-        commits = {side: export(rev, trees[side])
-                   for side, rev in (("parent", args.parent), ("change", args.change))}
+        commits = {}
+        for side, rev in (("parent", args.parent), ("change", args.change)):
+            try:
+                commits[side] = export(rev, trees[side])
+            except (OSError, subprocess.CalledProcessError) as exc:
+                print(f"error: cannot export {rev}: {_reason(exc)}", file=sys.stderr)
+                return 2
         report = {"label": args.label, "claim": None, "result": None,
                   "command": COMMAND.format(seconds=seconds), "machine": None,
                   "parent_commit": commits["parent"], "change_commit": commits["change"],
