@@ -791,22 +791,37 @@ class TestStreamFormats:
             '"prices_before": [0.5, 0.25, 0.25], "x_bar": 0.1}'
         )
 
+    # The first eight ids name each row by its first six values, as pytest
+    # would; each later row sends exactly one field through the encoder and
+    # formats every other directly.
     @pytest.mark.parametrize("trader_id, pi, limit, charge, collected, before, after", [
-        ('q"b\\\u00e9\u2603', 0.25, 2.5, 1 / 3, 1e21, [0.5, 0.25, 0.25], [2 / 3, 1e-17, 1 / 3]),
-        ("t", 1, 2.5, 0.1, 2.0, [0.5, 0.25, 0.25], [2 / 3, 1e-17, 1 / 3]),
-        ("t", 0.25, 3, 0.1, 2, [0.5, 0.25, 0.25], [2 / 3, 1e-17, 1 / 3]),
-        ("t", np.float64(0.25), math.inf, np.float64(0.1), 0.5, [0.5, 0.25, 0.25],
-         [2 / 3, 1e-17, 1 / 3]),
-        ("t", 0.25, math.inf, math.nan, math.inf, [0.5, 0.25, 0.25], [2 / 3, 1e-17, 1 / 3]),
-        ("t", 0.25, 2.5, -math.inf, 0.0, [0.5, math.nan, 0.25], [2 / 3, 1e-17, 1 / 3]),
-        ("t", 0.25, 2.5, True, -0.0, np.array([1, 0, 0]), np.array([0, 1, 0])),
-        (7, 0.25, 2.5, 0.1, 0.0, np.array([True, False, False]), [2 / 3, 1e-17, 1 / 3]),
-        # Exactly one field through the encoder, every other formatted directly.
-        (7, 0.25, 2.5, 0.1, 2.0, [0.5, 0.25, 0.25], [2 / 3, 1e-17, 1 / 3]),
-        ("t", np.float64(0.25), 2.5, 0.1, 2.0, [0.5, 0.25, 0.25], [2 / 3, 1e-17, 1 / 3]),
-        ("t", 0.25, 3, 0.1, 2.0, [0.5, 0.25, 0.25], [2 / 3, 1e-17, 1 / 3]),
-        ("t", 0.25, 2.5, 0.1, 2.0, [0.5, 0.25, 0.25], [2 / 3, math.nan, 1 / 3]),
-        ("t", 0.25, 2.5, 0.1, 2.0, [0.5, 0.25, math.nan], [2 / 3, 1e-17, 1 / 3]),
+        pytest.param('q"b\\\u00e9\u2603', 0.25, 2.5, 1 / 3, 1e21, [0.5, 0.25, 0.25],
+                     [2 / 3, 1e-17, 1 / 3],
+                     id='q"b\\\u00e9\u2603-0.25-2.5-0.3333333333333333-1e+21-before0'),
+        pytest.param("t", 1, 2.5, 0.1, 2.0, [0.5, 0.25, 0.25], [2 / 3, 1e-17, 1 / 3],
+                     id="t-1-2.5-0.1-2.0-before1"),
+        pytest.param("t", 0.25, 3, 0.1, 2, [0.5, 0.25, 0.25], [2 / 3, 1e-17, 1 / 3],
+                     id="t-0.25-3-0.1-2-before2"),
+        pytest.param("t", np.float64(0.25), math.inf, np.float64(0.1), 0.5, [0.5, 0.25, 0.25],
+                     [2 / 3, 1e-17, 1 / 3], id="t-0.25-inf-0.1-0.5-before3"),
+        pytest.param("t", 0.25, math.inf, math.nan, math.inf, [0.5, 0.25, 0.25],
+                     [2 / 3, 1e-17, 1 / 3], id="t-0.25-inf-nan-inf-before4"),
+        pytest.param("t", 0.25, 2.5, -math.inf, 0.0, [0.5, math.nan, 0.25],
+                     [2 / 3, 1e-17, 1 / 3], id="t-0.25-2.5--inf-0.0-before5"),
+        pytest.param("t", 0.25, 2.5, True, -0.0, np.array([1, 0, 0]), np.array([0, 1, 0]),
+                     id="t-0.25-2.5-True--0.0-before6"),
+        pytest.param(7, 0.25, 2.5, 0.1, 0.0, np.array([True, False, False]),
+                     [2 / 3, 1e-17, 1 / 3], id="7-0.25-2.5-0.1-0.0-before7"),
+        pytest.param(7, 0.25, 2.5, 0.1, 2.0, [0.5, 0.25, 0.25], [2 / 3, 1e-17, 1 / 3],
+                     id="int-trader-id-alone"),
+        pytest.param("t", np.float64(0.25), 2.5, 0.1, 2.0, [0.5, 0.25, 0.25],
+                     [2 / 3, 1e-17, 1 / 3], id="float64-pi-alone"),
+        pytest.param("t", 0.25, 3, 0.1, 2.0, [0.5, 0.25, 0.25], [2 / 3, 1e-17, 1 / 3],
+                     id="int-limit-alone"),
+        pytest.param("t", 0.25, 2.5, 0.1, 2.0, [0.5, 0.25, 0.25], [2 / 3, math.nan, 1 / 3],
+                     id="nan-in-prices-after-alone"),
+        pytest.param("t", 0.25, 2.5, 0.1, 2.0, [0.5, 0.25, math.nan], [2 / 3, 1e-17, 1 / 3],
+                     id="nan-in-prices-before-alone"),
     ])
     def test_trace_record_is_json_dumps(self, trader_id, pi, limit, charge, collected, before,
                                         after):
