@@ -412,8 +412,7 @@ def read_orders_csv(path, n):
 
 def _json(x):
     """x as _TRACE_ENCODER writes it: a finite float by its repr, anything
-    else through the encoder alone (a str by the escape that encode calls
-    at once)."""
+    else through the encoder alone (which escapes a str at once)."""
     text = repr(x) if type(x) is float else "n"
     # A finite repr has no "n": json writes inf and nan its own way.
     return text if "n" not in text else _TRACE_ENCODER.encode(x)
