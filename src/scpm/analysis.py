@@ -25,13 +25,17 @@ themselves check those points, properness through grad and the penalty
 fit against every catalog family.  Their constant lattices, simplex_grid's
 points (all of them, or the interior ones of the penalty fit) and the
 dual's patch offsets, are built once per (N, resolution), read-only, and
-kept in a cache of LATTICES_KEPT each.
+kept in a cache of LATTICES_KEPT each.  So are the catalog families the
+fit compares against: every kind's penalty on the fit's grid is built
+once per (b, N, resolution), one table for all kinds, and only u's own
+kind, whose prior may differ, is evaluated on each call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,10 +374,10 @@ def _lattice_min(u, Z, resolution):
         # integer lattice coordinates of all but the last component
         K = np.rint(P[np.argmin(vals), :-1] * res) * DUAL_CUT + _offsets(u.n - 1)
         res *= DUAL_CUT
-        total = _rows(np.add, K)
-        keep = _rows(np.logical_and, K >= 0) & (total <= res)
-        K, total = K[keep], total[keep]
-        P = np.column_stack([K, res - total]) / res
+        # the full point; its last component is >= 0 exactly when the sum
+        # of the others is <= res, so one filter keeps the simplex's points
+        L = np.concatenate([K, res - _rows(np.add, K, keepdims=True)], axis=1)
+        P = L[_rows(np.minimum, L) >= 0] / res
         vals = P @ Z + u.penalty_raw(P)
         low = min(low, float(vals.min()))
     return low
@@ -408,6 +412,19 @@ PENALTY_LABELS = {
 }
 
 
+@functools.lru_cache(maxsize=LATTICES_KEPT)
+def _families(b, n, resolution):
+    """Every catalog family's penalty at (b, n) with its default prior, less
+    its minimum, on the penalty fit's interior grid: a read-only vector per
+    PENALTY_LABELS kind, built once."""
+    grid = _grid(n, resolution, interior=True)
+    table = {}
+    for kind in PENALTY_LABELS:
+        vals = util_mod.make_utility(kind, b=b, n_outcomes=n).penalty_raw(grid)
+        table[kind] = _read_only(vals - vals.min())
+    return types.MappingProxyType(table)
+
+
 def identify_penalty_family(u, resolution=12):
     """Fit numerically-evaluated L(p) against the catalog closed forms on an
     interior simplex grid; returns (best label, max deviation)."""
@@ -417,11 +434,14 @@ def identify_penalty_family(u, resolution=12):
     S = u._conjugate(grid)
     numeric = u.value(S) - _rows(np.add, grid * S)
     numeric -= numeric.min()
+    families = _families(u.b, u.n, resolution)
     fits = []
     for kind, label in PENALTY_LABELS.items():
-        candidate = u if kind == u.kind else util_mod.make_utility(kind, b=u.b, n_outcomes=u.n)
-        vals = candidate.penalty_raw(grid)
-        vals = vals - vals.min()
+        if kind == u.kind:  # u's own, which may carry its own theta
+            vals = u.penalty_raw(grid)
+            vals = vals - vals.min()
+        else:
+            vals = families[kind]
         fits.append((kind, label, float(np.max(np.abs(vals - numeric)))))
     best_dev = min(dev for _, _, dev in fits)
     # Families can coincide exactly (uniform-prior KL fits both the LMSR and

@@ -20,9 +20,10 @@ from scpm import (
     table1,
     worst_case_loss,
 )
-from scpm.analysis import PENALTY_LABELS, _grid, _offsets
+from scpm import analysis
+from scpm.analysis import PENALTY_LABELS, _families, _grid, _lattice_min, _offsets
 from scpm.oracle import simplex_grid
-from scpm.utilities import CATALOG, KINDS, LMSR, Utility
+from scpm.utilities import CATALOG, KINDS, LMSR, Utility, _rows
 
 from linear_utility import LinearUtility
 
@@ -422,7 +423,7 @@ class TestDualWork:
                       for P in seen if np.ndim(P) == 2)
         assert spacing <= (1.0 + 1e-9) / res
 
-    def test_lattices_built_once_and_read_only(self):
+    def test_lattices_built_once_and_read_only(self, monkeypatch):
         # The constant lattices of the dual and of the penalty fit are built
         # on their first call and shared after it, so none may be written.
         grid = simplex_grid(3, 12)
@@ -444,6 +445,81 @@ class TestDualWork:
         identify_penalty_family(u)
         risk_dual_check(u, np.array([0.3, -0.2, 0.1]), 400)
         assert _grid(3, 12, interior=True) is before
+        # The catalog families of the fit: one table per (b, N, resolution)
+        # for every kind, so a table1 pass at one N builds each family once.
+        real_make_utility = analysis.util_mod.make_utility
+        builds = []
+
+        def counting(kind, *args, **kwargs):
+            builds.append(kind)
+            return real_make_utility(kind, *args, **kwargs)
+
+        _families.cache_clear()
+        monkeypatch.setattr(analysis.util_mod, "make_utility", counting)
+        for n in (2, 3):
+            us = [make_utility(kind, n_outcomes=n) for kind in MONOTONE_KINDS]
+            for first in (True, False):
+                del builds[:]
+                for u in us:
+                    identify_penalty_family(u)
+                assert len(builds) <= (len(PENALTY_LABELS) if first else 0), builds
+        monkeypatch.undo()
+        for n in (2, 3):
+            grid = _grid(n, 12, interior=True)
+            families = _families(1.0, n, 12)
+            assert families is _families(1.0, n, 12)
+            assert list(families) == list(PENALTY_LABELS)
+            with pytest.raises(TypeError):
+                families["LMSR"] = families["MinSCPM"]
+            for kind, vals in families.items():
+                raw = make_utility(kind, n_outcomes=n).penalty_raw(grid)
+                want = raw - raw.min()
+                assert vals.tobytes() == want.tobytes() and vals.shape == want.shape
+                with pytest.raises(ValueError, match="read-only"):
+                    vals[0] = 0.5
+
+    @staticmethod
+    def column_stack_lattice_min(u, Z, resolution):
+        """_lattice_min with each round's two filters and column_stack, as it
+        was before the round kept its points with one filter."""
+        res = analysis.DUAL_START
+        P = _grid(u.n, res)
+        vals = P @ Z + u.penalty_raw(P)
+        low = float(vals.min())
+        while res < resolution:
+            K = np.rint(P[np.argmin(vals), :-1] * res) * analysis.DUAL_CUT + _offsets(u.n - 1)
+            res *= analysis.DUAL_CUT
+            total = _rows(np.add, K)
+            keep = _rows(np.logical_and, K >= 0) & (total <= res)
+            K, total = K[keep], total[keep]
+            P = np.column_stack([K, res - total]) / res
+            vals = P @ Z + u.penalty_raw(P)
+            low = min(low, float(vals.min()))
+        return low
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", MONOTONE_KINDS)
+    def test_one_filter_rounds_match_column_stack(self, kind, n):
+        # Every round prices the same points in the same bytes as the two
+        # filters and column_stack did, also where |Z| up to 1e4 pushes the
+        # patch against a face and the filter drops rows.
+        rng = np.random.default_rng(82620)
+        u = make_utility(kind, n_outcomes=n)
+        for scale in (0.5, 1e2, 1e4):
+            Z = scale * rng.uniform(-1.0, 1.0, size=n)
+            for res in (50, 400, 4000):
+                seen = recording_penalty(u)
+                want = self.column_stack_lattice_min(u, Z, res)
+                reference = list(seen)
+                del seen[:]
+                got = _lattice_min(u, Z, res)
+                del u._penalty
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                assert len(seen) == len(reference) > 1
+                assert all(p.shape == r.shape and p.tobytes() == r.tobytes()
+                           for p, r in zip(seen, reference))
+                if scale == 1e4 and res == 4000:
+                    assert min(len(p) for p in seen[1:]) < len(_offsets(n - 1))
 
 
 class TestPenaltyFamily:
@@ -479,3 +555,40 @@ class TestPenaltyFamily:
     def test_non_monotone_rejected(self):
         with pytest.raises(ValueError, match="penalty"):
             identify_penalty_family(make_utility("QuadraticScore"))
+
+    @staticmethod
+    def fresh_candidates_fit(u, resolution=12):
+        """identify_penalty_family as it was before the families were kept:
+        a fresh catalog utility per candidate, and u itself for its kind."""
+        grid = _grid(u.n, resolution, interior=True)
+        S = u._conjugate(grid)
+        numeric = u.value(S) - _rows(np.add, grid * S)
+        numeric -= numeric.min()
+        fits = []
+        for kind, label in PENALTY_LABELS.items():
+            candidate = u if kind == u.kind else make_utility(kind, b=u.b, n_outcomes=u.n)
+            vals = candidate.penalty_raw(grid)
+            vals = vals - vals.min()
+            fits.append((kind, label, float(np.max(np.abs(vals - numeric)))))
+        best_dev = min(dev for _, _, dev in fits)
+        _, label, dev = min(fits, key=lambda f: (f[0] != u.kind or f[2] > best_dev + 1e-9, f[2]))
+        return label, dev
+
+    @pytest.mark.parametrize("b", [1.0, 1e3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", MONOTONE_KINDS)
+    def test_fit_matches_fresh_candidates(self, kind, n, b):
+        # The kept families fit as freshly built candidates did, bit for
+        # bit; a skewed prior keeps fitting with u's own penalty, not with
+        # the table's default-prior vector of its kind.
+        thetas = [None]
+        if CATALOG[kind].takes_theta:
+            theta = np.arange(1.0, n + 1.0) ** 2
+            thetas.append(theta / theta.sum() if kind == "QuadSCPM" else theta)
+        for theta in thetas:
+            u = make_utility(kind, b=b, n_outcomes=n, theta=theta)
+            label, dev = identify_penalty_family(u)
+            want_label, want_dev = self.fresh_candidates_fit(u)
+            assert label == want_label == PENALTY_LABELS[kind]
+            assert np.float64(dev).tobytes() == np.float64(want_dev).tobytes()
+            assert dev <= 1e-9 * b

@@ -87,6 +87,11 @@ def test_bench_pairs_keeps_each_runs_attempted_count(monkeypatch):
     (["--runs", "analysis:1", "--claim", "stream-deep:ops_per_s"], "'stream-deep' has no --runs"),
     (["--runs", "analysis:1", "--claim", "analysis"], "not WORKLOAD:METRIC"),
     (["--parent", "no-such-rev", "--runs", "analysis:1"], "cannot export no-such-rev: "),
+    (["--runs", "analysis"], "--runs analysis: has no seeds"),
+    (["--runs", "analysis:x"], "--runs analysis:x has no seeds"),
+    (["--runs", "analysis:1-x"], "--runs analysis:1-x has no seeds"),
+    (["--runs", "analysis:5-3"], "--runs analysis:5-3 has no seeds"),
+    (["--runs", "analysis:1", "--runs", "stream-deep:"], "--runs stream-deep: has no seeds"),
 ])
 def test_bench_pairs_fails_before_any_run(monkeypatch, capsys, args, message):
     # A bad --runs or --claim is found before anything is exported, and a

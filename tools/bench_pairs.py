@@ -22,7 +22,8 @@ parent's by more than the parent's interquartile spread.  Every other workload a
 compared against the bound that BENCHMARK.json fixes for it.  The file is
 rewritten after every pair, so a cut run keeps the pairs it finished.
 Before any export or run, a ``--runs`` workload that BENCHMARK.json does
-not declare, or a ``--claim`` on a workload missing from ``--runs`` or on
+not declare or whose seeds are no range (none, not integers, or LO > HI),
+or a ``--claim`` on a workload missing from ``--runs`` or on
 a metric that is not end to end, prints one ``error:`` line and exits 2,
 as a ``--parent`` or ``--change`` that git cannot export does.
 """
@@ -40,8 +41,13 @@ COMMAND = "python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds
 
 
 def seed_range(text):
+    """The seeds of LO-HI or of LO alone, or None where text is neither or
+    the range is empty."""
     lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    try:
+        return list(range(int(lo), int(hi or lo) + 1)) or None
+    except ValueError:
+        return None
 
 
 def parse_args(argv):
@@ -55,7 +61,7 @@ def parse_args(argv):
                    help="the one end-to-end metric whose gain is claimed")
     p.add_argument("--notes", default=None)
     args = p.parse_args(argv)
-    args.runs = [(w, seed_range(s)) for w, _, s in (r.partition(":") for r in args.runs)]
+    args.runs = [(w, s) for w, _, s in (r.partition(":") for r in args.runs)]
     if args.claim is not None:
         args.claim = tuple(args.claim.split(":", 1))
     return args
@@ -171,9 +177,11 @@ def _reason(exc):
 def usage_error(args, spec):
     """What is wrong with --runs or --claim against BENCHMARK.json, or None."""
     workloads = [w["name"] for w in spec["workloads"]]
-    for workload, _ in args.runs:
+    for workload, seeds in args.runs:
         if workload not in workloads:
             return f"unknown workload {workload!r} in --runs; expected one of {workloads}"
+        if seed_range(seeds) is None:
+            return f"--runs {workload}:{seeds} has no seeds; expected LO-HI with LO <= HI, or LO"
     if args.claim is None:
         return None
     if len(args.claim) != 2:
@@ -218,7 +226,7 @@ def main(argv=None):
             report["claim"] = (f"{args.claim[0]} {args.claim[1]} improves, winning at least nine "
                                f"tenths of the pairs, with the median better by more than the "
                                f"parent's interquartile spread")
-        for workload, seeds in args.runs:
+        for workload, seeds in ((w, seed_range(s)) for w, s in args.runs):
             section = {"seeds": seeds, "all_correct": True, "failed_ops": {"parent": 0, "change": 0},
                        "digests_equal_in_every_pair": True, "first_side": {}, "summary": None,
                        "runs": {"parent": [], "change": []}}
