@@ -43,7 +43,6 @@ import numpy as np
 from .cost import bracketed_root, cost as compute_cost, solve_t
 from . import market as market_mod
 from . import utilities as util_mod
-from .oracle import simplex_grid
 from .utilities import _rows
 
 UNBOUNDED_THRESHOLD = 1e6
@@ -340,6 +339,30 @@ def risk_measure(u, Z):
 def _read_only(a):
     a.setflags(write=False)
     return a
+
+
+def simplex_grid(n, resolution):
+    """All lattice simplex points with components k/resolution (n <= 3);
+    for larger n, as many seeded Dirichlet samples as the n = 3 lattice
+    has points, up to 100 000."""
+    if n < 2 or resolution < 2:
+        raise ValueError("need n >= 2 and resolution >= 2")
+    if n == 2:
+        k = np.arange(resolution + 1)
+        p0 = k / resolution
+        return np.column_stack([p0, 1.0 - p0])
+    if n == 3:
+        # k1 = 0..resolution, each with k2 = 0..resolution - k1
+        counts = np.arange(resolution + 1, 0, -1)
+        k1 = np.repeat(np.arange(resolution + 1), counts)
+        k2 = np.arange(k1.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        grid = np.empty((k1.size, 3))
+        grid[:, 0] = k1 / resolution
+        grid[:, 1] = k2 / resolution
+        grid[:, 2] = 1.0 - grid[:, 0] - grid[:, 1]
+        return np.clip(grid, 0.0, 1.0, out=grid)
+    rng = np.random.default_rng(0)
+    return rng.dirichlet(np.ones(n), size=min((resolution + 1) * (resolution + 2) // 2, 100_000))
 
 
 @functools.lru_cache(maxsize=LATTICES_KEPT)

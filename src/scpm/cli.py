@@ -46,9 +46,14 @@ def load_market_config(path):
         raise ConfigError(f"bad market config {path}: {exc}")
 
 
-def _replay(state, orders_path):
-    orders = market_mod.read_orders_csv(orders_path, state.config.n_outcomes)
-    return market_mod.run_orders(state, orders)
+def _market(args):
+    """A fresh market from args.config, with the orders of args.orders run
+    on it where given."""
+    config = load_market_config(args.config)
+    state = market_mod.new_market(config)
+    if args.orders:
+        market_mod.run_orders(state, market_mod.read_orders_csv(args.orders, config.n_outcomes))
+    return state
 
 
 def _parse_vector(text, n, what):
@@ -63,28 +68,22 @@ def _fmt(x):
 
 
 def cmd_quote(args):
-    config = load_market_config(args.config)
-    state = market_mod.new_market(config)
-    if args.orders:
-        _replay(state, args.orders)
-    bundle = _parse_vector(args.bundle, config.n_outcomes, "bundle")
+    state = _market(args)
+    bundle = _parse_vector(args.bundle, state.config.n_outcomes, "bundle")
     price = market_mod.quote(state, bundle)
-    p = compute_prices(config.utility, state.q)
+    p = compute_prices(state.config.utility, state.q)
     print(_fmt(price))
     print("prices: " + " ".join(_fmt(x) for x in p))
     return 0
 
 
 def cmd_trade(args):
-    config = load_market_config(args.config)
-    state = market_mod.new_market(config)
-    if args.orders:
-        _replay(state, args.orders)
+    state = _market(args)
     order = market_mod.Order(
         trader_id="cli",
         pi=args.pi,
         limit=math.inf if args.limit is None else args.limit,
-        bundle=_parse_vector(args.bundle, config.n_outcomes, "bundle"),
+        bundle=_parse_vector(args.bundle, state.config.n_outcomes, "bundle"),
     )
     f = market_mod.fill(state, order)
     market_mod.apply(state, f)

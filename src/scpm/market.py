@@ -31,7 +31,8 @@ q_before is that vector; apply replaces it only when x_bar > 0.  A q that
 the caller assigned writable is read through a read-only snapshot.
 
 Order streams are CSV (trader_id,pi,limit,bundle with the bundle as
-semicolon-separated reals, limit accepts "inf"); traces are JSON lines.
+semicolon-separated reals, and the limit as float() reads it, so "inf"
+is no limit); traces are JSON lines.
 """
 
 from __future__ import annotations
@@ -343,8 +344,9 @@ def settle(state, outcome):
     """Pay $1 per outstanding share on the realized outcome, and check the
     loss against B + C(initial_q)."""
     n = state.config.n_outcomes
-    if not 0 <= outcome < n:
+    if isinstance(outcome, (bool, np.bool_)) or not (0 <= outcome < n and outcome % 1 == 0):
         raise ValueError(f"outcome index must be in [0, {n}), got {outcome}")
+    outcome = int(outcome)
     u = state.config.utility
     b_term, c0 = u.loss_bound_terms()
     # The initial shares are owed from the start and no charge paid for
@@ -379,11 +381,6 @@ def parse_bundle(text, n):
     return np.array([float(p) for p in parts])
 
 
-def parse_limit(text):
-    text = text.strip().lower()
-    return math.inf if text == "inf" else float(text)
-
-
 def read_orders_csv(path, n):
     """Parse an order-stream CSV; raises ValueError with the line number on
     a malformed row."""
@@ -402,7 +399,7 @@ def read_orders_csv(path, n):
                 orders.append(Order(
                     trader_id=row[0],
                     pi=float(row[1]),
-                    limit=parse_limit(row[2]),
+                    limit=float(row[2]),
                     bundle=parse_bundle(row[3], n),
                 ))
             except ValueError as exc:

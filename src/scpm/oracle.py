@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import market as market_mod
+from .analysis import simplex_grid  # noqa: F401  (a public name of this module too)
 from .cost import prices as compute_prices
 from .utilities import KINDS, make_utility
 
@@ -107,30 +108,6 @@ def brute_force_fill(state, order, step=1e-4):
         if float(compute_prices(u, q + a * nxt) @ a) > order.pi:
             return eps
         eps = nxt
-
-
-def simplex_grid(n, resolution):
-    """All lattice simplex points with components k/resolution (n <= 3);
-    for larger n, as many seeded Dirichlet samples as the n = 3 lattice
-    has points, up to 100 000."""
-    if n < 2 or resolution < 2:
-        raise ValueError("need n >= 2 and resolution >= 2")
-    if n == 2:
-        k = np.arange(resolution + 1)
-        p0 = k / resolution
-        return np.column_stack([p0, 1.0 - p0])
-    if n == 3:
-        # k1 = 0..resolution, each with k2 = 0..resolution - k1
-        counts = np.arange(resolution + 1, 0, -1)
-        k1 = np.repeat(np.arange(resolution + 1), counts)
-        k2 = np.arange(k1.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        grid = np.empty((k1.size, 3))
-        grid[:, 0] = k1 / resolution
-        grid[:, 1] = k2 / resolution
-        grid[:, 2] = 1.0 - grid[:, 0] - grid[:, 1]
-        return np.clip(grid, 0.0, 1.0, out=grid)
-    rng = np.random.default_rng(0)
-    return rng.dirichlet(np.ones(n), size=min((resolution + 1) * (resolution + 2) // 2, 100_000))
 
 
 @dataclass(frozen=True)

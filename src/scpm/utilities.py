@@ -105,12 +105,12 @@ the kind.
 _kernel(q) is the whole cost solve of cost.solve_t at q with max(q) = 0:
 the level t, C = t - u(t - q), the prices grad(u)(t - q), the path name
 and the iterations.  The flat kinds read t = 0 and both values from q in
-one pass.  QuadSCPM takes t from solve_withdrawal, LogSCPM from its Newton
-level with its pass count, and each reads C = t - _value(s) and the
-prices _grad(s) at one s = t - q; QuadSCPM below SMALL_N states makes the
-same float operations over lists (_float_kernel).  The base kernel is the
-generic path: the withdrawal or cost._root_t, then the public value and
-grad, which a kind may override in place of _value and _grad.
+one pass.  The base kernel takes t from solve_withdrawal, or else from
+cost._root_t, and reads C = t - _value(s) and the prices _grad(s) at one
+s = t - q; QuadSCPM's is the base kernel, but below SMALL_N states, where
+it makes the same float operations over lists.  LogSCPM takes t from its
+Newton level with its pass count and reads C and the prices as the base
+does.
 
 LMSR's value, grad and kernel read one log-sum-exp.  With alpha =
 sum(theta), C(0) = b log alpha (from alpha - 1 summed exactly where alpha
@@ -325,9 +325,12 @@ class Utility:
         b = float(b)
         if not 0 < b < math.inf:
             raise ValueError(f"b must be positive and finite, got {b}")
-        n = int(n_outcomes)
-        if n < 2:
-            raise ValueError(f"n_outcomes must be >= 2, got {n_outcomes}")
+        try:
+            n = int(n_outcomes)
+        except (OverflowError, ValueError):  # inf, nan
+            n = None
+        if n != n_outcomes or n < 2:
+            raise ValueError(f"n_outcomes must be an integer >= 2, got {n_outcomes!r}")
         self.b = b
         self.n = n
         self.theta = self._validate_theta(theta)
@@ -441,9 +444,9 @@ class Utility:
         """(t, C, prices, path, iterations) of the cost solve at q, max(q) = 0.
 
         The level t is the kind's withdrawal, or else cost._root_t's root
-        (or 0 where it finds the objective flat); C = t - u(t - q) and the
-        prices are grad(u) at t - q.  Kinds override it to compute both
-        from one pass over q.
+        (or 0 where it finds the objective flat); C = t - _value(s) and the
+        prices are _grad(s) at s = t - q.  Kinds override it to compute
+        both from one pass over q.
         """
         t = self.solve_withdrawal(q)
         if t is None:
@@ -451,7 +454,7 @@ class Utility:
         else:
             path, iterations = "closed", 0
         s = t - q
-        return t, t - self.value(s), self.grad(s), path, iterations
+        return t, t - float(self._value(s)), self._grad(s), path, iterations
 
     def solve_fill(self, q, a, pi, before, p_a):
         """Closed-form candidate for the largest x with p(q + a x)'a <= pi,
@@ -505,11 +508,11 @@ class Utility:
     def to_dict(self):
         d = {"kind": self.kind, "b": self.b, "n_outcomes": self.n}
         if self.theta is not None:
-            d["theta"] = [float(x) for x in self.theta]
+            d["theta"] = self.theta.tolist()
         return d
 
     def __repr__(self):
-        theta = None if self.theta is None else list(self.theta)
+        theta = None if self.theta is None else self.theta.tolist()
         return f"{type(self).__name__}(b={self.b}, n_outcomes={self.n}, theta={theta})"
 
 
@@ -815,11 +818,22 @@ class QuadSCPM(Utility):
         return np.maximum(0.0, self.theta - s / (2.0 * self.b))
 
     def _kernel(self, q):
+        if q.size >= SMALL_N:
+            return super()._kernel(q)
+        # The base kernel's C and prices over Python floats, by the array
+        # form's operations in the same order.
         t = self.solve_withdrawal(q)
-        if q.size < SMALL_N:
-            return self._float_kernel(t, q.tolist())
-        s = t - q
-        return t, t - float(self._value(s)), self._grad(s), "closed", 0
+        half, tv, vv = 2.0 * self.b, 0.0, 0.0
+        prices = []
+        for qi, ti, ci in zip(q.tolist(), self._theta_list, self._w_list):
+            si = t - qi
+            # np.minimum and np.maximum: a nan s wins, a tie gives the second.
+            vi = si if not si >= ci else ci
+            tv += ti * vi
+            vv += vi * vi
+            p = ti - si / half
+            prices.append(p if not p < 0.0 else 0.0)
+        return t, t - (tv - vv / (4.0 * self.b)), np.array(prices), "closed", 0
 
     def _conjugate(self, R):
         # Below the clamp for r > 0: theta - s/2b = r.
@@ -849,23 +863,8 @@ class QuadSCPM(Utility):
 
     @functools.cached_property
     def _theta_list(self):
-        """theta as a list of Python floats, for _float_kernel."""
+        """theta as a list of Python floats, for the kernel below SMALL_N states."""
         return self.theta.tolist()
-
-    def _float_kernel(self, t, q):
-        """The kernel's C and prices over Python floats from its level t and
-        q as a list, by the array form's operations in the same order."""
-        half, tv, vv = 2.0 * self.b, 0.0, 0.0
-        prices = []
-        for qi, ti, ci in zip(q, self._theta_list, self._w_list):
-            si = t - qi
-            # np.minimum and np.maximum: a nan s wins, a tie gives the second.
-            vi = si if not si >= ci else ci
-            tv += ti * vi
-            vv += vi * vi
-            p = ti - si / half
-            prices.append(p if not p < 0.0 else 0.0)
-        return t, t - (tv - vv / (4.0 * self.b)), np.array(prices), "closed", 0
 
     def _penalty(self, p):
         return self.b * _rows(np.add, (p - self.theta) ** 2)

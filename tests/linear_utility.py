@@ -13,11 +13,11 @@ class LinearUtility(Utility):
         self.c = np.asarray(c, dtype=float)
         super().__init__(n_outcomes=self.c.size)
 
-    def value(self, s):
-        return self._as_alloc(s) @ self.c
+    def _value(self, s):
+        return s @ self.c
 
-    def grad(self, s):
-        return np.broadcast_to(self.c, self._as_alloc(s).shape).copy()
+    def _grad(self, s):
+        return np.broadcast_to(self.c, s.shape).copy()
 
     def _conjugate(self, R):
         """The origin for every belief.  u(s) - r's = (c - r)'s has no

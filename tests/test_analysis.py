@@ -17,12 +17,13 @@ from scpm import (
     risk_dual_check,
     risk_measure,
     settle,
+    solve_t,
     table1,
     worst_case_loss,
 )
-from scpm import analysis
-from scpm.analysis import PENALTY_LABELS, _families, _grid, _lattice_min, _offsets
-from scpm.oracle import simplex_grid
+from scpm import analysis, oracle
+from scpm.analysis import (PENALTY_LABELS, _families, _grid, _lattice_min, _offsets,
+                           simplex_grid)
 from scpm.utilities import CATALOG, KINDS, LMSR, Utility, _rows
 
 from linear_utility import LinearUtility
@@ -40,6 +41,23 @@ class ValueGradOnly(Utility):
 
     def _grad(self, s):
         return np.exp(-s) / self.n
+
+
+class TestKindContract:
+    def test_value_and_grad_are_the_base_class_own(self):
+        # A kind writes its formulas, _value and _grad; the public value and
+        # grad, which coerce the input, are the base class's alone.
+        for cls in [*CATALOG.values(), LinearUtility, ValueGradOnly]:
+            assert cls.value is Utility.value and cls.grad is Utility.grad, cls
+
+    def test_formulas_only_kind_solves_by_root(self):
+        # No level and no kernel: the base kernel's root search, then C
+        # from _value at its level.
+        u = ValueGradOnly(n_outcomes=3)
+        q = np.array([0.4, -0.2, 1.1])
+        res = solve_t(u, q)
+        assert res.path == "root"
+        assert res.cost == pytest.approx(oracle.grid_min_t(u, q)[1], abs=1e-6)
 
 
 class TestWorstCaseLoss:

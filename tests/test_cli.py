@@ -179,6 +179,13 @@ class TestConfigErrors:
         assert main(["trade", "--config", str(path), "--pi", "0.6", "--bundle", "1;0"]) == 2
         assert "b must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["2.5", "1e400"])
+    def test_non_integral_n_outcomes(self, tmp_path, capsys, n):
+        path = tmp_path / "bad.json"
+        path.write_text('{"utility": {"kind": "LMSR", "n_outcomes": %s}}' % n)
+        assert main(["quote", "--config", str(path), "--bundle", "1;0"]) == 2
+        assert_one_error_line(capsys, "n_outcomes must be an integer")
+
     def test_unknown_utility_kind(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"utility": {"kind": "Brier"}}))

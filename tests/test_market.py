@@ -21,8 +21,7 @@ from scpm import (
     run_orders,
     settle,
 )
-from scpm.market import (FillResult, converge, parse_bundle, parse_limit, read_orders_csv,
-                         trace_record)
+from scpm.market import FillResult, converge, parse_bundle, read_orders_csv, trace_record
 from scpm.utilities import KINDS
 
 
@@ -649,6 +648,21 @@ class TestSettlement:
         with pytest.raises(ValueError, match="outcome index"):
             settle(state, 2)
 
+    @pytest.mark.parametrize("outcome", [1.5, 2.0, -1.0, math.nan, math.inf, True, np.True_],
+                             ids=["1.5", "2.0", "-1.0", "nan", "inf", "True", "np.True_"])
+    def test_settle_rejects_a_non_index(self, outcome):
+        state = lmsr_market()
+        with pytest.raises(ValueError, match="outcome index"):
+            settle(state, outcome)
+
+    @pytest.mark.parametrize("outcome", [1.0, np.int64(1), np.float64(1.0)],
+                             ids=["1.0", "np.int64", "np.float64"])
+    def test_settle_takes_an_integral_outcome(self, outcome):
+        state = lmsr_market()
+        run_orders(state, [Order("t", 0.7, 1.0, np.array([0.0, 1.0]))])
+        rep = settle(state, outcome)
+        assert rep == settle(state, 1) and type(rep.outcome) is int
+
     def test_loss_bound_flag(self):
         state = lmsr_market(b=1.0, n=2)
         run_orders(state, [Order("t", 0.9, 5.0, np.array([1.0, 0.0]))])
@@ -723,10 +737,12 @@ class TestConverge:
 
 
 class TestStreamFormats:
-    def test_parse_limit_inf(self):
-        assert parse_limit("inf") == math.inf
-        assert parse_limit(" INF ") == math.inf
-        assert parse_limit("2.5") == 2.5
+    def test_read_orders_csv_limit_reads_as_float(self, tmp_path):
+        path = tmp_path / "orders.csv"
+        limits = ["inf", " INF ", "2.5", "Infinity"]
+        path.write_text("trader_id,pi,limit,bundle\n"
+                        + "".join(f"t,0.6,{limit},1;0\n" for limit in limits))
+        assert [o.limit for o in read_orders_csv(path, 2)] == [math.inf, math.inf, 2.5, math.inf]
 
     def test_parse_bundle_length(self):
         with pytest.raises(ValueError, match="components"):

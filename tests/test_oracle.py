@@ -12,8 +12,8 @@ from scpm.oracle import (
     finite_diff_gradient,
     grid_min_t,
     quadrature_charge,
-    simplex_grid,
 )
+from scpm.analysis import simplex_grid
 from scpm.utilities import KINDS
 
 

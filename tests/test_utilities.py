@@ -72,6 +72,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="n_outcomes"):
             make_utility("LMSR", n_outcomes=1)
 
+    @pytest.mark.parametrize("n", [2.5, np.float64(3.5), math.inf, math.nan, "3"])
+    def test_non_integral_n_rejected(self, n):
+        with pytest.raises(ValueError, match="n_outcomes must be an integer"):
+            make_utility("LMSR", n_outcomes=n)
+
+    @pytest.mark.parametrize("n", [3, np.int64(3), 3.0, np.float64(3.0)])
+    def test_integral_n_taken(self, n):
+        u = make_utility("LMSR", n_outcomes=n)
+        assert u.n == 3 and type(u.n) is int
+
     @pytest.mark.parametrize("kind", ["QuadraticScore", "MinSCPM", "ExponentialSCPM"])
     def test_theta_rejected_where_unused(self, kind):
         with pytest.raises(ValueError, match="takes no theta"):
@@ -105,6 +115,11 @@ class TestConstruction:
     def test_quadscpm_theta_must_be_simplex(self):
         with pytest.raises(ValueError, match="sum to 1"):
             make_utility("QuadSCPM", n_outcomes=2, theta=[0.6, 0.6])
+
+    def test_repr_writes_theta_as_floats(self):
+        u = make_utility("QuadSCPM", b=2.0, n_outcomes=2)
+        assert repr(u) == "QuadSCPM(b=2.0, n_outcomes=2, theta=[0.5, 0.5])"
+        assert repr(MinSCPM(n_outcomes=3)) == "MinSCPM(b=1.0, n_outcomes=3, theta=None)"
 
     def test_roundtrip_serialization(self):
         for kind in KINDS:
@@ -532,11 +547,8 @@ class TestLinearUtility:
         np.testing.assert_array_equal(u.grad(np.zeros((3, 2))), np.tile([0.6, 0.4], (3, 1)))
 
 
-def test_market_path_leaves_scipy_special_unloaded():
-    # scipy.special serves only the independent LMSR reference of
-    # msr_equivalence_check; loading it doubles the resident memory of a
-    # process that trades or analyses the catalog.
-    code = """
+# A fill and a quote of every kind, then every study of every monotone kind.
+MARKET_AND_STUDIES = """
 import math, sys
 import numpy as np
 import scpm
@@ -554,9 +566,24 @@ for kind in scpm.utilities.KINDS:
             analysis.check_properness(u, 50, 1)
             analysis.identify_penalty_family(u)
             analysis.risk_dual_check(u, np.linspace(-0.5, 0.5, n), 400)
-assert "scipy.special" not in sys.modules
 """
+
+
+def assert_unloaded_after_market_and_studies(module):
     src = str(Path(scpm.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    code = MARKET_AND_STUDIES + f"assert {module!r} not in sys.modules\n"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_market_path_leaves_scipy_special_unloaded():
+    # scipy.special serves only the independent LMSR reference of
+    # msr_equivalence_check; loading it doubles the resident memory of a
+    # process that trades or analyses the catalog.
+    assert_unloaded_after_market_and_studies("scipy.special")
+
+
+def test_engine_leaves_the_oracle_unloaded():
+    # The oracles check the engine, so the engine may not lean on them.
+    assert_unloaded_after_market_and_studies("scpm.oracle")
