@@ -107,10 +107,10 @@ the level t, C = t - u(t - q), the prices grad(u)(t - q), the path name
 and the iterations.  The flat kinds read t = 0 and both values from q in
 one pass.  The base kernel takes t from solve_withdrawal, or else from
 cost._root_t, and reads C = t - _value(s) and the prices _grad(s) at one
-s = t - q; QuadSCPM's is the base kernel, but below SMALL_N states, where
-it makes the same float operations over lists.  LogSCPM takes t from its
-Newton level with its pass count and reads C and the prices as the base
-does.
+s = t - q.  QuadSCPM's kernel is the base kernel from SMALL_N states on
+and the same float operations over lists below them.  LogSCPM takes t
+from its Newton level with its pass count and reads C and the prices as
+the base does.
 
 LMSR's value, grad and kernel read one log-sum-exp.  With alpha =
 sum(theta), C(0) = b log alpha (from alpha - 1 summed exactly where alpha
