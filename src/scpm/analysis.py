@@ -413,8 +413,12 @@ def risk_dual_check(u, Z, grid_resolution=1000):
     Fenchel-Young makes p'Z + L(p) = -rho(Z) exactly, and over a simplex
     lattice refined to a spacing of at most 1/grid_resolution, which no
     point may undercut (weak duality).  A penalty too high at the witness
-    or too low anywhere near the minimum opens the gap.
+    or too low anywhere near the minimum opens the gap.  Raises ValueError
+    unless grid_resolution is an integer >= 2, as simplex_grid does.
     """
+    # Negated, so that nan fails; inf % 1 is nan.
+    if not (grid_resolution >= 2 and grid_resolution % 1 == 0):
+        raise ValueError(f"grid_resolution must be an integer >= 2, got {grid_resolution!r}")
     res = _risk_solve(u, Z)
     Z = np.asarray(Z, dtype=float)
     witness = float(res.prices @ Z) + u.penalty_raw(res.prices)

@@ -24,14 +24,21 @@ The kernel works at q - max(q), and solve_t adds max(q) back: C(q + ce) =
 C(q) + c and prices are unchanged, so the level and the price check then
 work at the scale of the spread of q, not of its size.  solve_t accepts a
 q only if it is finite and its spread max(q) - min(q) is too, so that the
-shift cannot overflow; both read off the entries of q at argmin and
-argmax, min(q) and max(q) without a ufunc reduction (of -0.0 and +0.0
-tied, the first; C, the prices and t come out the same).
-The price-sum check reads p'e, and a renormalisation divides by p.sum();
-a t, C or price that is not finite (a gap of inf or nan) is a SolverError.
-For a monotone kind it rejects a price below -1e-10 and clamps the ones in
-[-1e-10, 0) to +0.0, and it runs the clamp only when some price is
-negative, read off the entry at argmin(p): a kernel hands it no -0.0.
+shift cannot overflow.  Its checks read Python floats below SMALL_N
+states, where numpy's per-call cost outweighs the work on a few numbers:
+min and max of q.tolist(), which pass over a nan that is not first, so a
+list sum that is nan catches one (the sum is nan exactly when some entry
+is, since an infinite entry already fails the spread test).  From SMALL_N
+states on they read the entries of q at argmin and argmax, which stop at
+the first nan, without a ufunc reduction.  Both take the first of tied
+-0.0 and +0.0 (C, the prices and t come out the same).
+The price-sum check reads the sum of p.tolist() below SMALL_N states and
+p'e from there; it only picks a branch, and a renormalisation divides by
+p.sum().  A t, C or price that is not finite (a gap of inf or nan) is a
+SolverError.  For a monotone kind it rejects a price below -1e-10 and
+clamps the ones in [-1e-10, 0) to +0.0, and it runs the clamp only when
+the smallest price (min of the list, or the entry at argmin(p)) is
+negative: a kernel hands it no -0.0.
 
 expand_bracket and bracketed_root are the one 1-D search of the package,
 and it stops on the width of its bracket alone.  market.fill ends every
@@ -66,12 +73,16 @@ FLOOR_PAD = 1e-9
 PRICE_SUM_OK = 1e-10
 PRICE_SUM_FIX = 1e-8
 
+# Below this many states solve_t's checks and the small forms of the
+# catalog (utilities.py) run over Python floats; from it on, over arrays.
+SMALL_N = 8
+
 
 class SolverError(RuntimeError):
     """The scalar cost solve failed (bracket expansion or simplex check)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class CostSolveResult:
     t_star: float
     cost: float
@@ -203,16 +214,24 @@ def solve_t(u, q):
     q = np.asarray(q, dtype=float)
     if q.shape != (u.n,):
         raise ValueError(f"q must have shape ({u.n},), got {q.shape}")
-    # The extremes by index, not by a ufunc reduction: argmin and argmax
-    # stop at the first nan, so a nan or an infinite entry, or a spread past
-    # the float range, leaves qmin - qmax at -inf or nan.  The price sum is
-    # only checked, so p'e serves; a renormalisation divides by p.sum().
-    qmin, qmax = q.item(q.argmin()), q.item(q.argmax())
-    if not -math.inf < qmin - qmax:
+    small = u.n < SMALL_N
+    if small:
+        entries = q.tolist()
+        qmin, qmax, total = min(entries), max(entries), sum(entries)
+    else:
+        # argmin and argmax stop at the first nan.
+        qmin, qmax, total = q.item(q.argmin()), q.item(q.argmax()), 0.0
+    # A nan or an infinite entry, or a spread past the float range, leaves
+    # qmin - qmax at -inf or nan.
+    if not (-math.inf < qmin - qmax and total == total):
         raise ValueError("q must be finite, with a finite spread max(q) - min(q)")
     t, c, p, path, iterations = u._kernel(q - qmax)
     t, c, p = float(t + qmax), float(c + qmax), np.asarray(p, dtype=float)
-    gap = abs(p.dot(_ones(p.size)) - 1.0)
+    if small:
+        plist = p.tolist()
+        gap = abs(sum(plist) - 1.0)
+    else:
+        gap = abs(p.dot(_ones(p.size)) - 1.0)
     # A price that is not finite, or a price sum past the float range,
     # leaves the gap at inf or nan.
     if not (math.isfinite(t) and math.isfinite(c) and gap < math.inf):
@@ -223,8 +242,9 @@ def solve_t(u, q):
             raise SolverError(f"price vector off the simplex by {gap:.3e}")
         if gap > PRICE_SUM_OK * scale:
             p = p / p.sum()
+            plist = p.tolist()
     if u.monotone:
-        pmin = p.item(p.argmin())
+        pmin = min(plist) if small else p.item(p.argmin())
         if pmin < 0.0:
             if pmin < -1e-10:
                 raise SolverError("negative price from a non-decreasing utility")
@@ -244,10 +264,12 @@ def prices(u, q):
 
 def charge(u, q, a, x):
     """Integral charge C(q + a x) - C(q) for filling x units of bundle a."""
+    # Up front: an infinite x would make q + a x nan where a_i = 0, and a
+    # nan x passes a test that is not negated.
+    if not 0 <= x < math.inf:
+        raise ValueError(f"fill quantity must be nonnegative and finite, got {x}")
     q = np.asarray(q, dtype=float)
     a = np.asarray(a, dtype=float)
-    if x < 0:
-        raise ValueError(f"fill quantity must be nonnegative, got {x}")
     if a.shape != (u.n,) or np.any(a < 0) or not np.any(a > 0):
         raise ValueError("bundle must be nonnegative, nonzero, of market length")
     if x == 0:

@@ -2,15 +2,16 @@
 
 fill() is pure: it computes the accepted quantity and charge without
 touching the state; apply() commits a fill.  The quantity is the largest
-x in [0, limit] with f(x) = p(q + a x)'a - pi <= 0.  After the solve at 0,
-a fill with f(0) < 0 asks the utility's solve_fill hook for a closed-form
-candidate x_hat, handing it that solve, from which most kinds read their
-end (utilities.py).  One search ends the fill: cost.expand_bracket grows a
-bracket up to the limit, or to 2**60 for none, and cost.bracketed_root
-narrows it to the same width at its upper end hi, FILL_RTOL * max(1, hi)
-or one float spacing of q + a hi where that is wider, so x_bar is accurate
-relative to itself.  The bracket grows from [x_hat, x_hat], its first step
-that width at x_hat, where 0 <= x_hat < limit (or 2**60); a right candidate
+x in [0, limit] with f(x) = p(q + a x)'a - pi <= 0.  A fill with f(0) >= 0
+ends on the solve at 0 alone, "rejected".  Otherwise the fill asks the
+utility's solve_fill hook for a closed-form candidate x_hat, handing it
+that solve, from which most kinds read their end (utilities.py).  One
+search ends the fill: cost.expand_bracket grows a bracket up to the
+limit, or to 2**60 for none, and cost.bracketed_root narrows it to the
+same width at its upper end hi, FILL_RTOL * max(1, hi) or one float
+spacing of q + a hi where that is wider, so x_bar is accurate relative
+to itself.  The bracket grows from [x_hat, x_hat], its first step that
+width at x_hat, where 0 <= x_hat < limit (or 2**60); a right candidate
 then ends on its solve and one a step from it, "closed".  Otherwise a
 finite limit is probed first, and the bracket grows from [0, min(1, limit)].
 A limit where f <= 0 ends the fill there, "limit"; a limit where some
@@ -18,7 +19,8 @@ q_i + a_i limit leaves the floats is no limit, and the bracket grows to
 2**60 or to the limit, whichever is lower.  An end at 0, or an x_bar that
 leaves some bought state's q_i unchanged, sells nothing: "rejected".
 Every point is solved and priced once: the prices before and after and the
-charge are read from those solves.  Two charging modes exist:
+charge are read from those solves, and the fill keeps its end point, read
+only, as q_after.  Two charging modes exist:
 
 * "integral" -- the truthful scheme, charge = C(q + a x) - C(q), equal to
   the integral of instantaneous bundle prices over the fill;
@@ -27,8 +29,9 @@ charge are read from those solves.  Two charging modes exist:
 
 A state owns one read-only share vector, state.q: assign a new vector to
 change it.  The point at 0 of a fill is state.q itself, and the fill's
-q_before is that vector; apply replaces it only when x_bar > 0.  A q that
-the caller assigned writable is read through a read-only snapshot.
+q_before is that vector.  apply installs the fill's end point q_after,
+which is a new vector only when x_bar > 0.  A q that the caller assigned
+writable is read through a read-only snapshot.
 
 Order streams are CSV (trader_id,pi,limit,bundle with the bundle as
 semicolon-separated reals, and the limit as float() reads it, so "inf"
@@ -117,6 +120,8 @@ class Order:
     pi: float
     limit: float
     bundle: np.ndarray
+    # max(bundle), read once here for the fill's float-range test.
+    bundle_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.pi >= 0:
@@ -127,14 +132,15 @@ class Order:
         a = np.array(self.bundle, dtype=float)
         # The extremes by index, not by a ufunc reduction: argmin and argmax
         # stop at a nan, and no comparison holds for it.
-        if a.ndim != 1 or not a.size or not (a[a.argmin()] >= 0.0
-                                             and 0.0 < a[a.argmax()] < math.inf):
+        a_max = a.item(a.argmax()) if a.ndim == 1 and a.size else math.nan
+        if not (0.0 < a_max < math.inf and a.item(a.argmin()) >= 0.0):
             raise ValueError("bundle must be finite, nonnegative and nonzero")
         a.setflags(write=False)
         object.__setattr__(self, "bundle", a)
+        object.__setattr__(self, "bundle_max", a_max)
 
 
-@dataclass
+@dataclass(slots=True)
 class FillResult:
     x_bar: float
     charge: float
@@ -142,6 +148,7 @@ class FillResult:
     prices_after: np.ndarray
     order: Order
     q_before: np.ndarray
+    q_after: np.ndarray  # the read-only end point q + a x_bar, q_before if x_bar = 0
     solves: int  # cost solves made, one per distinct point
     path: str  # "rejected", "limit", "closed" or "bracket"
 
@@ -206,11 +213,17 @@ def fill(state, order):
         q = q + 0.0
         q.setflags(write=False)
 
-    # One record per point: the point, its solve and its bundle price.
     # Looked up at call time, so a wrapped cost.solve_t sees every solve.
     # ndarray.dot: the bits of @ for two vectors, without the ufunc's overhead.
     before = _cost.solve_t(u, q)
     p_a = float(before.prices.dot(a))
+    # A bundle price at or above pi rejects the order on this one solve.
+    if not p_a - order.pi < 0.0:
+        return FillResult(x_bar=0.0, charge=0.0, prices_before=before.prices,
+                          prices_after=before.prices, order=order, q_before=q, q_after=q,
+                          solves=1, path="rejected")
+
+    # One record per point: the point, its solve and its bundle price.
     points = {0.0: (q, before, p_a)}
 
     def excess(x):
@@ -226,21 +239,17 @@ def fill(state, order):
         point = points[x][0]
         return max(FILL_RTOL * max(1.0, x), math.ulp(point.item(point.argmax())))
 
-    x_bar, path = 0.0, "rejected"
-    if p_a - order.pi < 0.0:
-        # p_a itself: excess(0) + pi loses a price far below pi.
-        x_bar, path = _price_bound_end(u, q, order, before, p_a, excess, width)
-        # An end at 0 sells nothing, nor does one that a bought state's q_i cannot record.
-        if x_bar == 0.0 or np.count_nonzero(points[x_bar][0] != q) < np.count_nonzero(a):
-            x_bar, path = 0.0, "rejected"
-
-    _, after, after_p_a = points[x_bar]
-    if x_bar == 0.0:
-        paid = 0.0
+    # p_a itself: excess(0) + pi loses a price far below pi.
+    x_bar, path = _price_bound_end(u, q, order, before, p_a, excess, width)
+    end, after, after_p_a = points[x_bar]
+    # An end at 0 sells nothing, nor does one that a bought state's q_i cannot record.
+    if x_bar == 0.0 or np.count_nonzero(end != q) < np.count_nonzero(a):
+        x_bar, path, end, after, paid = 0.0, "rejected", q, before, 0.0
     elif state.config.charging_mode == "integral":
         paid = after.cost - before.cost
     else:
         paid = x_bar * after_p_a
+    end.setflags(write=False)
     return FillResult(
         x_bar=float(x_bar),
         charge=float(paid),
@@ -248,6 +257,7 @@ def fill(state, order):
         prices_after=after.prices,
         order=order,
         q_before=q,
+        q_after=end,
         solves=len(points),
         path=path,
     )
@@ -263,8 +273,7 @@ def _price_bound_end(u, q, order, before, p_a, excess, width):
     the limit, or 2**GROWTH_STEPS (and no more than the limit) where
     q + a limit leaves the floats; the steps always reach it, and a search
     that ends there with excess <= 0 ends at a finite limit, or raises."""
-    a, limit = order.bundle, order.limit
-    a_max = a.item(a.argmax())
+    a, limit, a_max = order.bundle, order.limit, order.bundle_max
     # Below 2**970, half a spacing of the largest float, a limit keeps q + a limit finite.
     finite = a_max * limit < 2.0 ** 970 or all(
         math.isfinite(x + y * limit) for x, y in zip(q.tolist(), a.tolist()))
@@ -290,23 +299,27 @@ def _price_bound_end(u, q, order, before, p_a, excess, width):
         return limit, "limit"
     if bracket is None:
         raise UnboundedFillError("fill bracket exceeded the growth cap")
-    x_bar, probes = _cost.bracketed_root(excess, *bracket, width(bracket[1]))
+    lo, hi, f_lo, f_hi = bracket
+    # The point's float spacing is read only where FILL_RTOL * max(1, hi)
+    # leaves the bracket open: a wider tolerance closes a closed one too.
+    tol = FILL_RTOL * max(1.0, hi)
+    if lo + tol < hi and hi - tol > lo:
+        tol = width(hi)
+    x_bar, probes = _cost.bracketed_root(excess, lo, hi, f_lo, f_hi, tol)
     return x_bar, "closed" if from_hat and not probes else "bracket"
 
 
 def apply(state, fill_result):
     """Commit a fill: update shares, money collected, and the journal.
 
-    state.q becomes a new read-only vector only when the fill sold shares;
-    otherwise it is the fill's q_before, the state's own vector.
+    state.q becomes the fill's end point q_after, the read-only vector that
+    fill solved last: a new one only when the fill sold shares, otherwise
+    the fill's q_before, the state's own vector.
     """
     q = fill_result.q_before
     if q is not state.q and (q.shape != state.q.shape or not (q == state.q).all()):
         raise StaleFillError("fill was computed against different outstanding shares")
-    if fill_result.x_bar > 0.0:
-        q = q + fill_result.order.bundle * fill_result.x_bar
-        q.setflags(write=False)
-    state.q = q
+    state.q = fill_result.q_after
     state.collected += fill_result.charge
     state.journal.append(fill_result)
     return state

@@ -141,13 +141,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import MAX_ITER, _root_t
+from .cost import MAX_ITER, SMALL_N, _root_t
 
 SIMPLEX_TOL = 1e-10
-
-# Below this many states the small forms run over Python floats (see the
-# module docstring); from it on, the array forms.
-SMALL_N = 8
 
 # The smallest normal float: a product below it has lost digits.
 _MIN_NORMAL = sys.float_info.min
@@ -287,11 +283,12 @@ def _newton(q, theta, total):
 
 def _check_simplex(p, n):
     p = np.asarray(p, dtype=float)
-    if p.shape[-1] != n:
+    if p.ndim == 0 or p.shape[-1] != n:
         raise ValueError(f"expected simplex vectors of length {n}, got shape {p.shape}")
-    if np.any(p < -SIMPLEX_TOL):
+    # Negated, so that a nan component or sum fails the tests as well.
+    if not np.all(p >= -SIMPLEX_TOL):
         raise ValueError("simplex vector has a negative component")
-    if np.any(np.abs(_rows(np.add, p) - 1.0) > SIMPLEX_TOL):
+    if not np.all(np.abs(_rows(np.add, p) - 1.0) <= SIMPLEX_TOL):
         raise ValueError("simplex vector does not sum to 1")
     return np.clip(p, 0.0, None)
 
@@ -372,7 +369,7 @@ class Utility:
 
     def _as_alloc(self, s):
         s = np.asarray(s, dtype=float)
-        if s.shape[-1] != self.n:
+        if s.ndim == 0 or s.shape[-1] != self.n:
             raise ValueError(f"expected allocation of length {self.n}, got shape {s.shape}")
         return s
 

@@ -426,6 +426,19 @@ class TestRiskDualCertificate:
         with pytest.raises(ValueError, match="risk-measure"):
             risk_dual_check(make_utility("QuadraticScore", n_outcomes=3), np.zeros(3), 400)
 
+    @pytest.mark.parametrize("res", [0, -5, 1, 2.5, math.inf, math.nan])
+    def test_grid_resolution_must_be_an_integer_from_2(self, res):
+        # Each returned a result without a word, as simplex_grid would not.
+        u = make_utility("LMSR", n_outcomes=2)
+        with pytest.raises(ValueError, match="^grid_resolution must be an integer >= 2"):
+            risk_dual_check(u, np.array([0.4, -0.3]), res)
+
+    def test_integral_grid_resolution_taken(self):
+        u = make_utility("LMSR", n_outcomes=2)
+        Z = np.array([0.4, -0.3])
+        assert risk_dual_check(u, Z, 2).dual_gap >= 0.0
+        assert risk_dual_check(u, Z, 400.0) == risk_dual_check(u, Z, np.int64(400))
+
 
 class TestDualWork:
     # A coarse lattice refined around its best point prices a few hundred

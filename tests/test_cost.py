@@ -68,6 +68,28 @@ class TestSolveT:
                 with pytest.raises(ValueError, match="finite"):
                     solve(u, q)
 
+    @pytest.mark.parametrize("n", [2, 3, SMALL_N - 1, SMALL_N])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_nonfinite_entry_rejected_at_every_index(self, kind, n):
+        # Both forms of the checks: lists below SMALL_N states, where min and
+        # max pass over a nan that is not first, and arrays from it on.
+        u = make_utility(kind, n_outcomes=n)
+        cases = []
+        for i in range(n):
+            for bad in (math.nan, math.inf, -math.inf):
+                q = np.linspace(0.0, 1.0, n)
+                q[i] = bad
+                cases.append(q)
+        # a nan after a finite maximum, and a nan with an inf elsewhere
+        cases.append(np.array([0.0] * (n - 2) + [2.0, math.nan]))
+        for inf in (math.inf, -math.inf):
+            cases.append(np.array([inf] + [0.0] * (n - 2) + [math.nan]))
+            cases.append(np.array([math.nan] + [0.0] * (n - 2) + [inf]))
+        for q in cases:
+            for solve in (solve_t, cost, prices):
+                with pytest.raises(ValueError, match="finite"):
+                    solve(u, q)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_overflowing_spread_rejected(self, kind):
         # Finite, but q - max(q) overflows: the kernel would see -inf.
@@ -884,6 +906,14 @@ class TestCharge:
         u = make_utility("LMSR", n_outcomes=2)
         with pytest.raises(ValueError, match="nonnegative"):
             charge(u, np.zeros(2), np.array([1.0, 0.0]), -1.0)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan, -math.inf])
+    def test_non_finite_fill_rejected(self, x):
+        # An infinite x made q + a x nan where a_i = 0, with numpy's
+        # "invalid value" warning first; a nan x passed the sign test.
+        u = make_utility("LMSR", n_outcomes=2)
+        with pytest.raises(ValueError, match="fill quantity must be nonnegative and finite"):
+            charge(u, np.zeros(2), np.array([1.0, 0.0]), x)
 
     def test_bad_bundle_rejected(self):
         u = make_utility("LMSR", n_outcomes=2)

@@ -59,11 +59,16 @@ class TestConfigAndOrder:
             MarketConfig(utility=make_utility("LMSR"), initial_q=q0)
 
     @pytest.mark.parametrize("bundle", [[math.nan, 1.0], [1.0, math.inf], [-math.inf, 1.0], [],
-                                        [[1.0, 0.0]]],
-                             ids=["nan", "inf", "-inf", "empty", "2-D"])
+                                        [[1.0, 0.0]], [2.0, math.nan], 1.0],
+                             ids=["nan", "inf", "-inf", "empty", "2-D", "nan-last", "0-D"])
     def test_order_rejects_bad_bundle_with_one_message(self, bundle):
         with pytest.raises(ValueError, match="^bundle must be finite, nonnegative and nonzero$"):
             Order("t", 0.5, 1.0, np.array(bundle, dtype=float))
+
+    def test_order_keeps_its_bundle_max(self):
+        order = Order("t", 0.5, 1.0, [0.5, 2.0, 0.0])
+        assert order.bundle_max == 2.0 and type(order.bundle_max) is float
+        assert "bundle_max" not in repr(order)
 
     def test_order_validation(self):
         with pytest.raises(ValueError, match="limit price"):
@@ -124,6 +129,23 @@ class TestShareVector:
         apply_fill(state, f)
         assert state.q is q
         assert state.journal == [f]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_apply_installs_the_fills_end_point(self, kind):
+        # A price at or above pi rejects on the solve at q alone, and ends
+        # there; a sale ends on the point it solved last, q + a x_bar bit
+        # for bit and read only, which apply installs as it is.
+        u = make_utility(kind, n_outcomes=3)
+        state = new_market(MarketConfig(utility=u, initial_q=np.array([0.3, 0.0, 0.1])))
+        rejected = fill(state, Order("t", 0.01, 1.0, np.array([1.0, 1.0, 0.0])))
+        assert (rejected.x_bar, rejected.path, rejected.solves) == (0.0, "rejected", 1)
+        assert rejected.q_after is rejected.q_before is state.q
+        assert rejected.prices_after is rejected.prices_before
+        f = fill(state, Order("t", 0.9, 5.0, np.array([0.0, 1.0, 0.5])))
+        assert f.x_bar > 0.0 and not f.q_after.flags.writeable
+        assert f.q_after.tobytes() == (f.q_before + f.order.bundle * f.x_bar).tobytes()
+        apply_fill(state, f)
+        assert state.q is f.q_after
 
     def test_fill_snapshots_an_assigned_writable_q(self):
         state = lmsr_market(n=3)
@@ -799,7 +821,8 @@ class TestStreamFormats:
         order = Order('q"b\\\u00e9', 0.25, math.inf, np.array([1.0, 0.0, 0.5]))
         f = FillResult(x_bar=0.1, charge=1 / 3, prices_before=np.array([0.5, 0.25, 0.25]),
                        prices_after=np.array([2 / 3, 1e-17, 1 / 3]), order=order,
-                       q_before=np.zeros(3), solves=3, path="closed")
+                       q_before=np.zeros(3), q_after=np.zeros(3), solves=3,
+                       path="closed")
         assert trace_record(f, 1e21) == (
             '{"charge": 0.3333333333333333, "collected_after": 1e+21, "order": {"bundle": '
             '[1.0, 0.0, 0.5], "limit": "inf", "pi": 0.25, "trader_id": "q\\"b\\\\\\u00e9"}, '
@@ -845,7 +868,8 @@ class TestStreamFormats:
         order = Order(trader_id, pi, limit, np.array([1.0, 0.0, 2.5]))
         f = FillResult(x_bar=0.1, charge=charge, prices_before=np.array(before),
                        prices_after=np.array(after), order=order,
-                       q_before=np.zeros(3), solves=3, path="closed")
+                       q_before=np.zeros(3), q_after=np.zeros(3), solves=3,
+                       path="closed")
         rec = {"order": {"trader_id": trader_id, "pi": pi,
                          "limit": "inf" if math.isinf(limit) else limit,
                          "bundle": order.bundle.tolist()},

@@ -15,6 +15,7 @@ def load_tool(name):
 
 src_lines = load_tool("src_lines")
 bench_pairs = load_tool("bench_pairs")
+solve_split = load_tool("solve_split")
 
 
 def test_src_lines_counts_code_apart_from_blanks_comments_and_docstrings():
@@ -44,6 +45,19 @@ def test_src_lines_reports_a_failed_export_in_one_line(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: cannot export no-such-rev: ") and err.count("\n") == 1
+
+
+def test_solve_split_prints_a_row_per_kind_and_size(capsys):
+    # One call per cell: the table's shape and arithmetic, not its timings.
+    assert solve_split.main(["--repeat", "1", "--number", "1"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[:5] == ["kind", "N", "_kernel", "solve_t", "the"]
+    cells = [row.split() for row in rows]
+    assert [(c[0], int(c[1])) for c in cells] == [
+        (kind, n) for n in solve_split.SIZES for kind in solve_split.utilities.KINDS]
+    for _, _, kernel, whole, rest in cells:
+        assert float(kernel) > 0.0 and float(whole) > 0.0
+        assert float(rest) == pytest.approx(float(whole) - float(kernel), abs=0.02)
 
 
 def test_bench_pairs_keeps_each_runs_attempted_count(monkeypatch):

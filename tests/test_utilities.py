@@ -173,6 +173,14 @@ class TestValuesAndGradients:
         assert got.tobytes() == rows.reshape(got.shape).tobytes()
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_d_allocation_is_a_value_error(self, kind):
+        # A 0-d input had no last axis to read: IndexError in place of ValueError.
+        u = make_utility(kind, n_outcomes=3)
+        for method in (u.value, u.grad, u.grad_sum):
+            with pytest.raises(ValueError, match="^expected allocation of length 3"):
+                method(1.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_value_batching_matches_scalar(self, kind):
         # A float for one row, and each row of a batch byte for byte as its
         # own call: value, properness_residual and penalty_raw.
@@ -277,6 +285,16 @@ class TestPenalty:
         u = make_utility("QuadraticScore")
         with pytest.raises(PenaltyUnsupportedError):
             u.conjugate_penalty(np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_nan_belief_is_no_simplex_vector(self, kind):
+        # A nan failed neither comparison, so LMSR returned PenaltyValue(nan, nan).
+        u = make_utility(kind, n_outcomes=3)
+        for p in ([math.nan, 0.5, 0.5], [0.5, 0.5, math.nan], [[0.2, 0.3, 0.5], [0.5, math.nan, 0.5]]):
+            with pytest.raises(ValueError, match="^simplex vector"):
+                u.conjugate_penalty(p)
+        with pytest.raises(ValueError, match="^expected simplex vectors of length 3"):
+            u.conjugate_penalty(0.5)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_conjugate_penalty_takes_a_batch(self, kind):
