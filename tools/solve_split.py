@@ -6,7 +6,8 @@
 Times, for every catalog kind at b = 1 and N = 3 and N = 1024, the
 kernel alone (``u._kernel`` at q - max(q), as ``solve_t`` calls it) and
 the whole ``cost.solve_t(u, q)``, each as the minimum over ``--repeat``
-timeit runs of ``--number`` calls, in µs per call.  The rest is their
+timeit runs of ``--number`` calls (a twentieth of them at N = 1024), in
+µs per call; the runs of the two alternate.  The rest is their
 difference: the checks and the result around the kernel.  At N = 3, q is
 [0.5, 0.2, 0]; at N = 1024 it is 0.25·(i mod 5) for state i.  It runs
 the ``src/`` of the tree the script sits in, so a copy of it placed in
@@ -15,6 +16,7 @@ an export of another revision times that revision.
 
 import argparse
 import importlib
+import math
 import sys
 import timeit
 from pathlib import Path
@@ -38,29 +40,30 @@ def market_q(n):
 
 
 def split(kind, n, repeat, number):
-    """(kernel µs, solve_t µs) per call, each the minimum of repeat runs."""
+    """(kernel µs, solve_t µs) per call, each the minimum of repeat runs;
+    the two alternate, so that both see the host in the same state."""
     u = utilities.make_utility(kind, n_outcomes=n)
     q = market_q(n)
     shifted = q - q.max()
-
-    def best(call):
-        return min(timeit.repeat(call, repeat=repeat, number=number)) / number * 1e6
-
-    return best(lambda: u._kernel(shifted)), best(lambda: cost.solve_t(u, q))
+    kernel = whole = math.inf
+    for _ in range(repeat):
+        kernel = min(kernel, timeit.timeit(lambda: u._kernel(shifted), number=number))
+        whole = min(whole, timeit.timeit(lambda: cost.solve_t(u, q), number=number))
+    return kernel / number * 1e6, whole / number * 1e6
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--repeat", type=int, default=7, help="timeit runs per cell (default 7)")
     p.add_argument("--number", type=int, default=20000,
-                   help="calls per timeit run at N = 3, a hundredth of them at N = 1024 "
+                   help="calls per timeit run at N = 3, a twentieth of them at N = 1024 "
                         "(default 20000)")
     args = p.parse_args(argv)
     if args.repeat < 1 or args.number < 1:
         p.error("--repeat and --number must be at least 1")
     print(f"{'kind':<16} {'N':>5} {'_kernel':>9} {'solve_t':>9} {'the rest':>9}   (µs)")
     for n in SIZES:
-        number = args.number if n == 3 else max(1, args.number // 100)
+        number = args.number if n == 3 else max(1, args.number // 20)
         for kind in utilities.KINDS:
             kernel, whole = split(kind, n, args.repeat, number)
             print(f"{kind:<16} {n:>5} {kernel:>9.2f} {whole:>9.2f} {whole - kernel:>9.2f}")
