@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import bracketed_root, cost as compute_cost, solve_t
+from .cost import bracketed_root, cost as compute_cost, solve_t, whole
 from . import market as market_mod
 from . import utilities as util_mod
 from .utilities import _rows
@@ -75,7 +75,7 @@ class PropernessReport:
     multiplicity_detected: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class ScoringRuleView:
     scores: np.ndarray
 
@@ -190,12 +190,12 @@ def worst_case_loss(u, method="analytic", seed=0):
 # -- properness -------------------------------------------------------------
 
 
-def _gradient_jump(u, S, D, eps=1e-6):
-    """Probe gradient continuity around every row of S along the directions
-    D, (M, n_probes, N); a jump signals a non-singleton subdifferential /
-    multiple optimal prices."""
+def _gradient_jump(u, S, D):
+    """Probe gradient continuity 1e-6 away from every row of S along the
+    directions D, (M, n_probes, N); a jump signals a non-singleton
+    subdifferential / multiple optimal prices."""
     # np.linalg.norm(D, axis=-1, keepdims=True), byte for byte
-    P = S[:, None] + eps * D / np.sqrt(_rows(np.add, D * D, keepdims=True))
+    P = S[:, None] + 1e-6 * D / np.sqrt(_rows(np.add, D * D, keepdims=True))
     if math.isfinite(u.domain_floor(np.zeros(u.n))):
         P = np.maximum(P, 1e-9)
     G = u.grad(np.concatenate([S[:, None], P], axis=1))
@@ -205,8 +205,7 @@ def _gradient_jump(u, S, D, eps=1e-6):
 def check_properness(u, n_samples=200, seed=0):
     """Sample interior beliefs r and check that the conjugate maximizer's
     (sub)gradient reproduces r; probes gradient continuity for strictness."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples = whole(n_samples, "n_samples", 1)
     rng = np.random.default_rng(seed)
     R = 0.9 * rng.dirichlet(np.ones(u.n), size=n_samples) + 0.1 / u.n  # off the boundary
     D = rng.standard_normal((n_samples, N_PROBES, u.n))
@@ -283,6 +282,7 @@ def _direct_msr_fill(costf, pricef, q, order):
 def msr_equivalence_check(rule, b=1.0, n_outcomes=2, n_orders=100, seed=0):
     """Run the same order stream through the utility-driven engine and a
     direct scoring-rule cost-difference market; report max discrepancies."""
+    n_orders = whole(n_orders, "n_orders", 0)
     if rule == "LMSR":
         u = util_mod.LMSR(b=b, n_outcomes=n_outcomes)
         costf, pricef = _lmsr_closed_forms(b, n_outcomes)
@@ -345,8 +345,7 @@ def simplex_grid(n, resolution):
     """All lattice simplex points with components k/resolution (n <= 3);
     for larger n, as many seeded Dirichlet samples as the n = 3 lattice
     has points, up to 100 000."""
-    if n < 2 or resolution < 2:
-        raise ValueError("need n >= 2 and resolution >= 2")
+    n, resolution = whole(n, "n", 2), whole(resolution, "resolution", 2)
     if n == 2:
         k = np.arange(resolution + 1)
         p0 = k / resolution
@@ -416,9 +415,7 @@ def risk_dual_check(u, Z, grid_resolution=1000):
     or too low anywhere near the minimum opens the gap.  Raises ValueError
     unless grid_resolution is an integer >= 2, as simplex_grid does.
     """
-    # Negated, so that nan fails; inf % 1 is nan.
-    if not (grid_resolution >= 2 and grid_resolution % 1 == 0):
-        raise ValueError(f"grid_resolution must be an integer >= 2, got {grid_resolution!r}")
+    grid_resolution = whole(grid_resolution, "grid_resolution", 2)
     res = _risk_solve(u, Z)
     Z = np.asarray(Z, dtype=float)
     witness = float(res.prices @ Z) + u.penalty_raw(res.prices)
@@ -457,6 +454,7 @@ def identify_penalty_family(u, resolution=12):
     interior simplex grid; returns (best label, max deviation)."""
     if not u.monotone:
         raise ValueError(f"{u.kind} has no penalty function")
+    resolution = whole(resolution, "resolution", 2)  # before a cache hashes it
     grid = _grid(u.n, resolution, interior=True)
     S = u._conjugate(grid)
     numeric = u.value(S) - _rows(np.add, grid * S)

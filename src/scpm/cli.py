@@ -21,20 +21,16 @@ from .oracle import cross_check
 from .utilities import utility_from_dict
 
 
-class ConfigError(Exception):
-    pass
-
-
 def load_market_config(path):
     try:
         with open(path) as f:
             doc = json.load(f)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+        raise ValueError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}")
+        raise ValueError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object, got {type(doc).__name__}")
+        raise ValueError(f"config {path} must be a JSON object, got {type(doc).__name__}")
     try:
         utility = utility_from_dict(doc.get("utility"))
         return market_mod.MarketConfig(
@@ -43,7 +39,7 @@ def load_market_config(path):
             initial_q=doc.get("initial_q"),
         )
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad market config {path}: {exc}")
+        raise ValueError(f"bad market config {path}: {exc}")
 
 
 def _market(args):
@@ -60,7 +56,7 @@ def _parse_vector(text, n, what):
     try:
         return market_mod.parse_bundle(text, n)
     except ValueError as exc:
-        raise ConfigError(f"bad {what}: {exc}")
+        raise ValueError(f"bad {what}: {exc}")
 
 
 def _fmt(x):
@@ -225,8 +221,7 @@ def main(argv=None):
         return args.func(args)
     # The engine's typed errors end the run as a usage error does, with one
     # line (DomainError and StaleFillError are ValueErrors).
-    except (ConfigError, ValueError, OSError, SolverError,
-            market_mod.UnboundedFillError) as exc:
+    except (ValueError, OSError, SolverError, market_mod.UnboundedFillError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -82,7 +82,18 @@ class SolverError(RuntimeError):
     """The scalar cost solve failed (bracket expansion or simplex check)."""
 
 
-@dataclass(slots=True)
+def whole(x, name, lo, hi=math.inf):
+    """int(x) for a number x of integral value in [lo, hi); else a ValueError naming it."""
+    try:
+        if not isinstance(x, (bool, np.bool_)) and int(x) == x and lo <= x < hi:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):  # None, a list, nan, inf
+        pass
+    span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi})"
+    raise ValueError(f"{name} must be an integer {span}, got {x!r}")
+
+
+@dataclass(slots=True, eq=False)
 class CostSolveResult:
     t_star: float
     cost: float

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # perfbench/tracing.py wraps both names where this module binds them.
-from .cost import charge as compute_charge, prices as compute_prices
+from .cost import charge as compute_charge, prices as compute_prices, whole
 
 # The package re-exports the function cost under the submodule's name.
 _cost = importlib.import_module(".cost", __package__)
@@ -83,7 +83,8 @@ class StaleFillError(ValueError):
     """Fill was produced from a different market state."""
 
 
-@dataclass(frozen=True)
+# Records that hold arrays compare by identity: an == of arrays could only raise.
+@dataclass(frozen=True, eq=False)
 class MarketConfig:
     utility: object
     charging_mode: str = "integral"
@@ -114,14 +115,14 @@ class MarketConfig:
         return self.utility.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Order:
     trader_id: str
     pi: float
     limit: float
     bundle: np.ndarray
     # max(bundle), read once here for the fill's float-range test.
-    bundle_max: float = field(init=False, repr=False, compare=False)
+    bundle_max: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.pi >= 0:
@@ -140,7 +141,7 @@ class Order:
         object.__setattr__(self, "bundle_max", a_max)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class FillResult:
     x_bar: float
     charge: float
@@ -163,7 +164,7 @@ class SettlementReport:
     bound_ok: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class MarketState:
     config: MarketConfig
     q: np.ndarray
@@ -337,13 +338,15 @@ def converge(state, belief, rounds=100, cap=1.0):
     # Negated, so a nan sum fails the test as well.
     if belief.shape != (n,) or not abs(belief.sum() - 1.0) <= 1e-10 or np.any(belief < 0):
         raise ValueError("belief must lie on the probability simplex")
+    rounds = whole(rounds, "rounds", 0)
+    units = np.eye(n)  # one per call: each Order copies its row
     sweeps = 0
     for _ in range(rounds):
         p = compute_prices(state.config.utility, state.q)
         traded = False
         for i in range(n):
             if belief[i] > p[i]:
-                f = fill(state, Order("agent", float(belief[i]), cap, np.eye(n)[i]))
+                f = fill(state, Order("agent", float(belief[i]), cap, units[i]))
                 if f.x_bar > 0:
                     apply(state, f)
                     traded = True
@@ -354,12 +357,9 @@ def converge(state, belief, rounds=100, cap=1.0):
 
 
 def settle(state, outcome):
-    """Pay $1 per outstanding share on the realized outcome, and check the
-    loss against B + C(initial_q)."""
-    n = state.config.n_outcomes
-    if isinstance(outcome, (bool, np.bool_)) or not (0 <= outcome < n and outcome % 1 == 0):
-        raise ValueError(f"outcome index must be in [0, {n}), got {outcome}")
-    outcome = int(outcome)
+    """Pay $1 per outstanding share on the realized outcome, an index in
+    [0, N) (cost.whole), and check the loss against B + C(initial_q)."""
+    outcome = whole(outcome, "outcome index", 0, state.config.n_outcomes)
     u = state.config.utility
     b_term, c0 = u.loss_bound_terms()
     # The initial shares are owed from the start and no charge paid for

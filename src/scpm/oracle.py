@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import market as market_mod
-from .analysis import simplex_grid  # noqa: F401  (a public name of this module too)
-from .cost import prices as compute_prices
+from .cost import prices as compute_prices, whole
 from .utilities import KINDS, make_utility
 
 # cross_check looks the engine up at call time, so a patched engine is what
 # it checks.  (The package re-exports the function cost under this name.)
 _engine = importlib.import_module(".cost", __package__)
+GRID_POINTS = 100_000  # of each of grid_min_t's two scans
 
 
 def default_bracket(u, q):
@@ -34,7 +34,7 @@ def default_bracket(u, q):
     return lo, hi
 
 
-def grid_min_t(u, q, bracket=None, grid_points=100_000):
+def grid_min_t(u, q, bracket=None):
     """Dense scan of t - u(te - q) over the bracket, refined once."""
     q = np.asarray(q, dtype=float)
     if bracket is None:
@@ -44,13 +44,13 @@ def grid_min_t(u, q, bracket=None, grid_points=100_000):
         raise ValueError(f"empty bracket ({lo}, {hi})")
 
     def scan(a, b):
-        t = np.linspace(a, b, grid_points)
+        t = np.linspace(a, b, GRID_POINTS)
         phi = t - u.value(t[:, None] - q[None, :])
         k = int(np.argmin(phi))
         return t, phi, k
 
     t, phi, k = scan(lo, hi)
-    spacing = (hi - lo) / (grid_points - 1)
+    spacing = (hi - lo) / (GRID_POINTS - 1)
     a = max(lo, t[k] - 2.0 * spacing)
     b = min(hi, t[k] + 2.0 * spacing)
     t, phi, k = scan(a, b)
@@ -80,6 +80,7 @@ def finite_diff_gradient(f, x, h=1e-6):
 
 def quadrature_charge(u, q, a, x_bar, panels=10_000):
     """Trapezoid rule for the integral of the instantaneous bundle price."""
+    panels = whole(panels, "panels", 1)
     if x_bar < 0:
         raise ValueError("x_bar must be nonnegative")
     if x_bar == 0:

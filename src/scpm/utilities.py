@@ -141,7 +141,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import MAX_ITER, SMALL_N, _root_t
+from .cost import MAX_ITER, SMALL_N, _root_t, whole
 
 SIMPLEX_TOL = 1e-10
 
@@ -322,14 +322,8 @@ class Utility:
         b = float(b)
         if not 0 < b < math.inf:
             raise ValueError(f"b must be positive and finite, got {b}")
-        try:
-            n = int(n_outcomes)
-        except (OverflowError, ValueError):  # inf, nan
-            n = None
-        if n != n_outcomes or n < 2:
-            raise ValueError(f"n_outcomes must be an integer >= 2, got {n_outcomes!r}")
         self.b = b
-        self.n = n
+        self.n = whole(n_outcomes, "n_outcomes", 2)
         self.theta = self._validate_theta(theta)
 
     def _validate_theta(self, theta):

@@ -1,8 +1,9 @@
-"""Tests for the scalar cost solve, prices, and charges."""
+"""Tests for the scalar cost solve, prices, charges, and the count rule."""
 
 import contextlib
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -18,11 +19,13 @@ from scpm import (
     new_market,
     prices,
     quote,
+    settle,
     solve_t,
 )
-from scpm import utilities
+from scpm import analysis, oracle, utilities
 from scpm.cost import (MAX_EXPAND, MAX_ITER, PRICE_SUM_OK, SolverError, bracketed_root,
-                       expand_bracket)
+                       expand_bracket, whole)
+from scpm.market import converge
 from scpm.utilities import KINDS, SMALL_N, QuadSCPM, Utility, _lse_level, _newton
 
 from linear_utility import LinearUtility
@@ -1055,3 +1058,59 @@ class TestExpandBracket:
         probes.clear()
         assert expand_bracket(f, 0.0, 1.0, -1.0, -1.0) is None
         assert probes == [2.0 ** k for k in range(1, MAX_EXPAND + 1)]
+
+
+class TestWhole:
+    """One count rule (cost.whole) at every public entry point that takes a
+    count or an index."""
+
+    @pytest.mark.parametrize("x", [3, 3.0, np.int64(3), np.float64(3.0), np.int32(3)])
+    def test_integral_values_pass_as_int(self, x):
+        n = whole(x, "k", 0)
+        assert n == 3 and type(n) is int
+        assert whole(x, "k", 3, 4) == 3
+
+    def test_range_is_named(self):
+        with pytest.raises(ValueError, match=r"^k must be an integer >= 3, got 2$"):
+            whole(2, "k", 3)
+        with pytest.raises(ValueError, match=r"^k must be an integer in \[0, 4\), got 4$"):
+            whole(4, "k", 0, 4)
+
+    @staticmethod
+    def entry_points():
+        """(name the error gives, call with the count) for each entry point."""
+        u = make_utility("LMSR", n_outcomes=3)
+        state = new_market(MarketConfig(utility=u))
+        a = np.array([1.0, 0.0, 1.0])
+        return {
+            "make_utility": ("n_outcomes", lambda x: make_utility("LMSR", n_outcomes=x)),
+            "settle": ("outcome index", lambda x: settle(state, x)),
+            "simplex_grid-n": ("n", lambda x: analysis.simplex_grid(x, 4)),
+            "simplex_grid-resolution": ("resolution", lambda x: analysis.simplex_grid(3, x)),
+            "check_properness": ("n_samples", lambda x: analysis.check_properness(u, x)),
+            "identify_penalty_family": ("resolution",
+                                        lambda x: analysis.identify_penalty_family(u, x)),
+            "risk_dual_check": ("grid_resolution",
+                                lambda x: analysis.risk_dual_check(u, np.zeros(3), x)),
+            "converge": ("rounds", lambda x: converge(state, [0.2, 0.3, 0.5], rounds=x)),
+            "msr_equivalence_check": ("n_orders",
+                                      lambda x: analysis.msr_equivalence_check("LMSR", n_orders=x)),
+            "quadrature_charge": ("panels",
+                                  lambda x: oracle.quadrature_charge(u, np.zeros(3), a, 1.0, x)),
+        }
+
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -1, True, "3", None, [3]],
+                             ids=["2.5", "nan", "inf", "-1", "True", "str", "None", "list"])
+    @pytest.mark.parametrize("entry", ["make_utility", "settle", "simplex_grid-n",
+                                       "simplex_grid-resolution", "check_properness",
+                                       "identify_penalty_family", "risk_dual_check", "converge",
+                                       "msr_equivalence_check", "quadrature_charge"])
+    def test_a_non_count_is_a_value_error_that_names_it(self, entry, bad):
+        # Some raised TypeError, and some answered: quadrature_charge with
+        # no panel, msr_equivalence_check with -3 orders, simplex_grid at
+        # k/7.5.  No warning comes first.
+        name, call = self.entry_points()[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                call(bad)

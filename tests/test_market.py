@@ -9,17 +9,20 @@ import pytest
 
 from scpm import (
     MarketConfig,
+    MarketState,
     Order,
     StaleFillError,
     UnboundedFillError,
     apply_fill,
     fill,
+    implicit_scoring_rule,
     make_utility,
     new_market,
     prices,
     quote,
     run_orders,
     settle,
+    solve_t,
 )
 from scpm.market import FillResult, converge, parse_bundle, read_orders_csv, trace_record
 from scpm.utilities import KINDS
@@ -745,6 +748,42 @@ class TestSettlement:
         engine = importlib.import_module("scpm.cost")
         monkeypatch.setattr(engine, "solve_t", lambda u, q: pytest.fail("solved"))
         assert settle(state, 0).loss_bound == math.log(3.0)
+
+
+class TestRecords:
+    @staticmethod
+    def records():
+        """Two builds of each record that holds an array, with equal fields
+        but arrays of their own."""
+        u = make_utility("LMSR", n_outcomes=3)
+        config = MarketConfig(utility=u)
+        state = new_market(config)
+        order = Order("t", 0.6, 1.0, [0.5, 2.0, 0.0])
+        return {
+            "Order": lambda: Order("t", 0.5, 1.0, [0.5, 2.0, 0.0]),
+            "MarketConfig": lambda: MarketConfig(utility=u),
+            "FillResult": lambda: fill(state, order),
+            "MarketState": lambda: MarketState(config=config, q=np.zeros(3)),
+            "CostSolveResult": lambda: solve_t(u, np.zeros(3)),
+            "ScoringRuleView": lambda: implicit_scoring_rule(u, np.zeros(3)),
+        }
+
+    @pytest.mark.parametrize("name", ["Order", "MarketConfig", "FillResult", "MarketState",
+                                      "CostSolveResult", "ScoringRuleView"])
+    def test_array_records_compare_by_identity(self, name):
+        # An == of their arrays raised ValueError, and hash raised TypeError.
+        make = self.records()[name]
+        first, second = make(), make()
+        assert type(first).__name__ == name
+        assert not first == second and first != second
+        assert first == first
+        assert len({first, second, first}) == 2
+
+    def test_float_records_compare_by_value(self):
+        state = lmsr_market()
+        assert settle(state, 0) == settle(state, 0)
+        u = make_utility("LMSR", n_outcomes=2)
+        assert u.conjugate_penalty([0.5, 0.5]) == u.conjugate_penalty([0.5, 0.5])
 
 
 class TestConverge:

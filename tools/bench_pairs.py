@@ -67,10 +67,11 @@ def parse_args(argv):
     return args
 
 
-def export(rev, dest):
-    """The committed files of rev in dest; returns the full commit hash."""
+def export(rev, dest, paths=()):
+    """The committed files of rev in dest, or those under paths alone;
+    returns the full commit hash."""
     # git archive first: its error names a bad rev in one line.
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+    archive = subprocess.run(["git", "archive", rev, *paths], cwd=ROOT, check=True,
                              capture_output=True).stdout
     commit = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
                             capture_output=True).stdout.decode().strip()

@@ -326,31 +326,21 @@ def _lines(text):
     return {name: digest for digest, name in (line.split("  ", 1) for line in text.splitlines())}
 
 
-def differing(rev):
-    """Names of the lines whose digests differ between this tree and rev's,
-    or that only one of them prints."""
-    with tempfile.TemporaryDirectory(prefix="output-digests-") as tree:
-        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
-        script = Path(tree) / "tools" / Path(__file__).name
-        script.parent.mkdir(exist_ok=True)
-        shutil.copyfile(__file__, script)
-        # The export digests itself while this tree does.
-        with subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE,
-                              text=True) as proc:
-            mine = {name: digest.hex() for name, digest in digests()}
-            out, _ = proc.communicate()
-        if proc.returncode:
-            raise RuntimeError(f"{script} exited {proc.returncode}")
+def differing(tree):
+    """Names of the lines whose digests differ between this tree and the
+    export in tree, or that only one of them prints."""
+    script = tree / "tools" / Path(__file__).name
+    script.parent.mkdir(exist_ok=True)
+    shutil.copyfile(__file__, script)
+    # The export digests itself while this tree does.
+    with subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE,
+                          text=True) as proc:
+        mine = {name: digest.hex() for name, digest in digests()}
+        out, _ = proc.communicate()
+    if proc.returncode:
+        raise RuntimeError(f"{script} exited {proc.returncode}")
     theirs = _lines(out)
     return [name for name in {**theirs, **mine} if mine.get(name) != theirs.get(name)]
-
-
-def _reason(exc):
-    """The last line of a failed command's stderr, or the error itself."""
-    lines = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip().splitlines()
-    return lines[-1] if lines else str(exc)
 
 
 def main(argv=None):
@@ -362,11 +352,17 @@ def main(argv=None):
         for name, digest in digests():
             print(f"{digest.hex()}  {name}", flush=True)
         return 0
-    try:
-        names = differing(args.against)
-    except (OSError, subprocess.CalledProcessError) as exc:
-        print(f"error: cannot export {args.against}: {_reason(exc)}", file=sys.stderr)
-        return 2
+    # Imported here only: the copy of this script in an export runs without
+    # --against, in a revision that may have no bench_pairs.
+    sys.path.insert(0, str(ROOT / "tools"))
+    from bench_pairs import _reason, export
+    with tempfile.TemporaryDirectory(prefix="output-digests-") as work:
+        try:
+            export(args.against, Path(work) / "tree")
+        except (OSError, subprocess.CalledProcessError) as exc:
+            print(f"error: cannot export {args.against}: {_reason(exc)}", file=sys.stderr)
+            return 2
+        names = differing(Path(work) / "tree")
     print("\n".join(names) if names else f"no line differs from {args.against}")
     return 1 if names else 0
 

@@ -52,12 +52,6 @@ def tree_counts(root):
     return total, code
 
 
-def _reason(exc):
-    """The last line of a failed command's stderr, or the error itself."""
-    lines = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip().splitlines()
-    return lines[-1] if lines else str(exc)
-
-
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--against", metavar="REV", help="also count src/ of git revision REV")
@@ -66,15 +60,15 @@ def main(argv=None):
     if args.against is None:
         print(f"src/: {mine[0]} lines, {mine[1]} code lines")
         return 0
-    with tempfile.TemporaryDirectory(prefix="src-lines-") as tree:
+    sys.path.insert(0, str(ROOT / "tools"))
+    from bench_pairs import _reason, export
+    with tempfile.TemporaryDirectory(prefix="src-lines-") as work:
         try:
-            archive = subprocess.run(["git", "archive", args.against, "src"], cwd=ROOT,
-                                     check=True, capture_output=True).stdout
-            subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+            export(args.against, Path(work) / "tree", ["src"])
         except (OSError, subprocess.CalledProcessError) as exc:
             print(f"error: cannot export {args.against}: {_reason(exc)}", file=sys.stderr)
             return 2
-        theirs = tree_counts(tree)
+        theirs = tree_counts(Path(work) / "tree")
     print(f"{args.against}: {theirs[0]} lines, {theirs[1]} code lines")
     print(f"this tree: {mine[0]} lines, {mine[1]} code lines")
     print(f"difference: {mine[0] - theirs[0]:+d} lines, {mine[1] - theirs[1]:+d} code lines")
